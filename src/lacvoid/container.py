@@ -12,8 +12,10 @@ Layout, byte-exact:
                   offset is the byte position of a tensor within the
                   payload region
 
-Tensors are packed in sorted-name order with no gaps, so the payload
-length must equal the sum of all tensor byte sizes.
+Tensors are packed in sorted-name order with no gaps, so each offset
+equals the byte sum of the tensors sorted before it and the payload
+length equals the sum of all tensor byte sizes. The loader enforces
+both.
 """
 
 from __future__ import annotations
@@ -64,7 +66,8 @@ def load_container(path) -> dict[str, np.ndarray]:
 
     tensors: dict[str, np.ndarray] = {}
     total = 0
-    for name, entry in header.items():
+    for name in sorted(header):
+        entry = header[name]
         if not isinstance(entry, dict) or set(entry) != {"offset", "shape", "dtype"}:
             raise ContainerError(f"{path}: malformed entry for tensor {name!r}")
         if entry["dtype"] != "f32":
@@ -75,7 +78,10 @@ def load_container(path) -> dict[str, np.ndarray]:
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
         nbytes = count * 4
         offset = int(entry["offset"])
-        if offset < 0 or offset + nbytes > len(payload):
+        if offset != total:
+            raise ContainerError(f"{path}: tensor {name!r} at offset {offset}, expected {total} "
+                                 "(tensors must be packed in sorted-name order with no gaps)")
+        if offset + nbytes > len(payload):
             raise ContainerError(f"{path}: tensor {name!r} payload [{offset}, {offset + nbytes}) out of range")
         tensors[name] = np.frombuffer(payload, dtype="<f4", count=count, offset=offset).reshape(shape).copy()
         total += nbytes

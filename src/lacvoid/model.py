@@ -202,31 +202,50 @@ class ToyTransformer:
         return out
 
 
-def _uniform_weight(seed: int, name: str, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
-    bound = 1.0 / np.sqrt(fan_in)
-    n = int(np.prod(shape))
-    return stream_for(seed, name).uniform(n, -bound, bound).reshape(shape)
+def _tensor_shapes(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], int | None]]:
+    """Every model tensor: name -> (shape, fan_in). fan_in None marks a
+    norm gain, initialised to ones; the rest are drawn from their named
+    stream, uniform in (-1/sqrt(fan_in), 1/sqrt(fan_in))."""
+    d, f = config.depth, config.ffn_dim
+    shapes = {"embed": ((config.vocab_size, d), d), "ln_f.gain": ((d,), None)}
+    for i in range(config.layer_count):
+        p = f"block{i}"
+        shapes.update({
+            f"{p}.ln1.gain": ((d,), None),
+            f"{p}.attn.wq": ((d, d), d),
+            f"{p}.attn.wk": ((d, d), d),
+            f"{p}.attn.wv": ((d, d), d),
+            f"{p}.attn.wo": ((d, d), d),
+            f"{p}.ln2.gain": ((d,), None),
+            f"{p}.ffn.w1": ((d, f), d),
+            f"{p}.ffn.w2": ((f, d), f),
+        })
+    return shapes
 
 
-def build_model(config: ModelConfig) -> ToyTransformer:
-    """Deterministic model from the config seed. Same config, same bits."""
-    d, f, v = config.depth, config.ffn_dim, config.vocab_size
-    embed = _uniform_weight(config.seed, "embed", (v, d), d)
+def _from_tensors(config: ModelConfig, tensors: dict[str, np.ndarray]) -> ToyTransformer:
     blocks = []
     for i in range(config.layer_count):
         p = f"block{i}"
         blocks.append(TransformerBlock(
-            ln1_gain=np.ones(d, dtype=DTYPE),
-            wq=_uniform_weight(config.seed, f"{p}.attn.wq", (d, d), d),
-            wk=_uniform_weight(config.seed, f"{p}.attn.wk", (d, d), d),
-            wv=_uniform_weight(config.seed, f"{p}.attn.wv", (d, d), d),
-            wo=_uniform_weight(config.seed, f"{p}.attn.wo", (d, d), d),
-            ln2_gain=np.ones(d, dtype=DTYPE),
-            w1=_uniform_weight(config.seed, f"{p}.ffn.w1", (d, f), d),
-            w2=_uniform_weight(config.seed, f"{p}.ffn.w2", (f, d), f),
-            head_count=config.head_count,
+            ln1_gain=tensors[f"{p}.ln1.gain"], wq=tensors[f"{p}.attn.wq"], wk=tensors[f"{p}.attn.wk"],
+            wv=tensors[f"{p}.attn.wv"], wo=tensors[f"{p}.attn.wo"], ln2_gain=tensors[f"{p}.ln2.gain"],
+            w1=tensors[f"{p}.ffn.w1"], w2=tensors[f"{p}.ffn.w2"], head_count=config.head_count,
         ))
-    return ToyTransformer(config, embed, blocks, np.ones(d, dtype=DTYPE))
+    return ToyTransformer(config, tensors["embed"], blocks, tensors["ln_f.gain"])
+
+
+def build_model(config: ModelConfig) -> ToyTransformer:
+    """Deterministic model from the config seed. Same config, same bits."""
+    tensors = {}
+    for name, (shape, fan_in) in _tensor_shapes(config).items():
+        if fan_in is None:
+            tensors[name] = np.ones(shape, dtype=DTYPE)
+        else:
+            bound = 1.0 / np.sqrt(fan_in)
+            n = int(np.prod(shape))
+            tensors[name] = stream_for(config.seed, name).uniform(n, -bound, bound).reshape(shape)
+    return _from_tensors(config, tensors)
 
 
 _CONFIG_FIELDS = ("layer_count", "depth", "head_count", "ffn_dim", "vocab_size", "max_seq")
@@ -254,28 +273,17 @@ def load_weights(path) -> ToyTransformer:
         raise ContainerError(f"{path}: malformed 'config' tensor")
     config = ModelConfig(**{f: int(x) for f, x in zip(_CONFIG_FIELDS, raw)}, seed=0)
 
-    skeleton = build_model(config)
-    expected = skeleton.named_tensors()
+    expected = _tensor_shapes(config)
     unknown = sorted(set(tensors) - set(expected) - {"config"})
     missing = sorted(set(expected) - set(tensors))
     if unknown:
         raise ContainerError(f"{path}: unknown tensor name(s): {', '.join(unknown)}")
     if missing:
         raise ContainerError(f"{path}: missing tensor name(s): {', '.join(missing)}")
-    for name, arr in expected.items():
-        if tensors[name].shape != arr.shape:
-            raise ContainerError(f"{path}: tensor {name!r} has shape {tensors[name].shape}, expected {arr.shape}")
-
-    embed = tensors["embed"]
-    blocks = []
-    for i in range(config.layer_count):
-        p = f"block{i}"
-        blocks.append(TransformerBlock(
-            ln1_gain=tensors[f"{p}.ln1.gain"], wq=tensors[f"{p}.attn.wq"], wk=tensors[f"{p}.attn.wk"],
-            wv=tensors[f"{p}.attn.wv"], wo=tensors[f"{p}.attn.wo"], ln2_gain=tensors[f"{p}.ln2.gain"],
-            w1=tensors[f"{p}.ffn.w1"], w2=tensors[f"{p}.ffn.w2"], head_count=config.head_count,
-        ))
-    return ToyTransformer(config, embed, blocks, tensors["ln_f.gain"])
+    for name, (shape, _) in expected.items():
+        if tensors[name].shape != shape:
+            raise ContainerError(f"{path}: tensor {name!r} has shape {tensors[name].shape}, expected {shape}")
+    return _from_tensors(config, tensors)
 
 
 @dataclass

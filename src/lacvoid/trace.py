@@ -52,11 +52,20 @@ def _fmt(x: float) -> str:
 
 
 def record_to_line(r: TraceRecord) -> str:
-    """One JSONL line, fixed field order, no trailing newline."""
+    """One JSONL line, fixed field order, no trailing newline.
+
+    Raises TraceError for a NaN or infinite norm, delta or alpha, which
+    JSON cannot encode.
+    """
     r.validate()
     flags = ",".join("1" if f else "0" for f in r.layer_flags)
     norms = ",".join(_fmt(x) for x in r.layer_norms)
     deltas = ",".join(_fmt(x) for x in r.layer_deltas)
+    alpha = _fmt(r.alpha)
+    # %g spells a non-finite value nan, inf or -inf: the only outputs with an "n".
+    for field, text in (("layer_norms", norms), ("layer_deltas", deltas), ("alpha", alpha)):
+        if "n" in text:
+            raise TraceError(f"{field} must be finite, got [{text}]")
     return (
         "{"
         f'"sequence_id":{json.dumps(r.sequence_id)},'
@@ -66,7 +75,7 @@ def record_to_line(r: TraceRecord) -> str:
         f'"layer_flags":[{flags}],'
         f'"layer_norms":[{norms}],'
         f'"layer_deltas":[{deltas}],'
-        f'"alpha":{_fmt(r.alpha)},'
+        f'"alpha":{alpha},'
         f'"formula":{json.dumps(r.formula)},'
         f'"skip_mode":{json.dumps(r.skip_mode)}'
         "}"

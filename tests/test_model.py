@@ -13,6 +13,7 @@ from lacvoid import (
     decode_tokens,
     encode_text,
     generate,
+    load_container,
     load_weights,
     run_prompt,
     run_stack,
@@ -20,6 +21,7 @@ from lacvoid import (
     save_weights,
 )
 from lacvoid.model import TransformerBlock, sinusoidal_positions
+from lacvoid.rng import Xoshiro256StarStar
 
 OFF = HaltPolicy(skip_mode=SkipMode.OFF)
 DETECT = HaltPolicy(skip_mode=SkipMode.DETECT)
@@ -82,6 +84,42 @@ class TestContainer:
         blob = path.read_bytes()
         path.write_bytes(blob[:-8])
         with pytest.raises(ContainerError, match="(mismatch|out of range)"):
+            load_weights(path)
+
+    def test_overlapping_offsets_rejected(self, tmp_path):
+        # Both tensors claim offset 0; the total byte count still matches the payload.
+        header = b'{"a":{"dtype":"f32","offset":0,"shape":[2]},"b":{"dtype":"f32","offset":0,"shape":[2]}}'
+        path = tmp_path / "m.lactnsr"
+        path.write_bytes(b"LACTNSR1" + len(header).to_bytes(4, "little") + header + bytes(16))
+        with pytest.raises(ContainerError, match="'b' at offset 0, expected 8"):
+            load_container(path)
+
+    def test_out_of_order_offsets_rejected(self, tmp_path):
+        header = b'{"a":{"dtype":"f32","offset":4,"shape":[1]},"b":{"dtype":"f32","offset":0,"shape":[1]}}'
+        path = tmp_path / "m.lactnsr"
+        path.write_bytes(b"LACTNSR1" + len(header).to_bytes(4, "little") + header + bytes(8))
+        with pytest.raises(ContainerError, match="'a' at offset 4, expected 0"):
+            load_container(path)
+
+    def test_load_builds_no_model(self, tmp_path, monkeypatch):
+        model = build_model(CFG)
+        path = tmp_path / "m.lactnsr"
+        save_weights(model, path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("load_weights drew random weights")
+        monkeypatch.setattr(Xoshiro256StarStar, "uniform", refuse)
+        loaded = load_weights(path)
+        for name, arr in model.named_tensors().items():
+            assert loaded.named_tensors()[name].tobytes() == arr.tobytes(), name
+
+    def test_wrong_shape_rejected(self, tmp_path):
+        tensors = build_model(CFG).named_tensors()
+        tensors["config"] = np.array([4, 16, 2, 32, 256, 64], dtype=np.float32)
+        tensors["block1.ffn.w1"] = np.zeros((32, 16), dtype=np.float32)
+        path = tmp_path / "m.lactnsr"
+        save_container(tensors, path)
+        with pytest.raises(ContainerError, match=r"'block1.ffn.w1' has shape \(32, 16\), expected \(16, 32\)"):
             load_weights(path)
 
     def test_bad_magic(self, tmp_path):

@@ -96,6 +96,18 @@ class TestWriteRead:
         with pytest.raises(TraceError):
             read_trace([line])
 
+    @pytest.mark.parametrize("field", ["norms", "deltas", "alpha"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_value_refused(self, field, bad):
+        value = bad if field == "alpha" else (1.0, bad)
+        record = make_record(**{field: value})
+        with pytest.raises(TraceError, match="finite"):
+            record_to_line(record)
+        buf = io.StringIO()
+        with pytest.raises(TraceError):
+            write_trace([record], buf)
+        assert buf.getvalue() == ""
+
     def test_append_only(self, tmp_path):
         path = tmp_path / "t.jsonl"
         write_trace([make_record(token_index=0)], path)
