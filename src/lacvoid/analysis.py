@@ -10,7 +10,6 @@ the report, so the report's maximum is exactly 1.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,6 +18,7 @@ import numpy as np
 
 from .errors import TraceError
 from .halting import ThresholdFormula, offline_void_mask
+from .tensors import DTYPE
 from .trace import PHASES, TraceRecord
 
 __all__ = [
@@ -75,21 +75,23 @@ def _uniform_or_none(values) -> object | None:
     return vals.pop() if len(vals) == 1 else None
 
 
-def usage_report(records: list[TraceRecord], alpha: float | None = None,
-                 formula: str | None = None) -> LayerUsageReport:
-    """Aggregate activation flags. alpha/formula default to the records'
-    own settings when those are uniform."""
-    t_total = _uniform_layer_count(records)
+def _by_phase(matrix: np.ndarray, phases: np.ndarray):
+    """(phase, rows of matrix) for each phase that has rows, in PHASES order."""
+    for phase in PHASES:
+        rows = phases == phase
+        if rows.any():
+            yield phase, matrix[rows]
+
+
+def _usage_from_columns(flags: np.ndarray, phases: np.ndarray, alpha, formula) -> LayerUsageReport:
+    """Usage report from an (N, T) activation flag matrix and its (N,) phase column."""
+    t_total = flags.shape[1]
     frequencies: dict[str, np.ndarray] = {}
     average: dict[str, float] = {}
     counts: dict[str, int] = {}
-    for phase in PHASES:
-        sub = [r for r in records if r.phase == phase]
-        if not sub:
-            continue
-        flags = np.array([r.layer_flags for r in sub], dtype=np.float64)
-        frequencies[phase] = flags.mean(axis=0)
-        average[phase] = float(flags.sum(axis=1).mean() / t_total)
+    for phase, sub in _by_phase(flags.astype(np.float64), phases):
+        frequencies[phase] = sub.mean(axis=0)
+        average[phase] = float(sub.sum(axis=1).mean() / t_total)
         counts[phase] = len(sub)
     peak = max((f.max() for f in frequencies.values()), default=0.0)
     normalized = {p: (f / peak if peak > 0 else np.zeros_like(f)) for p, f in frequencies.items()}
@@ -99,23 +101,30 @@ def usage_report(records: list[TraceRecord], alpha: float | None = None,
         normalized=normalized,
         average_usage=average,
         token_counts=counts,
-        alpha=alpha if alpha is not None else _uniform_or_none(r.alpha for r in records),
-        formula=formula if formula is not None else _uniform_or_none(r.formula for r in records),
+        alpha=alpha,
+        formula=formula,
     )
+
+
+def usage_report(records: list[TraceRecord]) -> LayerUsageReport:
+    """Aggregate activation flags. alpha/formula are the records' own
+    settings when those are uniform, else None."""
+    _uniform_layer_count(records)
+    return _usage_from_columns(np.array([r.layer_flags for r in records], dtype=bool),
+                               np.array([r.phase for r in records]),
+                               _uniform_or_none(r.alpha for r in records),
+                               _uniform_or_none(r.formula for r in records))
 
 
 def norm_profile(records: list[TraceRecord]) -> NormProfile:
     """Arithmetic means of per-layer norms and progress, by phase."""
     t_total = _uniform_layer_count(records)
-    mean_norms: dict[str, np.ndarray] = {}
-    mean_deltas: dict[str, np.ndarray] = {}
-    for phase in PHASES:
-        sub = [r for r in records if r.phase == phase]
-        if not sub:
-            continue
-        mean_norms[phase] = np.array([r.layer_norms for r in sub], dtype=np.float64).mean(axis=0)
-        mean_deltas[phase] = np.array([r.layer_deltas for r in sub], dtype=np.float64).mean(axis=0)
-    return NormProfile(layer_count=t_total, mean_norms=mean_norms, mean_deltas=mean_deltas)
+    phases = np.array([r.phase for r in records])
+    norms = np.array([r.layer_norms for r in records], dtype=np.float64)
+    deltas = np.array([r.layer_deltas for r in records], dtype=np.float64)
+    return NormProfile(layer_count=t_total,
+                       mean_norms={p: sub.mean(axis=0) for p, sub in _by_phase(norms, phases)},
+                       mean_deltas={p: sub.mean(axis=0) for p, sub in _by_phase(deltas, phases)})
 
 
 def alpha_sweep(records: list[TraceRecord], alphas, formula: ThresholdFormula = ThresholdFormula.MODIFIED,
@@ -124,20 +133,18 @@ def alpha_sweep(records: list[TraceRecord], alphas, formula: ThresholdFormula = 
 
     Records must carry per-layer deltas from a run that did not alter
     the stream (off or detect mode), otherwise the replayed decisions
-    do not correspond to any single forward pass.
+    do not correspond to any single forward pass. The (N, T) delta
+    matrix is built once; each alpha is one offline_void_mask call.
     """
     t_total = _uniform_layer_count(records)
     for r in records:
         if len(r.layer_deltas) != t_total:
             raise TraceError(f"record {r.sequence_id}:{r.token_index} is missing per-layer deltas")
-    out = []
-    for alpha in alphas:
-        rethresholded = [
-            dataclasses.replace(r, layer_flags=[not v for v in offline_void_mask(r.layer_deltas, alpha, formula, min_layers)])
-            for r in records
-        ]
-        out.append((float(alpha), usage_report(rethresholded, alpha=float(alpha), formula=formula.value)))
-    return out
+    deltas = np.array([r.layer_deltas for r in records], dtype=DTYPE)
+    phases = np.array([r.phase for r in records])
+    return [(float(alpha), _usage_from_columns(~offline_void_mask(deltas, alpha, formula, min_layers), phases,
+                                               float(alpha), formula.value))
+            for alpha in alphas]
 
 
 def _fmt(x: float) -> str:

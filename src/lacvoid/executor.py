@@ -53,19 +53,16 @@ class ExecutionOutcome:
     axis. norms are of the accepted post-layer state; deltas are the
     candidate progress that drove the decision. token_norms and
     token_deltas always carry the per-token view so traces can be
-    written regardless of the policy granularity. thresholds is None
-    when no decisions were computed (OFF mode or a forced void set).
+    written regardless of the policy granularity.
     """
 
     final_hidden: np.ndarray
     void_flags: np.ndarray
     norms: np.ndarray
     deltas: np.ndarray
-    thresholds: np.ndarray | None
     token_norms: np.ndarray
     token_deltas: np.ndarray
     granularity: NormGranularity
-    history: ProgressHistory
 
     @property
     def layer_count(self) -> int:
@@ -157,7 +154,6 @@ def run_stack(stack: LayerStack, h0, policy: HaltPolicy, forced_voids=None) -> E
     flags = np.zeros((t_total,) + unit_shape, dtype=bool)
     norms = np.zeros((t_total,) + unit_shape, dtype=DTYPE)
     deltas = np.zeros((t_total,) + unit_shape, dtype=DTYPE)
-    lambdas = np.zeros((t_total,) + unit_shape, dtype=DTYPE) if forced is None and policy.skip_mode is not SkipMode.OFF else None
     tok_norms = np.zeros((t_total,) + tok_before.shape, dtype=DTYPE)
     tok_deltas = np.zeros((t_total,) + tok_before.shape, dtype=DTYPE)
 
@@ -170,16 +166,14 @@ def run_stack(stack: LayerStack, h0, policy: HaltPolicy, forced_voids=None) -> E
         cand_norm = _squeeze_unit(l2_norm(candidate, g), g)
         cand_tok = _squeeze_unit(l2_norm(candidate, NormGranularity.TOKEN), NormGranularity.TOKEN)
         delta = cand_norm - norm_before
-        history.append(delta)
 
         if forced is not None:
             void = forced[t - 1]
         elif policy.skip_mode is SkipMode.OFF:
             void = np.zeros(unit_shape, dtype=bool)
         else:
-            decision = decide(history, delta, policy)
-            void = decision.void
-            lambdas[t - 1] = decision.threshold_value
+            history.append(delta)
+            void = decide(history, delta, policy).void
 
         mode = policy.skip_mode
         if mode in (SkipMode.OFF, SkipMode.DETECT):
@@ -210,9 +204,7 @@ def run_stack(stack: LayerStack, h0, policy: HaltPolicy, forced_voids=None) -> E
         void_flags=flags,
         norms=norms,
         deltas=deltas,
-        thresholds=lambdas,
         token_norms=tok_norms,
         token_deltas=tok_deltas,
         granularity=g,
-        history=history,
     )

@@ -13,11 +13,14 @@ Two threshold variants are kept as explicit configuration:
 
 max(deltas) >= min(deltas) always, so the two are numerically identical
 as written; both are retained so configurations can name either form.
+
+The rule itself lives in _void_rule alone, fed by the live decide and
+by the offline replay of recorded deltas.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -88,52 +91,32 @@ class HaltPolicy:
 
 
 class ProgressHistory:
-    """Ordered per-unit progress measurements with running extrema.
+    """Running per-unit progress extrema, the step count and the latch.
 
     One instance tracks one forward pass of one unit grid (all units of
     a granularity at once, e.g. shape (batch, length) for per-token).
-    Mutable, single-threaded by design; independent passes use
-    independent histories.
+    Only what the void rule reads is kept. Mutable, single-threaded by
+    design; independent passes use independent histories.
     """
 
     def __init__(self) -> None:
-        self._deltas: list[np.ndarray] = []
+        self.step_count = 0
         self.running_max: np.ndarray | None = None
         self.running_min: np.ndarray | None = None
         self.latched: np.ndarray | None = None
 
-    @property
-    def step_count(self) -> int:
-        return len(self._deltas)
-
-    @property
-    def deltas(self) -> tuple[np.ndarray, ...]:
-        return tuple(self._deltas)
-
-    @property
-    def unit_shape(self) -> tuple[int, ...]:
-        if not self._deltas:
-            raise ValueError("history is empty")
-        return self._deltas[0].shape
-
     def append(self, delta) -> None:
         d = np.asarray(delta, dtype=DTYPE)
-        if self._deltas and d.shape != self._deltas[0].shape:
-            raise ShapeError(f"delta shape {d.shape} does not match history unit shape {self._deltas[0].shape}")
-        self._deltas.append(d)
         if self.running_max is None:
             self.running_max = d.copy()
             self.running_min = d.copy()
             self.latched = np.zeros(d.shape, dtype=bool)
+        elif d.shape != self.running_max.shape:
+            raise ShapeError(f"delta shape {d.shape} does not match history unit shape {self.running_max.shape}")
         else:
             self.running_max = np.maximum(self.running_max, d)
             self.running_min = np.minimum(self.running_min, d)
-
-    def stacked(self) -> np.ndarray:
-        """All recorded deltas as one (step_count, *unit_shape) array."""
-        if not self._deltas:
-            raise ValueError("history is empty")
-        return np.stack(self._deltas)
+        self.step_count += 1
 
 
 @dataclass
@@ -143,7 +126,6 @@ class HaltDecision:
     void: np.ndarray
     threshold_value: np.ndarray
     delta_value: np.ndarray
-    step_count: int
 
 
 def progress(norm_prev, norm_curr) -> np.ndarray:
@@ -171,9 +153,16 @@ def threshold(history: ProgressHistory, alpha: float, formula: ThresholdFormula)
     return _lambda_from_extrema(history.running_max, history.running_min, alpha, formula)
 
 
-def _eligible(step_count: int, min_layers: int) -> bool:
-    # Layer 1 is always kept; layers up to min_layers are the usage floor.
-    return step_count >= 2 and step_count >= min_layers
+def _void_rule(delta, dmax, dmin, step, alpha: float, formula: ThresholdFormula,
+               min_layers: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lambda, void) for delta, its running extrema so far and its 1-based step.
+
+    Void is strictly below lambda; layer 1 and layers up to min_layers
+    are never void. step is an int, or an array broadcasting to delta.
+    """
+    lam = _lambda_from_extrema(dmax, dmin, alpha, formula)
+    eligible = (step >= 2) & (step >= min_layers)
+    return lam, (delta < lam) & eligible
 
 
 def decide(history: ProgressHistory, delta, policy: HaltPolicy) -> HaltDecision:
@@ -187,44 +176,39 @@ def decide(history: ProgressHistory, delta, policy: HaltPolicy) -> HaltDecision:
     d = np.asarray(delta, dtype=DTYPE)
     if history.step_count == 0:
         raise ValueError("decide requires the current delta to be appended to the history first")
-    if d.shape != history.unit_shape:
-        raise ShapeError(f"delta shape {d.shape} does not match history unit shape {history.unit_shape}")
-    lam = threshold(history, policy.alpha, policy.formula)
-    if _eligible(history.step_count, policy.min_layers):
-        void = d < lam
-    else:
-        void = np.zeros(d.shape, dtype=bool)
+    if d.shape != history.running_max.shape:
+        raise ShapeError(f"delta shape {d.shape} does not match history unit shape {history.running_max.shape}")
+    lam, void = _void_rule(d, history.running_max, history.running_min, history.step_count,
+                           policy.alpha, policy.formula, policy.min_layers)
     if policy.skip_mode is SkipMode.HALT_FROZEN:
         void = void | history.latched
         history.latched = void.copy()
-    return HaltDecision(void=void, threshold_value=lam, delta_value=d, step_count=history.step_count)
+    return HaltDecision(void=void, threshold_value=lam, delta_value=d)
 
 
 def offline_void_mask(delta_sequence, alpha: float, formula: ThresholdFormula = ThresholdFormula.MODIFIED,
                       min_layers: int = 1) -> np.ndarray:
-    """Boolean void mask over a recorded scalar progress sequence.
+    """Boolean void mask over recorded progress: a (T,) sequence or an (N, T) matrix.
 
-    Replays the stepwise decision exactly as the live path would have
-    made it, so traces recorded without skipping can be re-thresholded
-    at any alpha after the fact.
+    Running extrema along the layer axis feed the same rule, in the
+    same float32 arithmetic, as the live path's layer-by-layer
+    decisions, so traces recorded without skipping can be
+    re-thresholded at any alpha after the fact.
     """
     deltas = np.asarray(delta_sequence, dtype=DTYPE)
-    if deltas.ndim != 1 or deltas.size == 0:
-        raise ValueError(f"expected a non-empty 1-d delta sequence, got shape {deltas.shape}")
+    if deltas.ndim not in (1, 2) or deltas.shape[-1] == 0:
+        raise ValueError(f"expected a non-empty (T,) or (N, T) delta array, got shape {deltas.shape}")
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    mask = np.zeros(deltas.size, dtype=bool)
-    dmax = dmin = deltas[0]
-    for t, d in enumerate(deltas, start=1):
-        dmax = max(dmax, d)
-        dmin = min(dmin, d)
-        lam = _lambda_from_extrema(np.float32(dmax), np.float32(dmin), alpha, formula)
-        mask[t - 1] = _eligible(t, min_layers) and bool(d < lam)
-    return mask
+    _, void = _void_rule(deltas, np.maximum.accumulate(deltas, axis=-1), np.minimum.accumulate(deltas, axis=-1),
+                         np.arange(1, deltas.shape[-1] + 1), alpha, formula, min_layers)
+    return void
 
 
 def detect_voids_offline(delta_sequence, alpha: float, formula: ThresholdFormula = ThresholdFormula.MODIFIED,
                          min_layers: int = 1) -> set[int]:
-    """Set of void layer indices (1-based, matching step numbering)."""
+    """Set of void layer indices (1-based, matching step numbering) of a (T,) sequence."""
     mask = offline_void_mask(delta_sequence, alpha, formula, min_layers)
+    if mask.ndim != 1:
+        raise ValueError(f"expected a 1-d delta sequence, got shape {mask.shape}")
     return {i + 1 for i in np.flatnonzero(mask)}

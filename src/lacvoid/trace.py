@@ -10,15 +10,19 @@ the last layer on top, 255 = activated, 0 = void.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable
 
 from .errors import TraceError
+from .halting import SkipMode, ThresholdFormula
 
 PHASE_PP = "PP"  # prompt processing
 PHASE_RG = "RG"  # response generation
 PHASES = (PHASE_PP, PHASE_RG)
+_FORMULAS = tuple(f.value for f in ThresholdFormula)
+_SKIP_MODES = tuple(m.value for m in SkipMode)
 
 
 @dataclass
@@ -39,12 +43,24 @@ class TraceRecord:
         return len(self.layer_flags)
 
     def validate(self) -> None:
+        """Checks shared by the writer and the reader; the reader adds JSON type checks."""
+        if not self.layer_flags:
+            raise TraceError("a record needs at least one layer")
         if self.phase not in PHASES:
             raise TraceError(f"phase must be one of {PHASES}, got {self.phase!r}")
         if not (len(self.layer_flags) == len(self.layer_norms) == len(self.layer_deltas)):
             raise TraceError(
                 f"per-layer arrays disagree: {len(self.layer_flags)} flags, "
                 f"{len(self.layer_norms)} norms, {len(self.layer_deltas)} deltas")
+        for field in ("token_index", "token_id"):
+            if getattr(self, field) < 0:
+                raise TraceError(f"{field} must be non-negative, got {getattr(self, field)!r}")
+        if not 0.0 < self.alpha <= 1.0:
+            raise TraceError(f"alpha must be a finite number in (0, 1], got {self.alpha!r}")
+        if self.formula not in _FORMULAS:
+            raise TraceError(f"formula must be one of {_FORMULAS}, got {self.formula!r}")
+        if self.skip_mode not in _SKIP_MODES:
+            raise TraceError(f"skip_mode must be one of {_SKIP_MODES}, got {self.skip_mode!r}")
 
 
 def _fmt(x: float) -> str:
@@ -103,21 +119,58 @@ _REQUIRED_FIELDS = ("sequence_id", "token_index", "phase", "token_id",
                     "layer_flags", "layer_norms", "layer_deltas", "alpha", "formula", "skip_mode")
 
 
-def parse_record(obj: dict) -> TraceRecord:
+def _integer(obj: dict, field: str) -> int:
+    value = obj[field]
+    if type(value) is not int:
+        raise TraceError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
+def _finite_floats(obj: dict, field: str) -> list[float]:
+    values = obj[field]
+    if type(values) is not list:
+        raise TraceError(f"{field} must be a list, got {values!r}")
+    try:
+        out = [float(x) for x in values if type(x) is float or type(x) is int]
+    except OverflowError:  # an integer literal too large for a float
+        out = []
+    if len(out) != len(values) or not all(map(math.isfinite, out)):
+        raise TraceError(f"{field} must hold finite numbers, got {values!r}")
+    return out
+
+
+def parse_record(obj) -> TraceRecord:
+    """Build a record from one decoded JSON line, enforcing what the writer emits.
+
+    Raises TraceError unless obj is an object with every field, a
+    string sequence_id, integer token_index and token_id, layer flags
+    of exactly 0 or 1, finite numbers for norms, deltas and alpha, and
+    values that TraceRecord.validate accepts.
+    """
+    if type(obj) is not dict:
+        raise TraceError(f"record must be a JSON object, got {type(obj).__name__}")
     missing = [f for f in _REQUIRED_FIELDS if f not in obj]
     if missing:
         raise TraceError(f"missing field(s): {', '.join(missing)}")
+    if type(obj["sequence_id"]) is not str:
+        raise TraceError(f"sequence_id must be a string, got {obj['sequence_id']!r}")
+    flags = obj["layer_flags"]
+    if type(flags) is not list or not all(type(f) is int and 0 <= f <= 1 for f in flags):
+        raise TraceError(f"layer_flags must be a list of 0 and 1, got {flags!r}")
+    alpha = obj["alpha"]
+    if type(alpha) not in (int, float) or not 0.0 < alpha <= 1.0:
+        raise TraceError(f"alpha must be a finite number in (0, 1], got {alpha!r}")
     rec = TraceRecord(
-        sequence_id=str(obj["sequence_id"]),
-        token_index=int(obj["token_index"]),
-        phase=str(obj["phase"]),
-        token_id=int(obj["token_id"]),
-        layer_flags=[bool(f) for f in obj["layer_flags"]],
-        layer_norms=[float(x) for x in obj["layer_norms"]],
-        layer_deltas=[float(x) for x in obj["layer_deltas"]],
-        alpha=float(obj["alpha"]),
-        formula=str(obj["formula"]),
-        skip_mode=str(obj["skip_mode"]),
+        sequence_id=obj["sequence_id"],
+        token_index=_integer(obj, "token_index"),
+        phase=obj["phase"],
+        token_id=_integer(obj, "token_id"),
+        layer_flags=[f == 1 for f in flags],
+        layer_norms=_finite_floats(obj, "layer_norms"),
+        layer_deltas=_finite_floats(obj, "layer_deltas"),
+        alpha=float(alpha),
+        formula=obj["formula"],
+        skip_mode=obj["skip_mode"],
     )
     rec.validate()
     return rec

@@ -125,6 +125,12 @@ class TestReport:
     def test_missing_trace_exits_1(self, tmp_path):
         assert run(["report", "--trace", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path)]) == 1
 
+    def test_non_object_line_exits_1(self, tmp_path, capsys):
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text("1\n", encoding="utf-8")
+        assert run(["report", "--trace", str(trace), "--out", str(tmp_path)]) == 1
+        assert "error:" in capsys.readouterr().err
+
 
 class TestCompare:
     def parse_table(self, text):

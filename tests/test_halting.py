@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lacvoid import (
     HaltPolicy,
@@ -58,9 +59,10 @@ class TestProgressHistory:
     def test_running_extrema_track_all_deltas(self):
         rng = np.random.default_rng(21)
         h = ProgressHistory()
-        for _ in range(7):
-            h.append(rng.uniform(-4, 4, size=(2, 3)).astype(np.float32))
-        stacked = h.stacked()
+        appended = [rng.uniform(-4, 4, size=(2, 3)).astype(np.float32) for _ in range(7)]
+        for d in appended:
+            h.append(d)
+        stacked = np.stack(appended)
         assert np.array_equal(h.running_max, stacked.max(axis=0))
         assert np.array_equal(h.running_min, stacked.min(axis=0))
         assert h.step_count == 7
@@ -195,6 +197,10 @@ class TestOfflineVoids:
         with pytest.raises(ValueError):
             detect_voids_offline([], alpha=0.5)
 
+    def test_matrix_rejected(self):
+        with pytest.raises(ValueError, match="1-d"):
+            detect_voids_offline(np.zeros((2, 3), np.float32), alpha=0.5)
+
     @given(
         deltas=st.lists(st.floats(-50, 50, allow_nan=False, width=32), min_size=1, max_size=12),
         a1=st.floats(0.01, 1.0),
@@ -219,6 +225,44 @@ class TestOfflineVoids:
             lam = np.float32(alpha) * (window.max() - window.min())
             if arr[t - 1] < 0 and lam > 0 and t >= min_layers:
                 assert mask[t - 1]
+
+
+class TestOneRule:
+    """offline_void_mask over an (N, T) matrix is the live rule, row by row."""
+
+    @given(
+        deltas=hnp.arrays(np.float32, st.tuples(st.integers(1, 6), st.integers(1, 8)),
+                          elements=st.floats(-2.0**100, 2.0**100, width=32)),
+        alpha=st.floats(0.01, 1.0),
+        formula=st.sampled_from(list(ThresholdFormula)),
+        min_layers=st.integers(1, 5),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matrix_matches_window_oracle_and_live_decide(self, deltas, alpha, formula, min_layers):
+        mask = offline_void_mask(deltas, alpha, formula, min_layers)
+        n, t_total = deltas.shape
+        assert mask.shape == (n, t_total) and mask.dtype == bool
+
+        for i in range(n):
+            assert np.array_equal(offline_void_mask(deltas[i], alpha, formula, min_layers), mask[i])
+            for t in range(1, t_total + 1):
+                window = deltas[i, :t]
+                spread = window.max() - window.min()
+                lam = np.float32(alpha) * (np.abs(spread) if formula is ORIG else spread)
+                expect = t >= 2 and t >= min_layers and bool(window[-1] < lam)
+                assert bool(mask[i, t - 1]) == expect
+
+        policy = HaltPolicy(alpha=alpha, formula=formula, min_layers=min_layers)
+        history = ProgressHistory()
+        for t in range(t_total):
+            column = deltas[:, t]
+            history.append(column)
+            assert np.array_equal(decide(history, column, policy).void, mask[:, t])
+
+    @pytest.mark.parametrize("shape", [(0,), (3, 0), (2, 2, 2)])
+    def test_rejects_shapes_without_a_layer_axis(self, shape):
+        with pytest.raises(ValueError):
+            offline_void_mask(np.zeros(shape, np.float32), 0.5)
 
 
 class TestHaltPolicy:

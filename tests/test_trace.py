@@ -1,7 +1,10 @@
 import io
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lacvoid import (
     HaltPolicy,
@@ -108,11 +111,123 @@ class TestWriteRead:
             write_trace([record], buf)
         assert buf.getvalue() == ""
 
+    @pytest.mark.parametrize("fields", [
+        {"token_index": -1}, {"token_id": -3}, {"alpha": 1.5}, {"alpha": 0.0},
+        {"formula": "bogus"}, {"skip_mode": "MASK_ZERO"}, {"flags": (), "norms": (), "deltas": ()},
+    ], ids=["token_index", "token_id", "alpha-high", "alpha-zero", "formula", "skip_mode", "zero-layers"])
+    def test_writer_refuses_what_the_reader_refuses(self, fields):
+        record = make_record(**fields)
+        with pytest.raises(TraceError):
+            record_to_line(record)
+
     def test_append_only(self, tmp_path):
         path = tmp_path / "t.jsonl"
         write_trace([make_record(token_index=0)], path)
         write_trace([make_record(token_index=1)], path)
         assert len(read_trace(path)) == 2
+
+
+def with_field(field, raw, line=None):
+    """A valid trace line (by default make_record's) with one field's JSON text replaced by raw."""
+    line = line if line is not None else record_to_line(make_record())
+    out, n = re.subn(rf'"{field}":(\[[^\]]*\]|"[^"]*"|[^,}}]*)', lambda m: f'"{field}":{raw}', line, count=1)
+    assert n == 1
+    return out
+
+
+ONE_LAYER = record_to_line(make_record(flags=[True], norms=[1.0], deltas=[1.0]))
+
+
+class TestStrictReader:
+    """Each probe is a line the writer never emits; the reader names it with TraceError."""
+
+    @pytest.mark.parametrize("line", ["1", "[]", '"text"', "null", "true"])
+    def test_non_object_line(self, line):
+        with pytest.raises(TraceError, match="line 1: record must be a JSON object"):
+            read_trace([line])
+
+    @pytest.mark.parametrize("field", ["layer_flags", "layer_norms", "layer_deltas"])
+    @pytest.mark.parametrize("raw", ['"1"', "1", "null", '{"0":1}'])
+    def test_per_layer_field_not_a_list(self, field, raw):
+        with pytest.raises(TraceError, match="line 1"):
+            read_trace([with_field(field, raw, ONE_LAYER)])
+
+    @pytest.mark.parametrize("raw", ['"ab"', '"12"'])
+    def test_norms_given_as_string(self, raw):
+        with pytest.raises(TraceError, match="line 1"):
+            read_trace([with_field("layer_norms", raw)])
+
+    @pytest.mark.parametrize("raw", ['[7,"x"]', "[7,1]", "[1,2]", "[-1,0]", "[true,false]", "[1.0,0]",
+                                     '["1",0]', "[null,1]"])
+    def test_flags_other_than_zero_or_one(self, raw):
+        with pytest.raises(TraceError, match="line 1: layer_flags"):
+            read_trace([with_field("layer_flags", raw)])
+
+    @pytest.mark.parametrize("field", ["layer_norms", "layer_deltas"])
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e999",
+                                       pytest.param("1" + "0" * 400, id="int-beyond-float"),
+                                       '"x"', '"1.5"', "null", "true", "[1]"])
+    def test_non_finite_or_non_numeric_values(self, field, value):
+        with pytest.raises(TraceError, match=f"line 1: {field}"):
+            read_trace([with_field(field, f"[1,{value}]")])
+
+    @pytest.mark.parametrize("raw", ["5", "0", "-0.5", "1.0000001", "NaN", "Infinity", '"0.5"', "true", "null"])
+    def test_alpha_outside_unit_interval(self, raw):
+        with pytest.raises(TraceError, match="line 1: alpha"):
+            read_trace([with_field("alpha", raw)])
+
+    @pytest.mark.parametrize("field", ["token_index", "token_id"])
+    @pytest.mark.parametrize("raw", ["-3", "1.7", "2.0", "true", '"4"', "null"])
+    def test_index_not_a_non_negative_integer(self, field, raw):
+        with pytest.raises(TraceError, match=f"line 1: {field}"):
+            read_trace([with_field(field, raw)])
+
+    @pytest.mark.parametrize("raw", ["5", "null", '["s0"]'])
+    def test_sequence_id_not_a_string(self, raw):
+        with pytest.raises(TraceError, match="line 1: sequence_id"):
+            read_trace([with_field("sequence_id", raw)])
+
+    @pytest.mark.parametrize("field", ["formula", "skip_mode"])
+    @pytest.mark.parametrize("raw", ['"bogus"', '"MODIFIED"', "1", "null"])
+    def test_unknown_formula_or_skip_mode(self, field, raw):
+        with pytest.raises(TraceError, match=f"line 1: {field}"):
+            read_trace([with_field(field, raw)])
+
+    def test_zero_layers(self):
+        line = ONE_LAYER
+        for field in ("layer_flags", "layer_norms", "layer_deltas"):
+            line = with_field(field, "[]", line)
+        with pytest.raises(TraceError, match="line 1: a record needs at least one layer"):
+            read_trace([line])
+
+    def test_every_valid_value_is_accepted(self):
+        for formula in ("original", "modified"):
+            for mode in ("off", "detect", "mask-zero", "skip-identity", "halt-frozen"):
+                record = make_record(token_index=0, token_id=0, alpha=1.0, formula=formula, skip_mode=mode,
+                                     flags=[False, True], norms=[0.0, -2.5e-45], deltas=[3.4e38, -1])
+                back = read_trace([record_to_line(record)])[0]
+                assert back == record
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_one_character_mutation_raises_or_round_trips(self, data):
+        record = data.draw(st.sampled_from(random_records(6, layers=3, seed=4)))
+        line = record_to_line(record)
+        pos = data.draw(st.integers(0, len(line) - 1))
+        char = data.draw(st.one_of(st.sampled_from('0123456789-+.eE,:[]{}" aflnrstuINy'), st.characters()))
+        kind = data.draw(st.sampled_from(["replace", "insert", "delete"]))
+        if kind == "replace":
+            mutated = line[:pos] + char + line[pos + 1:]
+        elif kind == "insert":
+            mutated = line[:pos] + char + line[pos:]
+        else:
+            mutated = line[:pos] + line[pos + 1:]
+        try:
+            back = read_trace([mutated])
+        except TraceError:
+            return
+        for r in back:
+            record_to_line(r)
 
 
 class TestBitmap:
