@@ -21,6 +21,7 @@ both.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,11 @@ import numpy as np
 from .errors import ContainerError
 
 MAGIC = b"LACTNSR1"
+
+
+def _is_int(value) -> bool:
+    # A JSON integer: json.loads gives float for 4.0 and bool for true.
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def save_container(tensors: dict[str, np.ndarray], path) -> int:
@@ -72,18 +78,22 @@ def load_container(path) -> dict[str, np.ndarray]:
             raise ContainerError(f"{path}: malformed entry for tensor {name!r}")
         if entry["dtype"] != "f32":
             raise ContainerError(f"{path}: tensor {name!r} has unsupported dtype {entry['dtype']!r}")
-        shape = tuple(int(e) for e in entry["shape"])
-        if any(e < 0 for e in shape):
-            raise ContainerError(f"{path}: tensor {name!r} has negative extent in shape {shape}")
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        shape, offset = entry["shape"], entry["offset"]
+        if not isinstance(shape, list) or not all(_is_int(e) and e >= 0 for e in shape):
+            raise ContainerError(f"{path}: tensor {name!r} shape must be a list of non-negative integers, got {shape!r}")
+        if not _is_int(offset):
+            raise ContainerError(f"{path}: tensor {name!r} offset must be an integer, got {offset!r}")
+        count = math.prod(shape)  # Python integers: an oversized shape fails the range check below
         nbytes = count * 4
-        offset = int(entry["offset"])
         if offset != total:
             raise ContainerError(f"{path}: tensor {name!r} at offset {offset}, expected {total} "
                                  "(tensors must be packed in sorted-name order with no gaps)")
         if offset + nbytes > len(payload):
             raise ContainerError(f"{path}: tensor {name!r} payload [{offset}, {offset + nbytes}) out of range")
-        tensors[name] = np.frombuffer(payload, dtype="<f4", count=count, offset=offset).reshape(shape).copy()
+        try:
+            tensors[name] = np.frombuffer(payload, dtype="<f4", count=count, offset=offset).reshape(shape).copy()
+        except ValueError as exc:  # more axes, or a larger empty array, than numpy supports
+            raise ContainerError(f"{path}: tensor {name!r} has unsupported shape: {exc}") from exc
         total += nbytes
     if total != len(payload):
         raise ContainerError(f"{path}: payload length mismatch, header describes {total} bytes but file has {len(payload)}")

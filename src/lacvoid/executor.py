@@ -48,18 +48,15 @@ class LayerStack:
 class ExecutionOutcome:
     """Everything recorded while running a stack under a policy.
 
-    Unit-shaped arrays follow the policy granularity: () per batch,
-    (B,) per example, (B, L) per token, stacked along a leading layer
-    axis. norms are of the accepted post-layer state; deltas are the
-    candidate progress that drove the decision. token_norms and
-    token_deltas always carry the per-token view so traces can be
-    written regardless of the policy granularity.
+    void_flags follows the policy granularity: () per batch, (B,) per
+    example, (B, L) per token, stacked along a leading layer axis.
+    token_norms are of the accepted post-layer state and token_deltas
+    are the candidate progress, both per token whatever the policy
+    granularity, so traces can be written from them.
     """
 
     final_hidden: np.ndarray
     void_flags: np.ndarray
-    norms: np.ndarray
-    deltas: np.ndarray
     token_norms: np.ndarray
     token_deltas: np.ndarray
     granularity: NormGranularity
@@ -91,25 +88,6 @@ def mask_token(h, example_index: int, token_index: int) -> np.ndarray:
     return out
 
 
-def _squeeze_unit(norm: np.ndarray, granularity: NormGranularity) -> np.ndarray:
-    # l2_norm keeps a trailing singleton axis; unit arrays drop it.
-    if granularity is NormGranularity.BATCH:
-        return norm.reshape(())
-    return norm[..., 0]
-
-
-def _expand_unit(arr: np.ndarray, hidden_shape: tuple[int, ...], granularity: NormGranularity) -> np.ndarray:
-    """Broadcast a unit-shaped array over the (B, L, D) hidden shape."""
-    b, l, _ = hidden_shape
-    if granularity is NormGranularity.BATCH:
-        view = arr.reshape(1, 1, 1)
-    elif granularity is NormGranularity.EXAMPLE:
-        view = arr.reshape(b, 1, 1)
-    else:
-        view = arr.reshape(b, l, 1)
-    return np.broadcast_to(view, hidden_shape)
-
-
 def expand_unit_to_tokens(arr: np.ndarray, token_shape: tuple[int, int], granularity: NormGranularity) -> np.ndarray:
     """Broadcast a unit-shaped array to the (B, L) token grid."""
     b, l = token_shape
@@ -122,6 +100,15 @@ def expand_unit_to_tokens(arr: np.ndarray, token_shape: tuple[int, int], granula
     return np.broadcast_to(view, token_shape)
 
 
+def _measure(h: np.ndarray, granularity: NormGranularity) -> tuple[np.ndarray, np.ndarray]:
+    """Unit norms and (B, L) token norms of h; one reduction at TOKEN granularity."""
+    tok = l2_norm(h, NormGranularity.TOKEN)[..., 0]
+    if granularity is NormGranularity.TOKEN:
+        return tok, tok
+    unit = l2_norm(h, granularity)
+    return (unit.reshape(()) if granularity is NormGranularity.BATCH else unit[:, 0]), tok
+
+
 def run_stack(stack: LayerStack, h0, policy: HaltPolicy, forced_voids=None) -> ExecutionOutcome:
     """Execute all layers in order, deciding and applying voids per unit.
 
@@ -129,6 +116,11 @@ def run_stack(stack: LayerStack, h0, policy: HaltPolicy, forced_voids=None) -> E
     of shape (layer_count,) (one flag per layer, all units) or
     (layer_count, *unit_shape). The skip mode still determines how a
     forced void is applied. Progress is recorded either way.
+
+    Each state is measured once: h0 and every candidate. A void unit's
+    accepted state is its prior state or zeros, so its accepted norm is
+    the prior norm or exactly 0; l2_norm reduces a unit over the same
+    values in the same order, so this equals measuring the accepted state.
     """
     h = require_hidden_state(h0)
     t_total = stack.layer_count
@@ -137,9 +129,9 @@ def run_stack(stack: LayerStack, h0, policy: HaltPolicy, forced_voids=None) -> E
     if policy.min_layers > t_total:
         raise ValueError(f"min_layers={policy.min_layers} exceeds layer count {t_total}")
     g = policy.granularity
+    mode = policy.skip_mode
 
-    norm_before = _squeeze_unit(l2_norm(h, g), g)
-    tok_before = _squeeze_unit(l2_norm(h, NormGranularity.TOKEN), NormGranularity.TOKEN)
+    norm_before, tok_before = _measure(h, g)
     unit_shape = norm_before.shape
 
     forced = None
@@ -152,8 +144,6 @@ def run_stack(stack: LayerStack, h0, policy: HaltPolicy, forced_voids=None) -> E
 
     history = ProgressHistory()
     flags = np.zeros((t_total,) + unit_shape, dtype=bool)
-    norms = np.zeros((t_total,) + unit_shape, dtype=DTYPE)
-    deltas = np.zeros((t_total,) + unit_shape, dtype=DTYPE)
     tok_norms = np.zeros((t_total,) + tok_before.shape, dtype=DTYPE)
     tok_deltas = np.zeros((t_total,) + tok_before.shape, dtype=DTYPE)
 
@@ -163,47 +153,34 @@ def run_stack(stack: LayerStack, h0, policy: HaltPolicy, forced_voids=None) -> E
         if candidate.shape != h.shape:
             raise ShapeError(f"layer {t} changed hidden shape from {h.shape} to {candidate.shape}")
 
-        cand_norm = _squeeze_unit(l2_norm(candidate, g), g)
-        cand_tok = _squeeze_unit(l2_norm(candidate, NormGranularity.TOKEN), NormGranularity.TOKEN)
+        cand_norm, cand_tok = _measure(candidate, g)
         delta = cand_norm - norm_before
 
         if forced is not None:
             void = forced[t - 1]
-        elif policy.skip_mode is SkipMode.OFF:
+        elif mode is SkipMode.OFF:
             void = np.zeros(unit_shape, dtype=bool)
         else:
             history.append(delta)
             void = decide(history, delta, policy).void
 
-        mode = policy.skip_mode
-        if mode in (SkipMode.OFF, SkipMode.DETECT):
-            h_new = candidate
-        elif mode is SkipMode.MASK_ZERO:
-            h_new = np.where(_expand_unit(void, h.shape, g), np.float32(0.0), candidate)
-        else:  # SKIP_IDENTITY and HALT_FROZEN keep the unit's prior state
-            h_new = np.where(_expand_unit(void, h.shape, g), h, candidate)
-
         flags[t - 1] = void
-        deltas[t - 1] = delta
         tok_deltas[t - 1] = cand_tok - tok_before
-        if h_new is not candidate and void.any():
-            norm_after = _squeeze_unit(l2_norm(h_new, g), g)
-            tok_after = _squeeze_unit(l2_norm(h_new, NormGranularity.TOKEN), NormGranularity.TOKEN)
+        if mode in (SkipMode.OFF, SkipMode.DETECT) or not void.any():
+            h, norm_before, tok_before = candidate, cand_norm, cand_tok
         else:
-            norm_after = cand_norm
-            tok_after = cand_tok
-        norms[t - 1] = norm_after
-        tok_norms[t - 1] = tok_after
-
-        h = h_new
-        norm_before = norm_after
-        tok_before = tok_after
+            # MASK_ZERO zeroes a void unit; SKIP_IDENTITY and HALT_FROZEN keep its prior state
+            if mode is SkipMode.MASK_ZERO:
+                h = norm_before = tok_before = np.float32(0.0)
+            void_tok = expand_unit_to_tokens(void, candidate.shape[:2], g)
+            h = np.where(void_tok[..., None], h, candidate)
+            tok_before = np.where(void_tok, tok_before, cand_tok)
+            norm_before = tok_before if g is NormGranularity.TOKEN else np.where(void, norm_before, cand_norm)
+        tok_norms[t - 1] = tok_before
 
     return ExecutionOutcome(
         final_hidden=h,
         void_flags=flags,
-        norms=norms,
-        deltas=deltas,
         token_norms=tok_norms,
         token_deltas=tok_deltas,
         granularity=g,

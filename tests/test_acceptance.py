@@ -214,7 +214,7 @@ def test_round_trips(toy8, tmp_path):
     usage = usage_report(back)
     profile = norm_profile(back)
     csv_path, json_path = export_reports(usage, profile, tmp_path)
-    rows = list(csv.DictReader(csv_path.open()))
+    rows = list(csv.DictReader(csv_path.read_text().splitlines()))
     assert len(rows) == usage.layer_count
     for t, row in enumerate(rows):
         assert float(row["pp_frequency"]) == pytest.approx(usage.frequencies["PP"][t], abs=1e-6)

@@ -199,14 +199,14 @@ class TestExport:
     def test_csv_shape(self, tmp_path):
         usage, profile = self.report_pair()
         csv_path, _ = export_reports(usage, profile, tmp_path)
-        rows = list(csv.reader(csv_path.open()))
+        rows = list(csv.reader(csv_path.read_text().splitlines()))
         assert rows[0] == CSV_HEADER
         assert len(rows) == 1 + 4
 
     def test_csv_round_trip(self, tmp_path):
         usage, profile = self.report_pair()
         csv_path, _ = export_reports(usage, profile, tmp_path)
-        rows = list(csv.DictReader(csv_path.open()))
+        rows = list(csv.DictReader(csv_path.read_text().splitlines()))
         for t, row in enumerate(rows):
             assert int(row["layer_index"]) == t + 1
             assert float(row["pp_frequency"]) == pytest.approx(usage.frequencies["PP"][t], abs=1e-6)
@@ -231,7 +231,7 @@ class TestExport:
     def test_absent_phase_yields_empty_cells(self, tmp_path):
         records = flag_records([[True, False]])
         csv_path, json_path = export_reports(usage_report(records), norm_profile(records), tmp_path)
-        rows = list(csv.DictReader(csv_path.open()))
+        rows = list(csv.DictReader(csv_path.read_text().splitlines()))
         assert rows[0]["rg_frequency"] == ""
         summary = json.loads(json_path.read_text())
         assert "RG" not in summary["average_usage"]

@@ -73,13 +73,20 @@ class TestTrace:
         assert run(["trace", "--weights", str(weights), "--prompt", "roundtrip", "--out", str(b)]) == 0
         assert (a / "trace.jsonl").read_bytes() == (b / "trace.jsonl").read_bytes()
 
+    def test_malformed_container_exits_1(self, tmp_path, capsys):
+        header = b'{"config":{"dtype":"f32","offset":0,"shape":null}}'
+        weights = tmp_path / "model.lactnsr"
+        weights.write_bytes(b"LACTNSR1" + len(header).to_bytes(4, "little") + header + bytes(24))
+        assert run(["trace", "--weights", str(weights), "--prompt", "x", "--out", str(tmp_path)]) == 1
+        assert "error:" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_ten_alphas_monotone(self, tmp_path):
         alphas = ",".join(f"{0.1 * k:.1f}" for k in range(1, 11))
         assert run(["sweep", *MODEL, "--prompt", "sweep this text", "--max-new", "4",
                     "--alphas", alphas, "--out", str(tmp_path)]) == 0
-        rows = list(csv.DictReader((tmp_path / "sweep.csv").open()))
+        rows = list(csv.DictReader((tmp_path / "sweep.csv").read_text().splitlines()))
         assert len(rows) == 10
         pp = [float(r["pp_usage"]) for r in rows]
         rg = [float(r["rg_usage"]) for r in rows]
@@ -91,7 +98,7 @@ class TestSweep:
         # usage the report computes from the recorded flags
         assert run(["sweep", *MODEL, "--prompt", "consistency", "--alpha", "0.8",
                     "--alphas", "0.8", "--max-new", "4", "--out", str(tmp_path)]) == 0
-        row, = list(csv.DictReader((tmp_path / "sweep.csv").open()))
+        row, = list(csv.DictReader((tmp_path / "sweep.csv").read_text().splitlines()))
         rep_dir = tmp_path / "rep"
         assert run(["report", "--trace", str(tmp_path / "trace.jsonl"), "--out", str(rep_dir)]) == 0
         summary = json.loads((rep_dir / "report_summary.json").read_text())
@@ -104,7 +111,7 @@ class TestSweep:
     def test_suite_scores_present(self, tmp_path):
         assert run(["sweep", *MODEL, "--suite", "copy", "--alphas", "0.2,0.8",
                     "--out", str(tmp_path)]) == 0
-        rows = list(csv.DictReader((tmp_path / "sweep.csv").open()))
+        rows = list(csv.DictReader((tmp_path / "sweep.csv").read_text().splitlines()))
         assert all(r["task_score"] != "" for r in rows)
 
 

@@ -3,12 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
+import lacvoid.executor as executor
 from lacvoid import (
     HaltPolicy,
     LayerStack,
     NormGranularity,
     ShapeError,
     SkipMode,
+    l2_norm,
     mask_example,
     mask_token,
     run_stack,
@@ -122,7 +124,7 @@ class TestRunStackModes:
         out = run_stack(stack, h0, policy(SkipMode.MASK_ZERO), forced_voids=[False, True, False])
         # layer 2's output is zeroed, layer 3 adds 2 to the zeroed state
         assert np.array_equal(out.final_hidden, np.full((1, 2, 1), 2.0, np.float32))
-        assert np.array_equal(out.norms[1], np.zeros((1, 2), np.float32))
+        assert np.array_equal(out.token_norms[1], np.zeros((1, 2), np.float32))
 
     def test_detect_matches_off_bitwise(self):
         stack = random_affine_stack(7, 4, 5)
@@ -185,9 +187,8 @@ class TestGranularities:
         for g, shape in shapes.items():
             out = run_stack(stack, h0, policy(SkipMode.DETECT, granularity=g))
             assert out.void_flags.shape == shape
-            assert out.norms.shape == shape
-            assert out.deltas.shape == shape
             assert out.token_norms.shape == (3, 2, 5)
+            assert out.token_deltas.shape == (3, 2, 5)
 
     def test_mask_zero_per_example(self):
         stack = add_constant_stack([1.0, 1.0])
@@ -197,3 +198,50 @@ class TestGranularities:
                         forced_voids=np.array([[False, False], [True, False]]))
         assert np.array_equal(out.final_hidden[0], np.zeros((2, 1), np.float32))
         assert np.array_equal(out.final_hidden[1], np.full((2, 1), 5.0, np.float32))
+
+
+class TestSingleMeasurement:
+    @staticmethod
+    def spy_stack(seed, layer_count, depth, seen):
+        # record the state each layer receives, i.e. the state accepted after the previous layer
+        def spy(layer):
+            def step(h):
+                seen.append(np.array(h, copy=True))
+                return layer(h)
+            return step
+        return LayerStack([spy(layer) for layer in random_affine_stack(seed, layer_count, depth).layers])
+
+    @pytest.mark.parametrize("g", list(NormGranularity))
+    @pytest.mark.parametrize("mode", list(SkipMode))
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_token_norms_are_norms_of_accepted_states(self, mode, g, forced):
+        seen = []
+        stack = self.spy_stack(21, 5, 4, seen)
+        h0 = np.random.default_rng(22).normal(size=(2, 3, 4)).astype(np.float32)
+        forced_voids = None
+        if forced:
+            unit = {NormGranularity.BATCH: (), NormGranularity.EXAMPLE: (2,), NormGranularity.TOKEN: (2, 3)}[g]
+            forced_voids = np.random.default_rng(23).random((5,) + unit) < 0.5
+            forced_voids[2] = True  # at least one void layer whatever the draw
+        out = run_stack(stack, h0, policy(mode, alpha=1.0, granularity=g), forced_voids=forced_voids)
+        if mode in (SkipMode.MASK_ZERO, SkipMode.SKIP_IDENTITY, SkipMode.HALT_FROZEN):
+            assert out.void_flags.any()
+        accepted = seen[1:] + [out.final_hidden]
+        for t, state in enumerate(accepted):
+            assert out.token_norms[t].tobytes() == l2_norm(state, TOKEN)[..., 0].tobytes()
+
+    @pytest.mark.parametrize("mode", list(SkipMode))
+    def test_token_granularity_measures_each_state_once(self, mode, monkeypatch):
+        calls = []
+
+        def counting(h, granularity):
+            calls.append(granularity)
+            return l2_norm(h, granularity)
+
+        monkeypatch.setattr(executor, "l2_norm", counting)
+        stack = random_affine_stack(31, 6, 4)
+        h0 = np.random.default_rng(32).normal(size=(1, 4, 4)).astype(np.float32)
+        out = run_stack(stack, h0, policy(mode, alpha=1.0))
+        if mode in (SkipMode.MASK_ZERO, SkipMode.SKIP_IDENTITY, SkipMode.HALT_FROZEN):
+            assert out.void_flags.any()
+        assert calls == [TOKEN] * 7
