@@ -1,10 +1,12 @@
 """Command-line front-end: trace runs, alpha sweeps, reports, comparisons.
 
-Exit codes: 0 success, 1 runtime error, 2 usage error. Sequences are
-processed by a small thread pool (read-only model, independent states);
-LAC_VOID_THREADS caps the worker count. Output files are written by
-the main thread after all workers finish, in input order, so runs are
-byte-deterministic.
+Exit codes: 0 success, 1 runtime error, 2 usage error. Sequences run in
+groups, in input order, whose KV caches fit a fixed byte budget. In a
+group, prompt processing (PP) runs one sequence per worker of a small
+thread pool, whose BLAS calls overlap; LAC_VOID_THREADS caps the pool.
+Response generation (RG) then decodes the group's rows as one batch on
+the main thread. Output files are written by the main thread after all
+groups finish, in input order, so runs are byte-deterministic.
 """
 
 from __future__ import annotations
@@ -17,11 +19,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .analysis import alpha_sweep, export_reports, norm_profile, usage_report
 from .halting import HaltPolicy, SkipMode, ThresholdFormula
 from .model import ModelConfig, ToyTransformer, build_model, generate, load_weights, run_prompt
 from .suites import SUITE_NAMES, build_suite, score_case
-from .tensors import NormGranularity
+from .tensors import DTYPE, NormGranularity
 from .trace import PHASE_PP, PHASE_RG, read_trace, render_bitmap, write_trace
 
 
@@ -29,32 +33,93 @@ def _fmt_usage(value: float | None) -> str:
     return "-" if value is None else f"{value:.4f}"
 
 
+# KV cache bytes of one group of sequences; a group still takes one row per pool worker.
+_GROUP_KV_BYTES = 1 << 20
+
+
 @dataclass
 class SequenceJob:
     sequence_id: str
     prompt_ids: tuple[int, ...]
     expected_ids: tuple[int, ...] | None
-    max_new: int
 
 
 def _worker_count(jobs: int) -> int:
     env = os.environ.get("LAC_VOID_THREADS")
-    cap = int(env) if env else (os.cpu_count() or 1)
+    if not env:
+        return max(1, min(jobs, os.cpu_count() or 1))
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"LAC_VOID_THREADS must be a positive integer, got {env!r}")
     return max(1, min(jobs, cap))
 
 
-def _run_jobs(model: ToyTransformer, jobs: list[SequenceJob], policy: HaltPolicy):
-    """Run each sequence (PP then RG); results returned in input order."""
+def _groups(model: ToyTransformer, jobs: list[SequenceJob], max_new: int, workers: int):
+    """Runs of consecutive jobs whose KV cache fits _GROUP_KV_BYTES, each of at
+    least `workers` jobs but the last. Yields (jobs, cache capacity)."""
+    per_position = 2 * model.layer_count * model.config.depth * np.dtype(DTYPE).itemsize
+    group: list[SequenceJob] = []
+    capacity = 0
+    for job in jobs:
+        need = min(model.config.max_seq, len(job.prompt_ids) + max(max_new, 0))
+        grown = max(capacity, need)
+        if len(group) >= workers and (len(group) + 1) * grown * per_position > _GROUP_KV_BYTES:
+            yield group, capacity
+            group, grown = [], need
+        group.append(job)
+        capacity = grown
+    if group:
+        yield group, capacity
 
-    def one(job: SequenceJob):
-        state, records = run_prompt(model, job.prompt_ids, policy, sequence_id=job.sequence_id)
-        gen_ids, rg_records = generate(state, model, policy, job.max_new)
-        return records + rg_records, gen_ids
 
-    if len(jobs) <= 1:
-        return [one(j) for j in jobs]
-    with ThreadPoolExecutor(max_workers=_worker_count(len(jobs))) as pool:
-        return list(pool.map(one, jobs))
+def _run_group(model: ToyTransformer, group: list[SequenceJob], capacity: int, policy: HaltPolicy,
+               max_new: int, mapper) -> list:
+    """PP per job through `mapper`, then RG of the group as one batch.
+
+    Returns, in input order, (records, generated ids) per job or the
+    ValueError that stopped it.
+    """
+    cache = model.new_cache(len(group), capacity)
+    # rows in prompt-length order, so rows decoding at one position are adjacent
+    by_length = sorted(range(len(group)), key=lambda i: len(group[i].prompt_ids))
+    row_of = {i: row for row, i in enumerate(by_length)}
+
+    def prompt(i: int):
+        job = group[i]
+        try:
+            return run_prompt(model, job.prompt_ids, policy, sequence_id=job.sequence_id, cache=cache, row=row_of[i])
+        except ValueError as exc:
+            return exc
+
+    results = list(mapper(prompt, range(len(group))))
+    ok = [i for i, res in enumerate(results) if not isinstance(res, ValueError)]
+    gen_ids, rg_records = generate([results[i][0] for i in ok], model, policy, max_new)
+    for i, ids, records in zip(ok, gen_ids, rg_records):
+        state, pp_records = results[i]
+        results[i] = state.error if state.error is not None else (pp_records + records, ids)
+    return results
+
+
+def _run_jobs(model: ToyTransformer, jobs: list[SequenceJob], policy: HaltPolicy, max_new: int):
+    """Run each sequence (PP then RG); results returned in input order.
+
+    A group finishes even when one of its jobs fails; then the error of
+    the first failing job, in input order, is raised.
+    """
+    workers = _worker_count(len(jobs))
+    out = []
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        mapper = pool.map if workers > 1 else map
+        for group, capacity in _groups(model, jobs, max_new, workers):
+            results = _run_group(model, group, capacity, policy, max_new, mapper)
+            for res in results:
+                if isinstance(res, ValueError):
+                    raise res
+            out += results
+    return out
 
 
 def _parse_seed_model(text: str, seed: int) -> ModelConfig:
@@ -148,22 +213,22 @@ def _model_from_args(args, parser) -> ToyTransformer:
     return build_model(config)
 
 
-def _jobs_from_args(args, parser) -> list[SequenceJob]:
+def _jobs_from_args(args, parser) -> tuple[list[SequenceJob], int]:
+    """The run's sequences and its max_new (capped by the suite's answer length)."""
     sources = [s for s in (getattr(args, "prompt", None), getattr(args, "prompt_file", None), args.suite) if s]
     if len(sources) != 1:
         parser.error("exactly one of --prompt, --prompt-file, or --suite is required")
     if args.suite:
         cases = build_suite(args.suite, args.seed)
-        return [SequenceJob(c.sequence_id, c.prompt_ids, c.expected_ids,
-                            min(args.max_new, len(c.expected_ids))) for c in cases]
+        max_new = min([args.max_new] + [len(c.expected_ids) for c in cases])
+        return [SequenceJob(c.sequence_id, c.prompt_ids, c.expected_ids) for c in cases], max_new
     if getattr(args, "prompt", None):
         prompts = [args.prompt]
     else:
         prompts = [ln for ln in Path(args.prompt_file).read_text(encoding="utf-8").splitlines() if ln.strip()]
         if not prompts:
             parser.error(f"--prompt-file {args.prompt_file} contains no prompts")
-    return [SequenceJob(f"seq{i:03d}", tuple(p.encode("utf-8")), None, args.max_new)
-            for i, p in enumerate(prompts)]
+    return [SequenceJob(f"seq{i:03d}", tuple(p.encode("utf-8")), None) for i, p in enumerate(prompts)], args.max_new
 
 
 def _summarize(records) -> tuple[dict[str, int], dict[str, float | None]]:
@@ -178,8 +243,8 @@ def _summarize(records) -> tuple[dict[str, int], dict[str, float | None]]:
 def cmd_trace(args, parser) -> int:
     policy = _policy_from_args(args, parser)
     model = _model_from_args(args, parser)
-    jobs = _jobs_from_args(args, parser)
-    results = _run_jobs(model, jobs, policy)
+    jobs, max_new = _jobs_from_args(args, parser)
+    results = _run_jobs(model, jobs, policy, max_new)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -221,8 +286,8 @@ def cmd_sweep(args, parser) -> int:
     alphas = _parse_alphas(args.alphas, parser)
     base_policy = _policy_from_args(args, parser, skip_mode="detect")
     model = _model_from_args(args, parser)
-    jobs = _jobs_from_args(args, parser)
-    results = _run_jobs(model, jobs, base_policy)
+    jobs, max_new = _jobs_from_args(args, parser)
+    results = _run_jobs(model, jobs, base_policy, max_new)
     all_records = [r for records, _ in results for r in records]
 
     out_dir = Path(args.out)
@@ -238,7 +303,7 @@ def cmd_sweep(args, parser) -> int:
         score = ""
         if args.suite:
             policy = dataclasses.replace(_policy_from_args(args, parser, skip_mode=score_mode), alpha=alpha)
-            runs = _run_jobs(model, jobs, policy)
+            runs = _run_jobs(model, jobs, policy, max_new)
             scores = [score_case(gen_ids, job.expected_ids) for job, (_, gen_ids) in zip(jobs, runs)]
             score = f"{sum(scores) / len(scores):.6f}"
         pp = report.average_usage.get(PHASE_PP)
@@ -285,12 +350,12 @@ def cmd_compare(args, parser) -> int:
         parser.error("compare requires --suite")
     skip_mode = args.mode if args.mode != "off" else "skip-identity"
     model = _model_from_args(args, parser)
-    jobs = _jobs_from_args(args, parser)
+    jobs, max_new = _jobs_from_args(args, parser)
 
     columns = {}
     for label, mode in (("not_skipped", "off"), ("skipped", skip_mode)):
         policy = _policy_from_args(args, parser, skip_mode=mode)
-        results = _run_jobs(model, jobs, policy)
+        results = _run_jobs(model, jobs, policy, max_new)
         records = [r for recs, _ in results for r in recs]
         scores = [score_case(gen_ids, job.expected_ids) for job, (_, gen_ids) in zip(jobs, results)]
         _, usage = _summarize(records)

@@ -1,7 +1,8 @@
 """Minimal deterministic decoder-only pre-LN transformer.
 
-Byte-level vocabulary (256 ids, utf-8 bytes), greedy decoding, explicit
-KV cache. Each transformer block (attention + FFN together) is one
+Byte-level vocabulary (256 ids, utf-8 bytes), greedy decoding of many
+sequences as one batch, and a KV cache preallocated per layer. Each
+transformer block (attention + FFN together) is one
 step function of the measured layer stack; embedding and the final
 projection sit outside it. Weights come from named xoshiro256**
 streams (see rng), so a seed fully determines the model.
@@ -15,11 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .container import load_container, save_container
-from .errors import ContainerError
+from .errors import ContainerError, ShapeError
 from .executor import LayerStack, expand_unit_to_tokens, run_stack
 from .halting import HaltPolicy
 from .rng import stream_for
-from .tensors import DTYPE, layer_norm_pre, matmul
+from .tensors import DTYPE, NormGranularity, layer_norm_pre, matmul
 from .trace import PHASE_PP, PHASE_RG, TraceRecord
 
 __all__ = [
@@ -87,20 +88,29 @@ def gelu(x: np.ndarray) -> np.ndarray:
 
 
 class KVCache:
-    """Per-layer key/value arrays, appended once per forward chunk."""
+    """Per-layer key/value buffers, each (rows, heads, capacity, head_dim).
 
-    def __init__(self, layer_count: int):
-        self._k: list[np.ndarray | None] = [None] * layer_count
-        self._v: list[np.ndarray | None] = [None] * layer_count
+    Every buffer is allocated once. A forward chunk writes its keys and
+    values in place at its positions and attends over views of the
+    buffer, so decoding copies nothing already cached.
+    """
 
-    def append(self, layer: int, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if self._k[layer] is None:
-            self._k[layer] = k
-            self._v[layer] = v
-        else:
-            self._k[layer] = np.concatenate([self._k[layer], k], axis=2)
-            self._v[layer] = np.concatenate([self._v[layer], v], axis=2)
-        return self._k[layer], self._v[layer]
+    def __init__(self, layer_count: int, rows: int, head_count: int, capacity: int, head_dim: int):
+        shape = (rows, head_count, capacity, head_dim)
+        self.capacity = capacity
+        self.k = [np.zeros(shape, dtype=DTYPE) for _ in range(layer_count)]
+        self.v = [np.zeros(shape, dtype=DTYPE) for _ in range(layer_count)]
+
+    def append(self, layer: int, rows: slice, pos: int, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Write k and v, each (rows, heads, n, head_dim), at positions pos..pos+n-1
+        of the given cache rows. Returns views of those rows' keys and
+        values over positions 0..pos+n-1."""
+        end = pos + k.shape[2]
+        if end > self.capacity:
+            raise ValueError(f"position {end - 1} overflows max_seq {self.capacity}")
+        self.k[layer][rows, :, pos:end] = k
+        self.v[layer][rows, :, pos:end] = v
+        return self.k[layer][rows, :, :end], self.v[layer][rows, :, :end]
 
 
 class TransformerBlock:
@@ -130,7 +140,10 @@ class TransformerBlock:
         hd = d // self.head_count
         return x.reshape(b, n, self.head_count, hd).transpose(0, 2, 1, 3)
 
-    def forward(self, h: np.ndarray, cache: KVCache, layer: int, pos_start: int) -> np.ndarray:
+    def forward(self, h: np.ndarray, cache: KVCache, layer: int, segments) -> np.ndarray:
+        """One block over h (B, n, D). segments are (row_start, row_stop, pos_start)
+        triples that map h's batch rows, in order, to runs of cache rows
+        whose n tokens start at one position; attention runs once per run."""
         b, n, d = h.shape
         hd = d // self.head_count
 
@@ -138,19 +151,22 @@ class TransformerBlock:
         q = self._split_heads(matmul(a_in, self.wq))
         k = self._split_heads(matmul(a_in, self.wk))
         v = self._split_heads(matmul(a_in, self.wv))
-        k_all, v_all = cache.append(layer, k, v)
-        past = k_all.shape[2] - n
-
-        scores = matmul(q, k_all.transpose(0, 1, 3, 2)) / np.float32(np.sqrt(hd))
-        qpos = pos_start + np.arange(n)
-        kpos = np.arange(past + n)
-        future = kpos[None, :] > qpos[:, None]
-        scores = np.where(future, np.float32(-np.inf), scores)
-        scores = scores - scores.max(axis=-1, keepdims=True)
-        weights = np.exp(scores)
-        weights = weights / weights.sum(axis=-1, keepdims=True)
-        ctx = matmul(weights, v_all).transpose(0, 2, 1, 3).reshape(b, n, d)
-        h = h + matmul(ctx, self.wo)
+        ctx = np.empty((b, self.head_count, n, hd), dtype=DTYPE)
+        i = 0
+        for row_start, row_stop, pos_start in segments:
+            j = i + row_stop - row_start
+            k_all, v_all = cache.append(layer, slice(row_start, row_stop), pos_start, k[i:j], v[i:j])
+            scores = matmul(q[i:j], k_all.transpose(0, 1, 3, 2)) / np.float32(np.sqrt(hd))
+            qpos = pos_start + np.arange(n)
+            kpos = np.arange(pos_start + n)
+            future = kpos[None, :] > qpos[:, None]
+            scores = np.where(future, np.float32(-np.inf), scores)
+            scores = scores - scores.max(axis=-1, keepdims=True)
+            weights = np.exp(scores)
+            weights = weights / weights.sum(axis=-1, keepdims=True)
+            ctx[i:j] = matmul(weights, v_all)
+            i = j
+        h = h + matmul(ctx.transpose(0, 2, 1, 3).reshape(b, n, d), self.wo)
 
         f_in = layer_norm_pre(h, self.ln2_gain)
         h = h + matmul(gelu(matmul(f_in, self.w1)), self.w2)
@@ -172,13 +188,25 @@ class ToyTransformer:
     def layer_count(self) -> int:
         return len(self.blocks)
 
-    def new_cache(self) -> KVCache:
-        return KVCache(len(self.blocks))
+    def new_cache(self, rows: int = 1, capacity: int | None = None) -> KVCache:
+        """Cache for `rows` sequences of up to `capacity` positions (default max_seq)."""
+        cfg = self.config
+        return KVCache(len(self.blocks), rows, cfg.head_count,
+                       cfg.max_seq if capacity is None else capacity, cfg.depth // cfg.head_count)
 
-    def stack_for(self, cache: KVCache, pos_start: int) -> LayerStack:
-        """Stack of step functions bound to one cache and chunk position."""
+    def stack_for(self, cache: KVCache, rows, starts) -> LayerStack:
+        """Stack of step functions bound to one cache: batch row i of the
+        hidden state is cache row rows[i], its tokens starting at position
+        starts[i]. Adjacent rows at one position share an attention call."""
+        segments: list[list[int]] = []
+        for row, pos in zip(rows, starts):
+            if segments and segments[-1][1] == row and segments[-1][2] == pos:
+                segments[-1][1] += 1
+            else:
+                segments.append([int(row), int(row) + 1, int(pos)])
+
         def bind(i, block):
-            return lambda h: block.forward(h, cache, i, pos_start)
+            return lambda h: block.forward(h, cache, i, segments)
         return LayerStack([bind(i, blk) for i, blk in enumerate(self.blocks)])
 
     def embed_chunk(self, ids: list[int], pos_start: int) -> np.ndarray:
@@ -288,7 +316,11 @@ def load_weights(path) -> ToyTransformer:
 
 @dataclass
 class GenerationState:
-    """Mutable per-sequence decoding state. Single-threaded."""
+    """Mutable per-sequence decoding state: one row of a KVCache. Single-threaded.
+
+    error holds the ValueError that stopped the row when it decoded in a
+    batch (a token past max_seq); None otherwise.
+    """
 
     sequence_id: str
     token_ids: list[int]
@@ -296,6 +328,8 @@ class GenerationState:
     cache: KVCache
     position: int
     last_logits: np.ndarray
+    row: int = 0
+    error: ValueError | None = None
 
 
 def _coerce_tokens(tokens, vocab_size: int) -> list[int]:
@@ -311,76 +345,129 @@ def _coerce_tokens(tokens, vocab_size: int) -> list[int]:
     return ids
 
 
-def _records_from_outcome(outcome, ids: list[int], start_index: int, phase: str,
-                          sequence_id: str, policy: HaltPolicy) -> list[TraceRecord]:
-    t_total = outcome.layer_count
-    b, l = outcome.token_norms.shape[1:]
-    token_void = np.stack([
-        expand_unit_to_tokens(outcome.void_flags[t], (b, l), outcome.granularity) for t in range(t_total)
-    ])
-    records = []
-    for j, tok in enumerate(ids):
-        records.append(TraceRecord(
+def _records_from_outcome(outcome, ids, starts, phase: str, sequence_ids, policy: HaltPolicy) -> list[list[TraceRecord]]:
+    """Trace records of each batch row: row b holds tokens ids[b] from index starts[b]."""
+    shape = outcome.token_norms.shape[1:]
+    kept = ~np.stack([expand_unit_to_tokens(flags, shape, outcome.granularity) for flags in outcome.void_flags])
+    rows = []
+    for b, (row_ids, start, sequence_id) in enumerate(zip(ids, starts, sequence_ids)):
+        rows.append([TraceRecord(
             sequence_id=sequence_id,
-            token_index=start_index + j,
+            token_index=start + j,
             phase=phase,
             token_id=int(tok),
-            layer_flags=[not v for v in token_void[:, 0, j]],
-            layer_norms=[float(x) for x in outcome.token_norms[:, 0, j]],
-            layer_deltas=[float(x) for x in outcome.token_deltas[:, 0, j]],
+            layer_flags=kept[:, b, j].tolist(),
+            layer_norms=outcome.token_norms[:, b, j].tolist(),
+            layer_deltas=outcome.token_deltas[:, b, j].tolist(),
             alpha=float(policy.alpha),
             formula=policy.formula.value,
             skip_mode=policy.skip_mode.value,
-        ))
-    return records
+        ) for j, tok in enumerate(row_ids)])
+    return rows
 
 
 def run_prompt(model: ToyTransformer, prompt_tokens, policy: HaltPolicy, sequence_id: str = "seq0",
-               forced_voids=None) -> tuple[GenerationState, list[TraceRecord]]:
+               forced_voids=None, cache: KVCache | None = None, row: int = 0
+               ) -> tuple[GenerationState, list[TraceRecord]]:
     """Forward the whole prompt grid at once (prompt-processing phase).
 
-    Returns the decoding state (KV cache populated, next-token logits
-    pending) and one trace record per prompt token.
+    Writes the prompt's keys and values into one row of `cache` (a new
+    one-row cache of max_seq positions by default). Returns the decoding
+    state (next-token logits pending) and one trace record per prompt
+    token.
     """
     ids = _coerce_tokens(prompt_tokens, model.config.vocab_size)
     if not ids:
         raise ValueError("prompt must be non-empty")
     if len(ids) > model.config.max_seq:
         raise ValueError(f"prompt length {len(ids)} exceeds max_seq {model.config.max_seq}")
-    cache = model.new_cache()
+    if cache is None:
+        cache = model.new_cache()
     h0 = model.embed_chunk(ids, 0)
-    outcome = run_stack(model.stack_for(cache, 0), h0, policy, forced_voids)
-    records = _records_from_outcome(outcome, ids, 0, PHASE_PP, sequence_id, policy)
+    outcome = run_stack(model.stack_for(cache, [row], [0]), h0, policy, forced_voids)
+    records, = _records_from_outcome(outcome, [ids], [0], PHASE_PP, [sequence_id], policy)
     logits = model.logits_from_hidden(outcome.final_hidden[:, -1:, :])[0, 0]
-    state = GenerationState(sequence_id, list(ids), [PHASE_PP] * len(ids), cache, len(ids), logits)
+    state = GenerationState(sequence_id, list(ids), [PHASE_PP] * len(ids), cache, len(ids), logits, row)
     return state, records
 
 
-def generate(state: GenerationState, model: ToyTransformer, policy: HaltPolicy, max_new: int,
-             forced_voids=None) -> tuple[list[int], list[TraceRecord]]:
+def generate(state, model: ToyTransformer, policy: HaltPolicy, max_new: int, forced_voids=None):
     """Greedy decoding (response-generation phase).
 
     Each emitted token is forwarded through the stack (so it gets one
-    trace record) to produce the logits for the next token. Stops after
-    max_new tokens or when the end-of-text byte wins the argmax; the
-    end-of-text byte itself is not emitted.
+    trace record) to produce the logits for the next token. A sequence
+    stops after max_new tokens or when the end-of-text byte wins the
+    argmax; the end-of-text byte itself is not emitted.
+
+    state is one GenerationState or a list of states that share one
+    KVCache, a row each. The states decode as one batch: each position
+    is one (B, 1, D) run_stack over the rows still decoding, and every
+    op in it works row by row, so a row's tokens, records and logits
+    equal those of decoding it alone. BATCH granularity is applied per
+    row (the EXAMPLE reduction), as for one sequence. forced_voids is
+    per sequence: one flag per layer.
+
+    One state gives (ids, records) and raises ValueError for a token
+    past max_seq. A list gives (ids per state, records per state); a row
+    that would pass max_seq stops with the error in its state.error and
+    the other rows go on.
     """
-    out_ids: list[int] = []
-    records: list[TraceRecord] = []
-    logits = state.last_logits
-    for _ in range(max_new):
-        nxt = int(np.argmax(logits))
-        if nxt == EOT:
+    single = isinstance(state, GenerationState)
+    states = [state] if single else list(state)
+    if len({id(s.cache) for s in states}) > 1:
+        raise ValueError("states decoded together must share one KVCache")
+    if len({s.row for s in states}) != len(states):
+        raise ValueError("states decoded together need distinct cache rows")
+    t_total = model.layer_count
+    if forced_voids is not None:
+        forced_voids = np.asarray(forced_voids, dtype=bool)
+        if forced_voids.shape[:1] != (t_total,) or forced_voids.size != t_total:
+            raise ShapeError(f"forced_voids shape {forced_voids.shape} is not one flag per layer ({t_total})")
+        forced_voids = forced_voids.reshape(t_total)
+    if policy.granularity is NormGranularity.BATCH:
+        policy = dataclasses.replace(policy, granularity=NormGranularity.EXAMPLE)
+    max_seq = model.config.max_seq
+    for s in states:
+        s.error = None
+
+    out_ids: list[list[int]] = [[] for _ in states]
+    out_records: list[list[TraceRecord]] = [[] for _ in states]
+    # in cache-row order, so rows decoding at one position form runs
+    live = sorted(range(len(states)), key=lambda i: states[i].row)
+    while True:
+        step, tokens = [], []
+        for i in live:
+            s = states[i]
+            if len(out_ids[i]) >= max_new:
+                continue
+            nxt = int(np.argmax(s.last_logits))
+            if nxt == EOT:
+                continue
+            if s.position >= max_seq:
+                s.error = ValueError(f"position {s.position} overflows max_seq {max_seq}")
+                continue
+            step.append(i)
+            tokens.append(nxt)
+        if not step:
             break
-        if state.position >= model.config.max_seq:
-            raise ValueError(f"position {state.position} overflows max_seq {model.config.max_seq}")
-        h0 = model.embed_chunk([nxt], state.position)
-        outcome = run_stack(model.stack_for(state.cache, state.position), h0, policy, forced_voids)
-        records.extend(_records_from_outcome(outcome, [nxt], state.position, PHASE_RG, state.sequence_id, policy))
-        out_ids.append(nxt)
-        state.token_ids.append(nxt)
-        state.phases.append(PHASE_RG)
-        state.position += 1
-        logits = model.logits_from_hidden(outcome.final_hidden)[0, -1]
-        state.last_logits = logits
-    return out_ids, records
+        live = step
+        rows = [states[i].row for i in step]
+        starts = [states[i].position for i in step]
+        h0 = (model.embed[tokens] + model.positions[starts])[:, None, :]
+        outcome = run_stack(model.stack_for(states[step[0]].cache, rows, starts), h0, policy, forced_voids)
+        logits = model.logits_from_hidden(outcome.final_hidden)[:, -1]
+        records = _records_from_outcome(outcome, [[t] for t in tokens], starts, PHASE_RG,
+                                        [states[i].sequence_id for i in step], policy)
+        for b, i in enumerate(step):
+            s = states[i]
+            out_ids[i].append(tokens[b])
+            out_records[i] += records[b]
+            s.token_ids.append(tokens[b])
+            s.phases.append(PHASE_RG)
+            s.position += 1
+            s.last_logits = logits[b]
+    if not single:
+        return out_ids, out_records
+    if state.error is not None:
+        raise state.error
+    return out_ids[0], out_records[0]

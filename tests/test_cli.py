@@ -1,5 +1,7 @@
 import csv
+import hashlib
 import json
+import sys
 
 import pytest
 
@@ -7,6 +9,27 @@ from lacvoid import read_trace
 from lacvoid.cli import main
 
 MODEL = ["--seed-model", "d16,h2,l4", "--seed", "3"]
+
+# sha256 of trace.jsonl for RAGGED_PROMPTS, --max-new 12 --alpha 0.6, taken
+# from the sequence-at-a-time decoder that batched decoding replaced.
+RAGGED_PROMPTS = "abcdef\nghijkl\nmnopqr\nxy\nstuvwx\n"
+RAGGED_DIGESTS = {
+    ("off", "batch"): "590f5d37a8231e7e29300b061464717888c1c47a44cce9700800883edc2836f7",
+    ("off", "example"): "590f5d37a8231e7e29300b061464717888c1c47a44cce9700800883edc2836f7",
+    ("off", "token"): "590f5d37a8231e7e29300b061464717888c1c47a44cce9700800883edc2836f7",
+    ("detect", "batch"): "bd9daf5419753f97c82c10aef2c195daaaed38cb218494169ac7f3b61787b136",
+    ("detect", "example"): "bd9daf5419753f97c82c10aef2c195daaaed38cb218494169ac7f3b61787b136",
+    ("detect", "token"): "2f5beeb2edf528e426a345213945412a579a78caf1ecf9ac769acebcbc460b7c",
+    ("mask-zero", "batch"): "ddd459232e61d73f1990d412e17eafb91c8045abdd67d8935cb7c0a31d244a28",
+    ("mask-zero", "example"): "ddd459232e61d73f1990d412e17eafb91c8045abdd67d8935cb7c0a31d244a28",
+    ("mask-zero", "token"): "ddd459232e61d73f1990d412e17eafb91c8045abdd67d8935cb7c0a31d244a28",
+    ("skip-identity", "batch"): "c57b3ee97ea7ef2f0b3f8f9351023f3caafb591499c42eb2a3e673eff3eb2daa",
+    ("skip-identity", "example"): "c57b3ee97ea7ef2f0b3f8f9351023f3caafb591499c42eb2a3e673eff3eb2daa",
+    ("skip-identity", "token"): "771f82300e65a2d55e963f975299a073a4bf74d25bd46a6561a09ee23cfdb442",
+    ("halt-frozen", "batch"): "0d25b4be9c048d3293f5bbbea1fef000f466f45b3b346e51fa0c4bd6b47aed02",
+    ("halt-frozen", "example"): "0d25b4be9c048d3293f5bbbea1fef000f466f45b3b346e51fa0c4bd6b47aed02",
+    ("halt-frozen", "token"): "0d25b4be9c048d3293f5bbbea1fef000f466f45b3b346e51fa0c4bd6b47aed02",
+}
 
 
 def run(args):
@@ -53,6 +76,47 @@ class TestTrace:
         assert run(["trace", *MODEL, "--prompt-file", str(pf), "--max-new", "2", "--out", str(tmp_path)]) == 0
         seqs = {r.sequence_id for r in read_trace(tmp_path / "trace.jsonl")}
         assert seqs == {"seq000", "seq001", "seq002"}
+
+    @pytest.mark.parametrize("mode, granularity", sorted(RAGGED_DIGESTS))
+    def test_batched_decode_writes_the_same_trace(self, tmp_path, mode, granularity):
+        pf = tmp_path / "prompts.txt"
+        pf.write_text(RAGGED_PROMPTS, encoding="utf-8")
+        assert run(["trace", *MODEL, "--prompt-file", str(pf), "--max-new", "12", "--alpha", "0.6",
+                    "--mode", mode, "--granularity", granularity, "--out", str(tmp_path)]) == 0
+        digest = hashlib.sha256((tmp_path / "trace.jsonl").read_bytes()).hexdigest()
+        assert digest == RAGGED_DIGESTS[mode, granularity]
+
+    def test_first_failing_job_in_input_order_is_reported(self, tmp_path, capsys):
+        # seq000 overflows max_seq 8 while decoding; seq001 is too long to prompt at all
+        pf = tmp_path / "prompts.txt"
+        pf.write_text("abcdef\nabcdefghij\n", encoding="utf-8")
+        assert run(["trace", "--seed-model", "d16,h2,l4,m8", "--seed", "3", "--prompt-file", str(pf),
+                    "--max-new", "12", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: position 8 overflows max_seq 8\n"
+        assert not (tmp_path / "trace.jsonl").exists()
+
+    def test_pool_width_does_not_change_the_trace(self, tmp_path, monkeypatch):
+        # PP workers write disjoint rows of one shared KV cache; a misplaced write changes the trace
+        pf = tmp_path / "prompts.txt"
+        pf.write_text("".join(f"prompt {i}{'x' * (i % 5)}\n" for i in range(12)), encoding="utf-8")
+        blobs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for threads in ("1", "8"):
+                monkeypatch.setenv("LAC_VOID_THREADS", threads)
+                out = tmp_path / threads
+                assert run(["trace", *MODEL, "--prompt-file", str(pf), "--max-new", "6", "--out", str(out)]) == 0
+                blobs.append((out / "trace.jsonl").read_bytes())
+        finally:
+            sys.setswitchinterval(interval)
+        assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("value", ["x", "2.5", "0"])
+    def test_bad_thread_count_exits_1(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("LAC_VOID_THREADS", value)
+        assert run(["trace", *MODEL, "--prompt", "hi", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: LAC_VOID_THREADS must be a positive integer, got '{value}'\n"
 
     def test_granularity_and_formula_flags(self, tmp_path):
         assert run(["trace", *MODEL, "--prompt", "coarse", "--granularity", "example",

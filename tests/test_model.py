@@ -1,12 +1,16 @@
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lacvoid import (
     ContainerError,
     HaltPolicy,
     ModelConfig,
+    NormGranularity,
     SkipMode,
     ToyTransformer,
     build_model,
@@ -20,7 +24,8 @@ from lacvoid import (
     save_container,
     save_weights,
 )
-from lacvoid.model import TransformerBlock, sinusoidal_positions
+from lacvoid.model import KVCache, TransformerBlock, sinusoidal_positions
+from lacvoid.trace import record_to_line
 from lacvoid.rng import Xoshiro256StarStar
 
 OFF = HaltPolicy(skip_mode=SkipMode.OFF)
@@ -45,14 +50,14 @@ class TestBuild:
         model = build_model(cfg)
         assert model.layer_count == 4
         h0 = model.embed_chunk(encode_text("ab"), 0)
-        out = run_stack(model.stack_for(model.new_cache(), 0), h0, OFF)
+        out = run_stack(model.stack_for(model.new_cache(), [0], [0]), h0, OFF)
         assert out.final_hidden.shape == h0.shape
 
     def test_zero_embedding_forward_is_finite(self):
         cfg = ModelConfig(layer_count=2, depth=8, head_count=2, ffn_dim=16, max_seq=4, seed=0)
         model = build_model(cfg)
         h0 = np.zeros((1, 3, 8), dtype=np.float32)
-        out = run_stack(model.stack_for(model.new_cache(), 0), h0, OFF)
+        out = run_stack(model.stack_for(model.new_cache(), [0], [0]), h0, OFF)
         assert np.isfinite(out.final_hidden).all()
 
     @pytest.mark.parametrize("kwargs", [
@@ -310,11 +315,11 @@ class TestGenerate:
         pos = state.position
         for tok in continuation:
             h0 = model.embed_chunk([tok], pos)
-            out = run_stack(model.stack_for(state.cache, pos), h0, OFF)
+            out = run_stack(model.stack_for(state.cache, [state.row], [pos]), h0, OFF)
             inc.append(model.logits_from_hidden(out.final_hidden)[0, -1])
             pos += 1
         full = prompt + continuation
-        out = run_stack(model.stack_for(model.new_cache(), 0), model.embed_chunk(full, 0), OFF)
+        out = run_stack(model.stack_for(model.new_cache(), [0], [0]), model.embed_chunk(full, 0), OFF)
         grid = model.logits_from_hidden(out.final_hidden)[0]
         for i, logits in enumerate(inc):
             assert np.abs(logits - grid[len(prompt) - 1 + i]).max() < 1e-4
@@ -331,6 +336,128 @@ class TestGenerate:
         ids2, _ = generate(s2, reduced, OFF, 6)
         assert ids1 == ids2
         assert np.abs(np.asarray(s1.last_logits) - np.asarray(s2.last_logits)).max() < 1e-5
+
+
+class TestKVCache:
+    def test_buffers_allocated_once_and_written_in_place(self):
+        cache = KVCache(layer_count=2, rows=3, head_count=2, capacity=5, head_dim=4)
+        buffers = [(k, v) for k, v in zip(cache.k, cache.v)]
+        rng = np.random.default_rng(0)
+        pos = 0
+        for n in (3, 1, 1):
+            k = rng.standard_normal((2, 2, n, 4)).astype(np.float32)
+            v = rng.standard_normal((2, 2, n, 4)).astype(np.float32)
+            k_all, v_all = cache.append(1, slice(1, 3), pos, k, v)
+            pos += n
+            assert k_all.shape == v_all.shape == (2, 2, pos, 4)
+            assert np.shares_memory(k_all, cache.k[1]) and np.shares_memory(v_all, cache.v[1])
+            assert np.array_equal(k_all[:, :, -n:], k) and np.array_equal(v_all[:, :, -n:], v)
+        assert all(cache.k[i] is buffers[i][0] and cache.v[i] is buffers[i][1] for i in range(2))
+        assert not cache.k[1][0].any() and not cache.k[0].any()  # other rows and layers untouched
+
+    def test_write_past_capacity_raises(self):
+        cache = KVCache(layer_count=1, rows=1, head_count=1, capacity=3, head_dim=2)
+        kv = np.ones((1, 1, 2, 2), dtype=np.float32)
+        cache.append(0, slice(0, 1), 0, kv, kv)
+        with pytest.raises(ValueError, match="position 3 overflows max_seq 3"):
+            cache.append(0, slice(0, 1), 2, kv, kv)
+
+    def test_decoding_keeps_the_buffers(self):
+        model = build_model(CFG)
+        state, _ = run_prompt(model, encode_text("buffers"), OFF)
+        before = list(state.cache.k)
+        generate(state, model, OFF, 4)
+        assert all(a is b for a, b in zip(before, state.cache.k))
+
+
+# A model whose end-of-text logit follows one position's sinusoid: EOT
+# wins near that position, so rows of different prompt lengths stop at
+# different steps, and long prompts run past max_seq.
+EOT_BASE = build_model(ModelConfig(layer_count=4, depth=16, head_count=2, ffn_dim=32, max_seq=24, seed=5))
+
+
+def eot_model(target: int, scale: float) -> ToyTransformer:
+    embed = EOT_BASE.embed.copy()
+    embed[0] = np.float32(scale) * EOT_BASE.positions[target]
+    return ToyTransformer(EOT_BASE.config, embed, EOT_BASE.blocks, EOT_BASE.ln_f_gain)
+
+
+STAGGERED = [encode_text(p) for p in ("hello", "k", "zz top", "0123", "abcdefghijklmnopqrst", "the quick brown fox!")]
+
+
+def decode_alone(model, prompt, policy, max_new, forced):
+    """Batch-of-one reference: (state, PP lines, ids, RG lines, error text)."""
+    state, pp = run_prompt(model, prompt, policy, forced_voids=forced)
+    try:
+        ids, rg = generate(state, model, policy, max_new, forced_voids=forced)
+        return state, pp, ids, [record_to_line(r) for r in rg], None
+    except ValueError as exc:
+        ids = state.token_ids[len(prompt):]
+        # the same decode stopped just short of the overflow gives the records
+        _, rg = generate(run_prompt(model, prompt, policy, forced_voids=forced)[0], model, policy,
+                         len(ids), forced_voids=forced)
+        return state, pp, ids, [record_to_line(r) for r in rg], str(exc)
+
+
+class TestBatchedGenerate:
+    def test_rows_stop_at_different_steps_and_overflow(self):
+        model = eot_model(9, 0.3)
+        cache = model.new_cache(len(STAGGERED))
+        states = [run_prompt(model, p, DETECT, cache=cache, row=i)[0] for i, p in enumerate(STAGGERED)]
+        ids, _ = generate(states, model, DETECT, 12)
+        assert [len(x) for x in ids] == [5, 9, 4, 6, 4, 4]
+        assert [s.error is not None for s in states] == [False] * 4 + [True] * 2
+        assert str(states[4].error) == "position 24 overflows max_seq 24"
+
+    @pytest.mark.parametrize("mode", list(SkipMode))
+    @pytest.mark.parametrize("granularity", list(NormGranularity))
+    @settings(max_examples=6, deadline=None)
+    @given(
+        prompts=st.lists(st.lists(st.integers(1, 255), min_size=1, max_size=16), min_size=1, max_size=5),
+        equal=st.booleans(),
+        order=st.randoms(use_true_random=False),
+        max_new=st.integers(0, 12),
+        target=st.integers(4, 23),
+        scale=st.sampled_from([0.3, 0.5]),
+        alpha=st.sampled_from([0.3, 0.6, 0.9]),
+        forced=st.none() | st.lists(st.booleans(), min_size=4, max_size=4),
+    )
+    @example(prompts=STAGGERED, equal=False, order=random.Random(0), max_new=12,
+             target=9, scale=0.3, alpha=0.6, forced=None)
+    def test_batch_equals_batches_of_one(self, mode, granularity, prompts, equal, order, max_new,
+                                         target, scale, alpha, forced):
+        if equal:
+            prompts = [p[:min(map(len, prompts))] for p in prompts]
+        model = eot_model(target, scale)
+        policy = HaltPolicy(granularity=granularity, alpha=alpha, skip_mode=mode)
+        alone = [decode_alone(model, p, policy, max_new, forced) for p in prompts]
+
+        rows = list(range(len(prompts)))
+        order.shuffle(rows)
+        cache = model.new_cache(len(prompts))
+        states = []
+        for p, row, (_, pp, _, _, _) in zip(prompts, rows, alone):
+            state, records = run_prompt(model, p, policy, forced_voids=forced, cache=cache, row=row)
+            assert [record_to_line(r) for r in records] == [record_to_line(r) for r in pp]
+            states.append(state)
+        ids, rg = generate(states, model, policy, max_new, forced_voids=forced)
+
+        for i, (ref, pp, ref_ids, ref_rg, err) in enumerate(alone):
+            assert ids[i] == ref_ids
+            assert [record_to_line(r) for r in rg[i]] == ref_rg
+            assert states[i].last_logits.tobytes() == ref.last_logits.tobytes()
+            assert states[i].token_ids == ref.token_ids and states[i].position == ref.position
+            assert (None if states[i].error is None else str(states[i].error)) == err
+
+    def test_states_must_share_a_cache_in_distinct_rows(self):
+        model = build_model(CFG)
+        a, _ = run_prompt(model, [65], OFF)
+        b, _ = run_prompt(model, [66], OFF)
+        with pytest.raises(ValueError, match="share one KVCache"):
+            generate([a, b], model, OFF, 2)
+        c, _ = run_prompt(model, [67], OFF, cache=a.cache)
+        with pytest.raises(ValueError, match="distinct cache rows"):
+            generate([a, c], model, OFF, 2)
 
 
 class TestTokenizer:
