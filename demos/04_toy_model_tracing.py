@@ -26,7 +26,7 @@ policy = HaltPolicy(alpha=0.8, skip_mode=SkipMode.DETECT)
 
 prompt = "void hunting"
 state, pp_records = run_prompt(model, prompt, policy, sequence_id="demo")
-generated, rg_records = generate(state, model, policy, max_new=12)
+(generated,), (rg_records,) = generate([state], model, policy, max_new=12)
 records = pp_records + rg_records
 
 print(f"prompt tokens: {len(pp_records)}  generated tokens: {len(rg_records)}")

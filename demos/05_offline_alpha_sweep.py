@@ -29,7 +29,7 @@ gen = stream_for(7, "sweep-demo")
 for i in range(20):
     prompt = gen.integers(8, 33, 127)
     state, pp = run_prompt(model, prompt, off, sequence_id=f"d{i}")
-    _, rg = generate(state, model, off, 8)
+    _, (rg,) = generate([state], model, off, 8)
     records += pp + rg
 
 print("alpha   pp_usage  rg_usage")

@@ -19,7 +19,7 @@ for label, mode in (("not_skipped", SkipMode.OFF), ("skipped", SkipMode.SKIP_IDE
     scores, records = [], []
     for case in cases:
         state, pp = run_prompt(model, case.prompt_ids, policy, sequence_id=case.sequence_id)
-        generated, rg = generate(state, model, policy, len(case.expected_ids))
+        (generated,), (rg,) = generate([state], model, policy, len(case.expected_ids))
         scores.append(score_case(generated, case.expected_ids))
         records += pp + rg
     report = usage_report(records)

@@ -16,10 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import TraceError
 from .halting import ThresholdFormula, offline_void_mask
 from .tensors import DTYPE
-from .trace import PHASES, TraceRecord
+from .trace import PHASES, TraceRecord, record_array
 
 __all__ = [
     "LayerUsageReport",
@@ -61,15 +60,6 @@ class NormProfile:
     mean_deltas: dict[str, np.ndarray]
 
 
-def _uniform_layer_count(records: list[TraceRecord]) -> int:
-    if not records:
-        raise ValueError("no records to aggregate")
-    counts = {r.layer_count for r in records}
-    if len(counts) != 1:
-        raise TraceError(f"records mix layer counts: {sorted(counts)}")
-    return counts.pop()
-
-
 def _uniform_or_none(values) -> object | None:
     vals = set(values)
     return vals.pop() if len(vals) == 1 else None
@@ -109,20 +99,17 @@ def _usage_from_columns(flags: np.ndarray, phases: np.ndarray, alpha, formula) -
 def usage_report(records: list[TraceRecord]) -> LayerUsageReport:
     """Aggregate activation flags. alpha/formula are the records' own
     settings when those are uniform, else None."""
-    _uniform_layer_count(records)
-    return _usage_from_columns(np.array([r.layer_flags for r in records], dtype=bool),
-                               np.array([r.phase for r in records]),
+    return _usage_from_columns(record_array(records, "layer_flags", bool), record_array(records, "phase"),
                                _uniform_or_none(r.alpha for r in records),
                                _uniform_or_none(r.formula for r in records))
 
 
 def norm_profile(records: list[TraceRecord]) -> NormProfile:
     """Arithmetic means of per-layer norms and progress, by phase."""
-    t_total = _uniform_layer_count(records)
-    phases = np.array([r.phase for r in records])
-    norms = np.array([r.layer_norms for r in records], dtype=np.float64)
-    deltas = np.array([r.layer_deltas for r in records], dtype=np.float64)
-    return NormProfile(layer_count=t_total,
+    phases = record_array(records, "phase")
+    norms = record_array(records, "layer_norms", np.float64)
+    deltas = record_array(records, "layer_deltas", np.float64)
+    return NormProfile(layer_count=norms.shape[1],
                        mean_norms={p: sub.mean(axis=0) for p, sub in _by_phase(norms, phases)},
                        mean_deltas={p: sub.mean(axis=0) for p, sub in _by_phase(deltas, phases)})
 
@@ -136,12 +123,8 @@ def alpha_sweep(records: list[TraceRecord], alphas, formula: ThresholdFormula = 
     do not correspond to any single forward pass. The (N, T) delta
     matrix is built once; each alpha is one offline_void_mask call.
     """
-    t_total = _uniform_layer_count(records)
-    for r in records:
-        if len(r.layer_deltas) != t_total:
-            raise TraceError(f"record {r.sequence_id}:{r.token_index} is missing per-layer deltas")
-    deltas = np.array([r.layer_deltas for r in records], dtype=DTYPE)
-    phases = np.array([r.phase for r in records])
+    deltas = record_array(records, "layer_deltas", DTYPE)
+    phases = record_array(records, "phase")
     return [(float(alpha), _usage_from_columns(~offline_void_mask(deltas, alpha, formula, min_layers), phases,
                                                float(alpha), formula.value))
             for alpha in alphas]

@@ -326,20 +326,22 @@ def cmd_report(args, parser) -> int:
     if not records:
         print(f"error: {args.trace} contains no records", file=sys.stderr)
         return 1
+    groups: dict[tuple[str, str], list] = {}
+    for r in records:
+        groups.setdefault((r.sequence_id, r.phase), []).append(r)
+    for seq_id, _ in groups:
+        if "/" in seq_id or "\0" in seq_id:
+            raise ValueError(f"sequence_id {seq_id!r} cannot name a bitmap file: it holds '/' or NUL")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     usage = usage_report(records)
     profile = norm_profile(records)
-    csv_path, json_path = export_reports(usage, profile, out_dir)
-    written = [csv_path, json_path]
-    for seq_id in sorted({r.sequence_id for r in records}):
-        seq_records = [r for r in records if r.sequence_id == seq_id]
-        for phase in (PHASE_PP, PHASE_RG):
-            if not any(r.phase == phase for r in seq_records):
-                continue
-            pgm_path = out_dir / f"bitmap_{seq_id}_{phase.lower()}.pgm"
-            pgm_path.write_text(render_bitmap(seq_records, phase), encoding="utf-8")
-            written.append(pgm_path)
+    written = list(export_reports(usage, profile, out_dir))
+    # PP sorts before RG, so each sequence's bitmaps come in phase order
+    for (seq_id, phase), group in sorted(groups.items()):
+        pgm_path = out_dir / f"bitmap_{seq_id}_{phase.lower()}.pgm"
+        pgm_path.write_text(render_bitmap(group), encoding="utf-8")
+        written.append(pgm_path)
     for path in written:
         print(f"wrote {path}")
     return 0

@@ -125,7 +125,6 @@ class HaltDecision:
 
     void: np.ndarray
     threshold_value: np.ndarray
-    delta_value: np.ndarray
 
 
 def progress(norm_prev, norm_curr) -> np.ndarray:
@@ -183,7 +182,7 @@ def decide(history: ProgressHistory, delta, policy: HaltPolicy) -> HaltDecision:
     if policy.skip_mode is SkipMode.HALT_FROZEN:
         void = void | history.latched
         history.latched = void.copy()
-    return HaltDecision(void=void, threshold_value=lam, delta_value=d)
+    return HaltDecision(void=void, threshold_value=lam)
 
 
 def offline_void_mask(delta_sequence, alpha: float, formula: ThresholdFormula = ThresholdFormula.MODIFIED,

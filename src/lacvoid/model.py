@@ -300,14 +300,16 @@ def load_weights(path) -> ToyTransformer:
     if raw.shape != (len(_CONFIG_FIELDS),) or not np.all(raw == np.round(raw)):
         raise ContainerError(f"{path}: malformed 'config' tensor")
     config = ModelConfig(**{f: int(x) for f, x in zip(_CONFIG_FIELDS, raw)}, seed=0)
-
+    # embed, ln_f.gain and eight per block, checked before _tensor_shapes grows with the claim;
+    # once it holds, a file without unknown names has every expected one
+    needed, held = 2 + 8 * config.layer_count, len(tensors) - 1
+    if needed > held:
+        raise ContainerError(f"{path}: missing tensor(s): config claims {config.layer_count} layers, "
+                             f"which need {needed} tensors, but the file holds {held}")
     expected = _tensor_shapes(config)
     unknown = sorted(set(tensors) - set(expected) - {"config"})
-    missing = sorted(set(expected) - set(tensors))
     if unknown:
         raise ContainerError(f"{path}: unknown tensor name(s): {', '.join(unknown)}")
-    if missing:
-        raise ContainerError(f"{path}: missing tensor name(s): {', '.join(missing)}")
     for name, (shape, _) in expected.items():
         if tensors[name].shape != shape:
             raise ContainerError(f"{path}: tensor {name!r} has shape {tensors[name].shape}, expected {shape}")
@@ -318,13 +320,12 @@ def load_weights(path) -> ToyTransformer:
 class GenerationState:
     """Mutable per-sequence decoding state: one row of a KVCache. Single-threaded.
 
-    error holds the ValueError that stopped the row when it decoded in a
-    batch (a token past max_seq); None otherwise.
+    position is the number of tokens forwarded so far (prompt and
+    response). error holds the ValueError that stopped the row's last
+    generate call (a token past max_seq); None otherwise.
     """
 
     sequence_id: str
-    token_ids: list[int]
-    phases: list[str]
     cache: KVCache
     position: int
     last_logits: np.ndarray
@@ -387,33 +388,30 @@ def run_prompt(model: ToyTransformer, prompt_tokens, policy: HaltPolicy, sequenc
     outcome = run_stack(model.stack_for(cache, [row], [0]), h0, policy, forced_voids)
     records, = _records_from_outcome(outcome, [ids], [0], PHASE_PP, [sequence_id], policy)
     logits = model.logits_from_hidden(outcome.final_hidden[:, -1:, :])[0, 0]
-    state = GenerationState(sequence_id, list(ids), [PHASE_PP] * len(ids), cache, len(ids), logits, row)
+    state = GenerationState(sequence_id, cache, len(ids), logits, row)
     return state, records
 
 
-def generate(state, model: ToyTransformer, policy: HaltPolicy, max_new: int, forced_voids=None):
-    """Greedy decoding (response-generation phase).
+def generate(states: list[GenerationState], model: ToyTransformer, policy: HaltPolicy, max_new: int,
+             forced_voids=None) -> tuple[list[list[int]], list[list[TraceRecord]]]:
+    """Greedy decoding (response-generation phase) of states that share one KVCache, a row each.
 
     Each emitted token is forwarded through the stack (so it gets one
-    trace record) to produce the logits for the next token. A sequence
-    stops after max_new tokens or when the end-of-text byte wins the
-    argmax; the end-of-text byte itself is not emitted.
+    trace record) to produce the logits for the next token. A row stops
+    after max_new tokens or when the end-of-text byte wins the argmax;
+    the end-of-text byte itself is not emitted. A row whose next token
+    would pass max_seq stops with the ValueError in its state.error,
+    and the other rows go on.
 
-    state is one GenerationState or a list of states that share one
-    KVCache, a row each. The states decode as one batch: each position
-    is one (B, 1, D) run_stack over the rows still decoding, and every
-    op in it works row by row, so a row's tokens, records and logits
-    equal those of decoding it alone. BATCH granularity is applied per
-    row (the EXAMPLE reduction), as for one sequence. forced_voids is
-    per sequence: one flag per layer.
+    The rows decode as one batch: each position is one (B, 1, D)
+    run_stack over the rows still decoding, and every op in it works
+    row by row, so a row's tokens, records and logits equal those of
+    decoding it alone. BATCH granularity is applied per row (the EXAMPLE
+    reduction), as for one sequence. forced_voids is per sequence: one
+    flag per layer.
 
-    One state gives (ids, records) and raises ValueError for a token
-    past max_seq. A list gives (ids per state, records per state); a row
-    that would pass max_seq stops with the error in its state.error and
-    the other rows go on.
+    Returns (ids per state, records per state), in the order of states.
     """
-    single = isinstance(state, GenerationState)
-    states = [state] if single else list(state)
     if len({id(s.cache) for s in states}) > 1:
         raise ValueError("states decoded together must share one KVCache")
     if len({s.row for s in states}) != len(states):
@@ -462,12 +460,6 @@ def generate(state, model: ToyTransformer, policy: HaltPolicy, max_new: int, for
             s = states[i]
             out_ids[i].append(tokens[b])
             out_records[i] += records[b]
-            s.token_ids.append(tokens[b])
-            s.phases.append(PHASE_RG)
             s.position += 1
             s.last_logits = logits[b]
-    if not single:
-        return out_ids, out_records
-    if state.error is not None:
-        raise state.error
-    return out_ids[0], out_records[0]
+    return out_ids, out_records

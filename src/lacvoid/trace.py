@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable
 
+import numpy as np
+
 from .errors import TraceError
 from .halting import SkipMode, ThresholdFormula
 
@@ -115,8 +117,8 @@ def _write_stream(records: Iterable[TraceRecord], fh: IO[str]) -> int:
     return count
 
 
-_REQUIRED_FIELDS = ("sequence_id", "token_index", "phase", "token_id",
-                    "layer_flags", "layer_norms", "layer_deltas", "alpha", "formula", "skip_mode")
+_LAYER_FIELDS = ("layer_flags", "layer_norms", "layer_deltas")
+_REQUIRED_FIELDS = ("sequence_id", "token_index", "phase", "token_id", *_LAYER_FIELDS, "alpha", "formula", "skip_mode")
 
 
 def _integer(obj: dict, field: str) -> int:
@@ -205,6 +207,24 @@ def _parse_lines(lines: Iterable[str], origin: str) -> list[TraceRecord]:
     return records
 
 
+def record_array(records: list[TraceRecord], field: str, dtype=None) -> np.ndarray:
+    """One field of N records as an array: (N, T) for a per-layer field
+    (layer_flags, layer_norms, layer_deltas), (N,) for any other.
+
+    Raises ValueError for no records, and TraceError naming the field
+    when a per-layer field's length is not the one layer count that
+    every record shares.
+    """
+    if not records:
+        raise ValueError("no records to aggregate")
+    values = [getattr(r, field) for r in records]
+    if field in _LAYER_FIELDS:
+        counts = {r.layer_count for r in records} | {len(v) for v in values}
+        if len(counts) != 1:
+            raise TraceError(f"records mix layer counts in {field}: {sorted(counts)}")
+    return np.array(values, dtype=dtype)
+
+
 def render_bitmap(records: list[TraceRecord], phase: str | None = None) -> str:
     """Token-by-layer activation bitmap for one sequence as PGM (P2) text.
 
@@ -220,16 +240,9 @@ def render_bitmap(records: list[TraceRecord], phase: str | None = None) -> str:
     seq_ids = {r.sequence_id for r in chosen}
     if len(seq_ids) != 1:
         raise ValueError(f"records span multiple sequences: {sorted(seq_ids)}")
-    layer_counts = {r.layer_count for r in chosen}
-    if len(layer_counts) != 1:
-        raise TraceError(f"records mix layer counts: {sorted(layer_counts)}")
-    t_total = layer_counts.pop()
     chosen.sort(key=lambda r: r.token_index)
-
-    rows = []
-    for layer in range(t_total - 1, -1, -1):
-        rows.append(" ".join("255" if r.layer_flags[layer] else "0" for r in chosen))
-    return f"P2\n{len(chosen)} {t_total}\n255\n" + "\n".join(rows) + "\n"
+    pixels = np.where(record_array(chosen, "layer_flags", bool).T[::-1], "255", "0").tolist()
+    return f"P2\n{len(chosen)} {len(pixels)}\n255\n" + "".join(" ".join(row) + "\n" for row in pixels)
 
 
 def white_pixel_count(pgm_text: str) -> int:

@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from lacvoid import read_trace
+from conftest import make_record
+from lacvoid import read_trace, write_trace
 from lacvoid.cli import main
 
 MODEL = ["--seed-model", "d16,h2,l4", "--seed", "3"]
@@ -201,6 +202,35 @@ class TestReport:
         trace.write_text("1\n", encoding="utf-8")
         assert run(["report", "--trace", str(trace), "--out", str(tmp_path)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seq_id", ["x/../../escaped", "x\0y"])
+    def test_sequence_id_that_is_not_one_path_component_exits_1(self, tmp_path, capsys, seq_id):
+        trace = tmp_path / "trace.jsonl"
+        write_trace([make_record(seq="ok"), make_record(seq=seq_id)], trace)
+        out = tmp_path / "a" / "out"
+        (out / "bitmap_x").mkdir(parents=True)
+        assert run(["report", "--trace", str(trace), "--out", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.rglob("*") if p.is_file()) == ["trace.jsonl"]
+
+    def test_interleaved_sequences_give_the_grouped_bitmaps(self, tmp_path):
+        pf = tmp_path / "prompts.txt"
+        pf.write_text(RAGGED_PROMPTS, encoding="utf-8")
+        assert run(["trace", *MODEL, "--prompt-file", str(pf), "--max-new", "6", "--alpha", "0.6",
+                    "--out", str(tmp_path)]) == 0
+        grouped = (tmp_path / "trace.jsonl").read_text(encoding="utf-8").splitlines()
+        # every sequence starts at token 0, so this order takes one line from each in turn
+        keyed = sorted(zip(read_trace(grouped), grouped), key=lambda p: (p[0].token_index, p[0].sequence_id))
+        interleaved = [line for _, line in keyed]
+        assert interleaved != grouped and sorted(interleaved) == sorted(grouped)
+        bitmaps = []
+        for name, lines in (("grouped", grouped), ("interleaved", interleaved)):
+            (tmp_path / f"{name}.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+            out = tmp_path / f"{name}_out"
+            assert run(["report", "--trace", str(tmp_path / f"{name}.jsonl"), "--out", str(out)]) == 0
+            bitmaps.append({p.name: p.read_bytes() for p in out.glob("bitmap_*.pgm")})
+        assert len(bitmaps[0]) == 2 * len(RAGGED_PROMPTS.split())
+        assert bitmaps[0] == bitmaps[1]
 
 
 class TestCompare:

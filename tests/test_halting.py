@@ -170,7 +170,7 @@ class TestDecide:
             for d in deltas:
                 h.append(d)
                 dec = decide(h, d, HaltPolicy(alpha=0.4))
-                blobs += dec.void.tobytes() + dec.threshold_value.tobytes() + dec.delta_value.tobytes()
+                blobs += dec.void.tobytes() + dec.threshold_value.tobytes()
             outs.append(blobs)
         assert outs[0] == outs[1]
 

@@ -143,6 +143,25 @@ class TestContainer:
         with pytest.raises(ContainerError, match="unknown tensor name"):
             load_weights(path)
 
+    def test_config_claiming_more_layers_than_the_file_holds(self, tmp_path):
+        tensors = build_model(ModelConfig(layer_count=1, depth=4, head_count=1, ffn_dim=4, max_seq=4)).named_tensors()
+        tensors["config"] = np.array([100_000, 4, 1, 4, 256, 4], dtype=np.float32)
+        path = tmp_path / "m.lactnsr"
+        save_container(tensors, path)
+        with pytest.raises(ContainerError, match="config claims 100000 layers, which need 800002 tensors, "
+                                                 "but the file holds 10") as info:
+            load_weights(path)
+        assert len(str(info.value)) < 200
+
+    def test_dropped_tensor_is_missing(self, tmp_path):
+        tensors = build_model(CFG).named_tensors()
+        tensors["config"] = np.array([4, 16, 2, 32, 256, 64], dtype=np.float32)
+        del tensors["block3.ffn.w2"]
+        path = tmp_path / "m.lactnsr"
+        save_container(tensors, path)
+        with pytest.raises(ContainerError, match="missing tensor"):
+            load_weights(path)
+
     def test_missing_config(self, tmp_path):
         path = tmp_path / "m.lactnsr"
         save_container({"embed": np.zeros((4, 2), np.float32)}, path)
@@ -265,15 +284,15 @@ class TestGenerate:
     def test_max_new_zero(self):
         model = build_model(CFG)
         state, _ = run_prompt(model, [65], OFF)
-        ids, records = generate(state, model, OFF, 0)
-        assert ids == [] and records == []
+        ids, records = generate([state], model, OFF, 0)
+        assert ids == [[]] and records == [[]]
 
     def test_deterministic(self):
         model = build_model(CFG)
         runs = []
         for _ in range(2):
             state, _ = run_prompt(model, encode_text("abc"), OFF)
-            ids, _ = generate(state, model, OFF, 8)
+            ids, _ = generate([state], model, OFF, 8)
             runs.append(ids)
         assert runs[0] == runs[1]
 
@@ -285,26 +304,27 @@ class TestGenerate:
         embed[0] = [1.0, 1.0]
         model = ToyTransformer(cfg, embed, [zero_block(2)], np.ones(2, np.float32))
         state, _ = run_prompt(model, [7], OFF)
-        ids, records = generate(state, model, OFF, 3)
-        assert ids == [] and records == []
+        ids, records = generate([state], model, OFF, 3)
+        assert ids == [[]] and records == [[]]
 
     def test_phase_partition(self):
         model = build_model(CFG)
         prompt = encode_text("partition")
         state, pp_records = run_prompt(model, prompt, DETECT)
-        ids, rg_records = generate(state, model, DETECT, 6)
+        (ids,), (rg_records,) = generate([state], model, DETECT, 6)
         assert len(pp_records) == len(prompt)
         assert len(rg_records) == len(ids)
         assert all(r.phase == "PP" for r in pp_records)
         assert all(r.phase == "RG" for r in rg_records)
-        assert state.phases == ["PP"] * len(prompt) + ["RG"] * len(ids)
+        assert state.position == len(prompt) + len(ids)
 
     def test_position_overflow(self):
         cfg = ModelConfig(layer_count=1, depth=8, head_count=1, ffn_dim=8, max_seq=3, seed=1)
         model = build_model(cfg)
         state, _ = run_prompt(model, [65, 66, 67], OFF)
-        with pytest.raises(ValueError, match="overflow"):
-            generate(state, model, OFF, 2)
+        ids, records = generate([state], model, OFF, 2)
+        assert ids == [[]] and records == [[]]
+        assert isinstance(state.error, ValueError) and "overflow" in str(state.error)
 
     def test_kv_cache_matches_full_reforward(self):
         model = build_model(CFG)
@@ -331,9 +351,9 @@ class TestGenerate:
         forced = [False, True, False, False]
         prompt = encode_text("remove me")
         s1, _ = run_prompt(model, prompt, skip, forced_voids=forced)
-        ids1, _ = generate(s1, model, skip, 6, forced_voids=forced)
+        ids1, _ = generate([s1], model, skip, 6, forced_voids=forced)
         s2, _ = run_prompt(reduced, prompt, OFF)
-        ids2, _ = generate(s2, reduced, OFF, 6)
+        ids2, _ = generate([s2], reduced, OFF, 6)
         assert ids1 == ids2
         assert np.abs(np.asarray(s1.last_logits) - np.asarray(s2.last_logits)).max() < 1e-5
 
@@ -366,7 +386,7 @@ class TestKVCache:
         model = build_model(CFG)
         state, _ = run_prompt(model, encode_text("buffers"), OFF)
         before = list(state.cache.k)
-        generate(state, model, OFF, 4)
+        generate([state], model, OFF, 4)
         assert all(a is b for a, b in zip(before, state.cache.k))
 
 
@@ -388,15 +408,8 @@ STAGGERED = [encode_text(p) for p in ("hello", "k", "zz top", "0123", "abcdefghi
 def decode_alone(model, prompt, policy, max_new, forced):
     """Batch-of-one reference: (state, PP lines, ids, RG lines, error text)."""
     state, pp = run_prompt(model, prompt, policy, forced_voids=forced)
-    try:
-        ids, rg = generate(state, model, policy, max_new, forced_voids=forced)
-        return state, pp, ids, [record_to_line(r) for r in rg], None
-    except ValueError as exc:
-        ids = state.token_ids[len(prompt):]
-        # the same decode stopped just short of the overflow gives the records
-        _, rg = generate(run_prompt(model, prompt, policy, forced_voids=forced)[0], model, policy,
-                         len(ids), forced_voids=forced)
-        return state, pp, ids, [record_to_line(r) for r in rg], str(exc)
+    (ids,), (rg,) = generate([state], model, policy, max_new, forced_voids=forced)
+    return state, pp, ids, [record_to_line(r) for r in rg], None if state.error is None else str(state.error)
 
 
 class TestBatchedGenerate:
@@ -446,7 +459,7 @@ class TestBatchedGenerate:
             assert ids[i] == ref_ids
             assert [record_to_line(r) for r in rg[i]] == ref_rg
             assert states[i].last_logits.tobytes() == ref.last_logits.tobytes()
-            assert states[i].token_ids == ref.token_ids and states[i].position == ref.position
+            assert states[i].position == ref.position
             assert (None if states[i].error is None else str(states[i].error)) == err
 
     def test_states_must_share_a_cache_in_distinct_rows(self):

@@ -17,7 +17,7 @@ from lacvoid import (
     run_prompt,
     write_trace,
 )
-from lacvoid.trace import record_to_line, white_pixel_count
+from lacvoid.trace import record_array, record_to_line, white_pixel_count
 from conftest import make_record
 
 
@@ -228,6 +228,29 @@ class TestStrictReader:
             return
         for r in back:
             record_to_line(r)
+
+
+class TestRecordArray:
+    def test_per_layer_field_is_records_by_layers(self):
+        records = [make_record(token_index=i, norms=[i, 2 * i]) for i in range(3)]
+        arr = record_array(records, "layer_norms", np.float64)
+        assert arr.shape == (3, 2) and arr.dtype == np.float64
+        assert arr.tolist() == [[0, 0], [1, 2], [2, 4]]
+
+    def test_scalar_field_is_one_per_record(self):
+        records = [make_record(phase=p) for p in ("PP", "RG", "PP")]
+        assert record_array(records, "phase").tolist() == ["PP", "RG", "PP"]
+
+    def test_mixed_layer_counts_name_the_field(self):
+        records = [make_record(), make_record(token_index=1)]
+        records[1].layer_deltas = [1.0, 1.0, 1.0]
+        assert record_array(records, "layer_flags", bool).shape == (2, 2)
+        with pytest.raises(TraceError, match=r"layer_deltas: \[2, 3\]"):
+            record_array(records, "layer_deltas")
+
+    def test_no_records_rejected(self):
+        with pytest.raises(ValueError, match="no records"):
+            record_array([], "layer_flags")
 
 
 class TestBitmap:
