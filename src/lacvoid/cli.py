@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 runtime error, 2 usage error. Sequences run in
 groups, in input order, whose KV caches fit a fixed byte budget. In a
-group, prompt processing (PP) runs one sequence per worker of a small
-thread pool, whose BLAS calls overlap; LAC_VOID_THREADS caps the pool.
+group, prompt processing (PP) runs one sequence per worker of a thread
+pool, one worker per CPU, whose BLAS calls overlap.
 Response generation (RG) then decodes the group's rows as one batch on
 the main thread. Output files are written by the main thread after all
 groups finish, in input order, so runs are byte-deterministic.
@@ -44,19 +44,6 @@ class SequenceJob:
     expected_ids: tuple[int, ...] | None
 
 
-def _worker_count(jobs: int) -> int:
-    env = os.environ.get("LAC_VOID_THREADS")
-    if not env:
-        return max(1, min(jobs, os.cpu_count() or 1))
-    try:
-        cap = int(env)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ValueError(f"LAC_VOID_THREADS must be a positive integer, got {env!r}")
-    return max(1, min(jobs, cap))
-
-
 def _groups(model: ToyTransformer, jobs: list[SequenceJob], max_new: int, workers: int):
     """Runs of consecutive jobs whose KV cache fits _GROUP_KV_BYTES, each of at
     least `workers` jobs but the last. Yields (jobs, cache capacity)."""
@@ -64,7 +51,7 @@ def _groups(model: ToyTransformer, jobs: list[SequenceJob], max_new: int, worker
     group: list[SequenceJob] = []
     capacity = 0
     for job in jobs:
-        need = min(model.config.max_seq, len(job.prompt_ids) + max(max_new, 0))
+        need = min(model.config.max_seq, len(job.prompt_ids) + max_new)
         grown = max(capacity, need)
         if len(group) >= workers and (len(group) + 1) * grown * per_position > _GROUP_KV_BYTES:
             yield group, capacity
@@ -76,8 +63,8 @@ def _groups(model: ToyTransformer, jobs: list[SequenceJob], max_new: int, worker
 
 
 def _run_group(model: ToyTransformer, group: list[SequenceJob], capacity: int, policy: HaltPolicy,
-               max_new: int, mapper) -> list:
-    """PP per job through `mapper`, then RG of the group as one batch.
+               max_new: int, pool: ThreadPoolExecutor) -> list:
+    """PP per job on `pool`, then RG of the group as one batch.
 
     Returns, in input order, (records, generated ids) per job or the
     ValueError that stopped it.
@@ -94,7 +81,7 @@ def _run_group(model: ToyTransformer, group: list[SequenceJob], capacity: int, p
         except ValueError as exc:
             return exc
 
-    results = list(mapper(prompt, range(len(group))))
+    results = list(pool.map(prompt, range(len(group))))
     ok = [i for i, res in enumerate(results) if not isinstance(res, ValueError)]
     gen_ids, rg_records = generate([results[i][0] for i in ok], model, policy, max_new)
     for i, ids, records in zip(ok, gen_ids, rg_records):
@@ -109,12 +96,11 @@ def _run_jobs(model: ToyTransformer, jobs: list[SequenceJob], policy: HaltPolicy
     A group finishes even when one of its jobs fails; then the error of
     the first failing job, in input order, is raised.
     """
-    workers = _worker_count(len(jobs))
+    workers = min(len(jobs), os.cpu_count() or 1)
     out = []
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        mapper = pool.map if workers > 1 else map
         for group, capacity in _groups(model, jobs, max_new, workers):
-            results = _run_group(model, group, capacity, policy, max_new, mapper)
+            results = _run_group(model, group, capacity, policy, max_new, pool)
             for res in results:
                 if isinstance(res, ValueError):
                     raise res
@@ -215,6 +201,8 @@ def _model_from_args(args, parser) -> ToyTransformer:
 
 def _jobs_from_args(args, parser) -> tuple[list[SequenceJob], int]:
     """The run's sequences and its max_new (capped by the suite's answer length)."""
+    if args.max_new < 0:
+        parser.error(f"--max-new must be >= 0, got {args.max_new}")
     sources = [s for s in (getattr(args, "prompt", None), getattr(args, "prompt_file", None), args.suite) if s]
     if len(sources) != 1:
         parser.error("exactly one of --prompt, --prompt-file, or --suite is required")

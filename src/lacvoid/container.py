@@ -15,7 +15,9 @@ Layout, byte-exact:
 Tensors are packed in sorted-name order with no gaps, so each offset
 equals the byte sum of the tensors sorted before it and the payload
 length equals the sum of all tensor byte sizes. The loader enforces
-both.
+both, and accepts only the header bytes save_container writes for the
+tensors it reads: no whitespace, no repeated names, and every
+character outside printable ASCII escaped as \\uXXXX.
 """
 
 from __future__ import annotations
@@ -36,6 +38,10 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _header_bytes(header: dict[str, dict]) -> bytes:
+    return json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
 def save_container(tensors: dict[str, np.ndarray], path) -> int:
     """Write tensors to a container file. Returns bytes written."""
     names = sorted(tensors)
@@ -48,7 +54,7 @@ def save_container(tensors: dict[str, np.ndarray], path) -> int:
         raw = arr.tobytes()
         chunks.append(raw)
         offset += len(raw)
-    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    header_bytes = _header_bytes(header)
     blob = MAGIC + len(header_bytes).to_bytes(4, "little") + header_bytes + b"".join(chunks)
     Path(path).write_bytes(blob)
     return len(blob)
@@ -62,13 +68,13 @@ def load_container(path) -> dict[str, np.ndarray]:
     header_len = int.from_bytes(blob[8:12], "little")
     if 12 + header_len > len(blob):
         raise ContainerError(f"{path}: header length {header_len} exceeds file size")
+    header_bytes, payload = blob[12:12 + header_len], blob[12 + header_len:]
     try:
-        header = json.loads(blob[12:12 + header_len].decode("utf-8"))
+        header = json.loads(header_bytes.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ContainerError(f"{path}: header is not valid JSON: {exc}") from exc
     if not isinstance(header, dict):
         raise ContainerError(f"{path}: header must be a JSON object")
-    payload = blob[12 + header_len:]
 
     tensors: dict[str, np.ndarray] = {}
     total = 0
@@ -97,4 +103,7 @@ def load_container(path) -> dict[str, np.ndarray]:
         total += nbytes
     if total != len(payload):
         raise ContainerError(f"{path}: payload length mismatch, header describes {total} bytes but file has {len(payload)}")
+    if header_bytes != _header_bytes(header):
+        raise ContainerError(f"{path}: header is not in the canonical form save_container writes "
+                             "(compact, keys sorted, names unique, characters outside printable ASCII escaped)")
     return tensors

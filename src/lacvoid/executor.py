@@ -23,7 +23,6 @@ __all__ = [
     "ExecutionOutcome",
     "mask_example",
     "mask_token",
-    "expand_unit_to_tokens",
     "run_stack",
 ]
 
@@ -48,22 +47,17 @@ class LayerStack:
 class ExecutionOutcome:
     """Everything recorded while running a stack under a policy.
 
-    void_flags follows the policy granularity: () per batch, (B,) per
-    example, (B, L) per token, stacked along a leading layer axis.
+    void_flags, token_norms and token_deltas are each (layers, B, L),
+    per token whatever the policy granularity, so traces can be written
+    from them: a unit's void flag is repeated over its tokens.
     token_norms are of the accepted post-layer state and token_deltas
-    are the candidate progress, both per token whatever the policy
-    granularity, so traces can be written from them.
+    are the candidate progress.
     """
 
     final_hidden: np.ndarray
     void_flags: np.ndarray
     token_norms: np.ndarray
     token_deltas: np.ndarray
-    granularity: NormGranularity
-
-    @property
-    def layer_count(self) -> int:
-        return self.void_flags.shape[0]
 
 
 def mask_example(h, example_index: int) -> np.ndarray:
@@ -88,7 +82,7 @@ def mask_token(h, example_index: int, token_index: int) -> np.ndarray:
     return out
 
 
-def expand_unit_to_tokens(arr: np.ndarray, token_shape: tuple[int, int], granularity: NormGranularity) -> np.ndarray:
+def _expand_unit_to_tokens(arr: np.ndarray, token_shape: tuple[int, int], granularity: NormGranularity) -> np.ndarray:
     """Broadcast a unit-shaped array to the (B, L) token grid."""
     b, l = token_shape
     if granularity is NormGranularity.BATCH:
@@ -143,7 +137,7 @@ def run_stack(stack: LayerStack, h0, policy: HaltPolicy, forced_voids=None) -> E
             raise ShapeError(f"forced_voids shape {forced.shape} does not match (layers,)+unit {(t_total,) + unit_shape}")
 
     history = ProgressHistory()
-    flags = np.zeros((t_total,) + unit_shape, dtype=bool)
+    flags = np.zeros((t_total,) + tok_before.shape, dtype=bool)
     tok_norms = np.zeros((t_total,) + tok_before.shape, dtype=DTYPE)
     tok_deltas = np.zeros((t_total,) + tok_before.shape, dtype=DTYPE)
 
@@ -164,7 +158,8 @@ def run_stack(stack: LayerStack, h0, policy: HaltPolicy, forced_voids=None) -> E
             history.append(delta)
             void = decide(history, delta, policy).void
 
-        flags[t - 1] = void
+        void_tok = _expand_unit_to_tokens(void, candidate.shape[:2], g)
+        flags[t - 1] = void_tok
         tok_deltas[t - 1] = cand_tok - tok_before
         if mode in (SkipMode.OFF, SkipMode.DETECT) or not void.any():
             h, norm_before, tok_before = candidate, cand_norm, cand_tok
@@ -172,7 +167,6 @@ def run_stack(stack: LayerStack, h0, policy: HaltPolicy, forced_voids=None) -> E
             # MASK_ZERO zeroes a void unit; SKIP_IDENTITY and HALT_FROZEN keep its prior state
             if mode is SkipMode.MASK_ZERO:
                 h = norm_before = tok_before = np.float32(0.0)
-            void_tok = expand_unit_to_tokens(void, candidate.shape[:2], g)
             h = np.where(void_tok[..., None], h, candidate)
             tok_before = np.where(void_tok, tok_before, cand_tok)
             norm_before = tok_before if g is NormGranularity.TOKEN else np.where(void, norm_before, cand_norm)
@@ -183,5 +177,4 @@ def run_stack(stack: LayerStack, h0, policy: HaltPolicy, forced_voids=None) -> E
         void_flags=flags,
         token_norms=tok_norms,
         token_deltas=tok_deltas,
-        granularity=g,
     )

@@ -17,7 +17,7 @@ import numpy as np
 
 from .container import load_container, save_container
 from .errors import ContainerError, ShapeError
-from .executor import LayerStack, expand_unit_to_tokens, run_stack
+from .executor import LayerStack, run_stack
 from .halting import HaltPolicy
 from .rng import stream_for
 from .tensors import DTYPE, NormGranularity, layer_norm_pre, matmul
@@ -69,14 +69,15 @@ def decode_tokens(ids) -> str:
     return bytes(int(i) for i in ids).decode("utf-8", errors="replace")
 
 
-def sinusoidal_positions(max_seq: int, depth: int) -> np.ndarray:
-    """Fixed position table: pe[p, 2i] = sin(p / 10000^(2i/depth)), pe[p, 2i+1] = cos."""
-    pos = np.arange(max_seq, dtype=np.float64)[:, None]
-    i = np.arange(depth // 2, dtype=np.float64)[None, :]
+def sinusoidal_positions(positions, depth: int) -> np.ndarray:
+    """Encodings of an array of positions, one depth-vector each:
+    pe[..., 2i] = sin(p / 10000^(2i/depth)), pe[..., 2i+1] = cos."""
+    pos = np.asarray(positions, dtype=np.float64)[..., None]
+    i = np.arange(depth // 2, dtype=np.float64)
     angles = pos / np.power(10000.0, 2.0 * i / depth)
-    pe = np.zeros((max_seq, depth), dtype=np.float64)
-    pe[:, 0::2] = np.sin(angles)
-    pe[:, 1::2] = np.cos(angles)
+    pe = np.zeros(angles.shape[:-1] + (depth,), dtype=np.float64)
+    pe[..., 0::2] = np.sin(angles)
+    pe[..., 1::2] = np.cos(angles)
     return pe.astype(DTYPE)
 
 
@@ -91,8 +92,9 @@ class KVCache:
     """Per-layer key/value buffers, each (rows, heads, capacity, head_dim).
 
     Every buffer is allocated once. A forward chunk writes its keys and
-    values in place at its positions and attends over views of the
-    buffer, so decoding copies nothing already cached.
+    values in place at its positions and gets back views of the buffer,
+    so the cache is never reallocated. Attention's matmul still copies
+    the views it reads into contiguous operands.
     """
 
     def __init__(self, layer_count: int, rows: int, head_count: int, capacity: int, head_dim: int):
@@ -181,7 +183,6 @@ class ToyTransformer:
         self.embed = embed
         self.blocks = blocks
         self.ln_f_gain = ln_f_gain
-        self.positions = sinusoidal_positions(config.max_seq, config.depth)
         self._unembed = np.ascontiguousarray(embed.T)
 
     @property
@@ -208,9 +209,6 @@ class ToyTransformer:
         def bind(i, block):
             return lambda h: block.forward(h, cache, i, segments)
         return LayerStack([bind(i, blk) for i, blk in enumerate(self.blocks)])
-
-    def embed_chunk(self, ids: list[int], pos_start: int) -> np.ndarray:
-        return (self.embed[ids] + self.positions[pos_start:pos_start + len(ids)])[None, :, :]
 
     def logits_from_hidden(self, h: np.ndarray) -> np.ndarray:
         return matmul(layer_norm_pre(h, self.ln_f_gain), self._unembed)
@@ -346,13 +344,20 @@ def _coerce_tokens(tokens, vocab_size: int) -> list[int]:
     return ids
 
 
-def _records_from_outcome(outcome, ids, starts, phase: str, sequence_ids, policy: HaltPolicy) -> list[list[TraceRecord]]:
-    """Trace records of each batch row: row b holds tokens ids[b] from index starts[b]."""
-    shape = outcome.token_norms.shape[1:]
-    kept = ~np.stack([expand_unit_to_tokens(flags, shape, outcome.granularity) for flags in outcome.void_flags])
-    rows = []
+def _forward(model: ToyTransformer, cache: KVCache, rows, starts, ids, phase: str, sequence_ids,
+             policy: HaltPolicy, forced_voids) -> tuple[list[list[TraceRecord]], np.ndarray]:
+    """One run_stack over B rows of n tokens: row b is tokens ids[b] at
+    positions starts[b].. in cache row rows[b]. Returns each row's trace
+    records and its last token's logits, (B, vocab)."""
+    ids = np.asarray(ids)
+    positions = np.add.outer(starts, np.arange(ids.shape[1]))
+    h0 = model.embed[ids] + sinusoidal_positions(positions, model.config.depth)
+    outcome = run_stack(model.stack_for(cache, rows, starts), h0, policy, forced_voids)
+    logits = model.logits_from_hidden(outcome.final_hidden[:, -1:])[:, 0]
+    kept = ~outcome.void_flags
+    records = []
     for b, (row_ids, start, sequence_id) in enumerate(zip(ids, starts, sequence_ids)):
-        rows.append([TraceRecord(
+        records.append([TraceRecord(
             sequence_id=sequence_id,
             token_index=start + j,
             phase=phase,
@@ -364,7 +369,7 @@ def _records_from_outcome(outcome, ids, starts, phase: str, sequence_ids, policy
             formula=policy.formula.value,
             skip_mode=policy.skip_mode.value,
         ) for j, tok in enumerate(row_ids)])
-    return rows
+    return records, logits
 
 
 def run_prompt(model: ToyTransformer, prompt_tokens, policy: HaltPolicy, sequence_id: str = "seq0",
@@ -384,12 +389,8 @@ def run_prompt(model: ToyTransformer, prompt_tokens, policy: HaltPolicy, sequenc
         raise ValueError(f"prompt length {len(ids)} exceeds max_seq {model.config.max_seq}")
     if cache is None:
         cache = model.new_cache()
-    h0 = model.embed_chunk(ids, 0)
-    outcome = run_stack(model.stack_for(cache, [row], [0]), h0, policy, forced_voids)
-    records, = _records_from_outcome(outcome, [ids], [0], PHASE_PP, [sequence_id], policy)
-    logits = model.logits_from_hidden(outcome.final_hidden[:, -1:, :])[0, 0]
-    state = GenerationState(sequence_id, cache, len(ids), logits, row)
-    return state, records
+    (records,), (logits,) = _forward(model, cache, [row], [0], [ids], PHASE_PP, [sequence_id], policy, forced_voids)
+    return GenerationState(sequence_id, cache, len(ids), logits, row), records
 
 
 def generate(states: list[GenerationState], model: ToyTransformer, policy: HaltPolicy, max_new: int,
@@ -449,13 +450,9 @@ def generate(states: list[GenerationState], model: ToyTransformer, policy: HaltP
         if not step:
             break
         live = step
-        rows = [states[i].row for i in step]
-        starts = [states[i].position for i in step]
-        h0 = (model.embed[tokens] + model.positions[starts])[:, None, :]
-        outcome = run_stack(model.stack_for(states[step[0]].cache, rows, starts), h0, policy, forced_voids)
-        logits = model.logits_from_hidden(outcome.final_hidden)[:, -1]
-        records = _records_from_outcome(outcome, [[t] for t in tokens], starts, PHASE_RG,
-                                        [states[i].sequence_id for i in step], policy)
+        records, logits = _forward(model, states[step[0]].cache, [states[i].row for i in step],
+                                   [states[i].position for i in step], [[t] for t in tokens], PHASE_RG,
+                                   [states[i].sequence_id for i in step], policy, forced_voids)
         for b, i in enumerate(step):
             s = states[i]
             out_ids[i].append(tokens[b])

@@ -1,7 +1,9 @@
 import csv
 import hashlib
 import json
+import os
 import sys
+import tracemalloc
 
 import pytest
 
@@ -70,8 +72,7 @@ class TestTrace:
             blobs.append((out / "trace.jsonl").read_bytes())
         assert blobs[0] == blobs[1]
 
-    def test_prompt_file_multisequence(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("LAC_VOID_THREADS", "2")
+    def test_prompt_file_multisequence(self, tmp_path):
         pf = tmp_path / "prompts.txt"
         pf.write_text("one\ntwo\nthree\n", encoding="utf-8")
         assert run(["trace", *MODEL, "--prompt-file", str(pf), "--max-new", "2", "--out", str(tmp_path)]) == 0
@@ -104,20 +105,21 @@ class TestTrace:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for threads in ("1", "8"):
-                monkeypatch.setenv("LAC_VOID_THREADS", threads)
-                out = tmp_path / threads
+            for cpus in (1, 8):
+                monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+                out = tmp_path / str(cpus)
                 assert run(["trace", *MODEL, "--prompt-file", str(pf), "--max-new", "6", "--out", str(out)]) == 0
                 blobs.append((out / "trace.jsonl").read_bytes())
         finally:
             sys.setswitchinterval(interval)
         assert blobs[0] == blobs[1]
 
-    @pytest.mark.parametrize("value", ["x", "2.5", "0"])
-    def test_bad_thread_count_exits_1(self, tmp_path, capsys, monkeypatch, value):
-        monkeypatch.setenv("LAC_VOID_THREADS", value)
-        assert run(["trace", *MODEL, "--prompt", "hi", "--out", str(tmp_path)]) == 1
-        assert capsys.readouterr().err == f"error: LAC_VOID_THREADS must be a positive integer, got '{value}'\n"
+    @pytest.mark.parametrize("command", [["trace", "--prompt", "hi"], ["sweep", "--prompt", "hi", "--alphas", "0.5"],
+                                         ["compare", "--suite", "copy"]])
+    def test_negative_max_new_exits_2(self, tmp_path, capsys, command):
+        assert run([*command, *MODEL, "--max-new", "-5", "--out", str(tmp_path)]) == 2
+        assert "--max-new must be >= 0, got -5" in capsys.readouterr().err
+        assert not (tmp_path / "trace.jsonl").exists()
 
     def test_granularity_and_formula_flags(self, tmp_path):
         assert run(["trace", *MODEL, "--prompt", "coarse", "--granularity", "example",
@@ -144,6 +146,34 @@ class TestTrace:
         weights.write_bytes(b"LACTNSR1" + len(header).to_bytes(4, "little") + header + bytes(24))
         assert run(["trace", "--weights", str(weights), "--prompt", "x", "--out", str(tmp_path)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["weights", "seed-model"])
+    def test_max_seq_claim_allocates_nothing(self, tmp_path, source):
+        # a model claiming 2**20 positions traces like the same weights at 256, in a few MB
+        from lacvoid import ModelConfig, build_model, load_container, save_container, save_weights
+
+        def model_args(max_seq):
+            if source == "seed-model":
+                return ["--seed-model", f"d16,h2,l1,m{max_seq}"]
+            weights = tmp_path / f"m{max_seq}.lactnsr"
+            save_weights(build_model(ModelConfig(layer_count=1, depth=16, head_count=2, ffn_dim=64)), weights)
+            tensors = load_container(weights)
+            tensors["config"][5] = max_seq
+            save_container(tensors, weights)
+            return ["--weights", str(weights)]
+
+        blobs = []
+        for max_seq in (256, 2 ** 20):
+            argv = ["trace", *model_args(max_seq), "--prompt", "hi", "--max-new", "2", "--out", str(tmp_path / str(max_seq))]
+            tracemalloc.start()
+            try:
+                assert run(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 2 ** 20, peak
+            blobs.append((tmp_path / str(max_seq) / "trace.jsonl").read_bytes())
+        assert blobs[0] == blobs[1]
 
 
 class TestSweep:

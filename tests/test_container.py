@@ -67,6 +67,19 @@ class TestStrictHeader:
         with pytest.raises(ContainerError, match="'a' has unsupported shape"):
             load_bytes(blob)
 
+    @pytest.mark.parametrize("header", [
+        '{"a": {"dtype":"f32","offset":0,"shape":[1]}}',  # whitespace
+        '{"a":{"shape":[1],"offset":0,"dtype":"f32"}}',  # entry keys unsorted
+        '{"a":{"dtype":"f32","offset":0,"shape":[1]},"a":{"dtype":"f32","offset":0,"shape":[1]}}',  # repeated name
+        r'{"\u0061":{"dtype":"f32","offset":0,"shape":[1]}}',  # needless escape of "a"
+        '{"é":{"dtype":"f32","offset":0,"shape":[1]}}',  # raw non-ASCII name, written escaped
+    ])
+    def test_non_canonical_header_is_rejected(self, header):
+        raw = header.encode("utf-8")
+        blob = b"LACTNSR1" + len(raw).to_bytes(4, "little") + raw + bytes(4)
+        with pytest.raises(ContainerError, match="not in the canonical form"):
+            load_bytes(blob)
+
     def test_zero_extent_is_accepted(self):
         loaded = load_bytes(saved_bytes({"a": np.zeros((0, 3), np.float32)}))
         assert loaded["a"].shape == (0, 3)
@@ -75,6 +88,7 @@ class TestStrictHeader:
            byte=st.one_of(st.sampled_from(b'.,-0123456789"[]{}:eft'), st.integers(0, 255)))
     @example(pos=VALID.index(b"[2,1,1]") + 2, byte=ord("."))
     @example(pos=VALID.index(b"[1,1,3]") + 2, byte=ord("."))
+    @example(pos=VALID.index(b'"b"') + 1, byte=0x7F)  # loads as DEL, which json.dumps writes as \u007f
     @settings(max_examples=400, deadline=None)
     def test_one_byte_replacement_raises_or_round_trips(self, pos, byte):
         mutated = VALID[:pos] + bytes([byte]) + VALID[pos + 1:]

@@ -176,19 +176,19 @@ class TestExplicitRemoval:
 
 
 class TestGranularities:
-    def test_unit_shapes(self):
+    def test_outcome_arrays_are_per_token(self):
         stack = random_affine_stack(1, 3, 4)
         h0 = np.random.default_rng(1).normal(size=(2, 5, 4)).astype(np.float32)
-        shapes = {
-            NormGranularity.BATCH: (3,),
-            NormGranularity.EXAMPLE: (3, 2),
-            NormGranularity.TOKEN: (3, 2, 5),
+        # forced_voids stays unit-shaped; the outcome repeats each unit's flag over its tokens
+        forced = {
+            NormGranularity.BATCH: (np.array([False, True, False]), (3, 1, 1)),
+            NormGranularity.EXAMPLE: (np.array([[False, False], [True, False], [False, True]]), (3, 2, 1)),
+            NormGranularity.TOKEN: (np.random.default_rng(2).random((3, 2, 5)) < 0.5, (3, 2, 5)),
         }
-        for g, shape in shapes.items():
-            out = run_stack(stack, h0, policy(SkipMode.DETECT, granularity=g))
-            assert out.void_flags.shape == shape
-            assert out.token_norms.shape == (3, 2, 5)
-            assert out.token_deltas.shape == (3, 2, 5)
+        for g, (unit_flags, unit_view) in forced.items():
+            out = run_stack(stack, h0, policy(SkipMode.DETECT, granularity=g), forced_voids=unit_flags)
+            assert out.void_flags.shape == out.token_norms.shape == out.token_deltas.shape == (3, 2, 5)
+            assert np.array_equal(out.void_flags, np.broadcast_to(unit_flags.reshape(unit_view), (3, 2, 5)))
 
     def test_mask_zero_per_example(self):
         stack = add_constant_stack([1.0, 1.0])

@@ -34,6 +34,11 @@ DETECT = HaltPolicy(skip_mode=SkipMode.DETECT)
 CFG = ModelConfig(layer_count=4, depth=16, head_count=2, ffn_dim=32, max_seq=64, seed=12)
 
 
+def embed_at(model, ids, pos_start):
+    """(1, n, D) input of tokens ids at positions pos_start.."""
+    return (model.embed[ids] + sinusoidal_positions(pos_start + np.arange(len(ids)), model.config.depth))[None]
+
+
 class TestBuild:
     def test_same_seed_same_bits(self):
         a, b = build_model(CFG), build_model(CFG)
@@ -49,7 +54,7 @@ class TestBuild:
         cfg = ModelConfig(layer_count=4, depth=8, head_count=2, ffn_dim=16, max_seq=8, seed=0)
         model = build_model(cfg)
         assert model.layer_count == 4
-        h0 = model.embed_chunk(encode_text("ab"), 0)
+        h0 = embed_at(model, encode_text("ab"), 0)
         out = run_stack(model.stack_for(model.new_cache(), [0], [0]), h0, OFF)
         assert out.final_hidden.shape == h0.shape
 
@@ -334,12 +339,12 @@ class TestGenerate:
         inc = [np.asarray(state.last_logits)]
         pos = state.position
         for tok in continuation:
-            h0 = model.embed_chunk([tok], pos)
+            h0 = embed_at(model, [tok], pos)
             out = run_stack(model.stack_for(state.cache, [state.row], [pos]), h0, OFF)
             inc.append(model.logits_from_hidden(out.final_hidden)[0, -1])
             pos += 1
         full = prompt + continuation
-        out = run_stack(model.stack_for(model.new_cache(), [0], [0]), model.embed_chunk(full, 0), OFF)
+        out = run_stack(model.stack_for(model.new_cache(), [0], [0]), embed_at(model, full, 0), OFF)
         grid = model.logits_from_hidden(out.final_hidden)[0]
         for i, logits in enumerate(inc):
             assert np.abs(logits - grid[len(prompt) - 1 + i]).max() < 1e-4
@@ -398,7 +403,7 @@ EOT_BASE = build_model(ModelConfig(layer_count=4, depth=16, head_count=2, ffn_di
 
 def eot_model(target: int, scale: float) -> ToyTransformer:
     embed = EOT_BASE.embed.copy()
-    embed[0] = np.float32(scale) * EOT_BASE.positions[target]
+    embed[0] = np.float32(scale) * sinusoidal_positions(target, EOT_BASE.config.depth)
     return ToyTransformer(EOT_BASE.config, embed, EOT_BASE.blocks, EOT_BASE.ln_f_gain)
 
 
@@ -479,7 +484,7 @@ class TestTokenizer:
         assert decode_tokens(encode_text(text)) == text
 
     def test_positions_interleave_sin_cos(self):
-        pe = sinusoidal_positions(4, 2)
+        pe = sinusoidal_positions(np.arange(4), 2)
         assert pe[0, 0] == pytest.approx(0.0)
         assert pe[0, 1] == pytest.approx(1.0)
         assert pe[2, 0] == pytest.approx(math.sin(2.0), abs=1e-6)
