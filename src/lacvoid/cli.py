@@ -16,7 +16,6 @@ import dataclasses
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +23,7 @@ import numpy as np
 from .analysis import alpha_sweep, export_reports, norm_profile, usage_report
 from .halting import HaltPolicy, SkipMode, ThresholdFormula
 from .model import ModelConfig, ToyTransformer, build_model, generate, load_weights, run_prompt
-from .suites import SUITE_NAMES, build_suite, score_case
+from .suites import SUITE_NAMES, SuiteCase, build_suite, score_case
 from .tensors import DTYPE, NormGranularity
 from .trace import PHASE_PP, PHASE_RG, read_trace, render_bitmap, write_trace
 
@@ -37,18 +36,11 @@ def _fmt_usage(value: float | None) -> str:
 _GROUP_KV_BYTES = 1 << 20
 
 
-@dataclass
-class SequenceJob:
-    sequence_id: str
-    prompt_ids: tuple[int, ...]
-    expected_ids: tuple[int, ...] | None
-
-
-def _groups(model: ToyTransformer, jobs: list[SequenceJob], max_new: int, workers: int):
+def _groups(model: ToyTransformer, jobs: list[SuiteCase], max_new: int, workers: int):
     """Runs of consecutive jobs whose KV cache fits _GROUP_KV_BYTES, each of at
     least `workers` jobs but the last. Yields (jobs, cache capacity)."""
     per_position = 2 * model.layer_count * model.config.depth * np.dtype(DTYPE).itemsize
-    group: list[SequenceJob] = []
+    group: list[SuiteCase] = []
     capacity = 0
     for job in jobs:
         need = min(model.config.max_seq, len(job.prompt_ids) + max_new)
@@ -62,7 +54,7 @@ def _groups(model: ToyTransformer, jobs: list[SequenceJob], max_new: int, worker
         yield group, capacity
 
 
-def _run_group(model: ToyTransformer, group: list[SequenceJob], capacity: int, policy: HaltPolicy,
+def _run_group(model: ToyTransformer, group: list[SuiteCase], capacity: int, policy: HaltPolicy,
                max_new: int, pool: ThreadPoolExecutor) -> list:
     """PP per job on `pool`, then RG of the group as one batch.
 
@@ -90,7 +82,7 @@ def _run_group(model: ToyTransformer, group: list[SequenceJob], capacity: int, p
     return results
 
 
-def _run_jobs(model: ToyTransformer, jobs: list[SequenceJob], policy: HaltPolicy, max_new: int):
+def _run_jobs(model: ToyTransformer, jobs: list[SuiteCase], policy: HaltPolicy, max_new: int):
     """Run each sequence (PP then RG); results returned in input order.
 
     A group finishes even when one of its jobs fails; then the error of
@@ -199,7 +191,7 @@ def _model_from_args(args, parser) -> ToyTransformer:
     return build_model(config)
 
 
-def _jobs_from_args(args, parser) -> tuple[list[SequenceJob], int]:
+def _jobs_from_args(args, parser) -> tuple[list[SuiteCase], int]:
     """The run's sequences and its max_new (capped by the suite's answer length)."""
     if args.max_new < 0:
         parser.error(f"--max-new must be >= 0, got {args.max_new}")
@@ -209,14 +201,14 @@ def _jobs_from_args(args, parser) -> tuple[list[SequenceJob], int]:
     if args.suite:
         cases = build_suite(args.suite, args.seed)
         max_new = min([args.max_new] + [len(c.expected_ids) for c in cases])
-        return [SequenceJob(c.sequence_id, c.prompt_ids, c.expected_ids) for c in cases], max_new
+        return cases, max_new
     if getattr(args, "prompt", None):
         prompts = [args.prompt]
     else:
         prompts = [ln for ln in Path(args.prompt_file).read_text(encoding="utf-8").splitlines() if ln.strip()]
         if not prompts:
             parser.error(f"--prompt-file {args.prompt_file} contains no prompts")
-    return [SequenceJob(f"seq{i:03d}", tuple(p.encode("utf-8")), None) for i, p in enumerate(prompts)], args.max_new
+    return [SuiteCase(f"seq{i:03d}", tuple(p.encode("utf-8"))) for i, p in enumerate(prompts)], args.max_new
 
 
 def _summarize(records) -> tuple[dict[str, int], dict[str, float | None]]:
@@ -315,7 +307,12 @@ def cmd_report(args, parser) -> int:
         print(f"error: {args.trace} contains no records", file=sys.stderr)
         return 1
     groups: dict[tuple[str, str], list] = {}
+    tokens: set[tuple[str, int]] = set()
     for r in records:
+        if (r.sequence_id, r.token_index) in tokens:
+            raise ValueError(f"{args.trace}: sequence {r.sequence_id!r} has more than one record "
+                             f"for token_index {r.token_index}")
+        tokens.add((r.sequence_id, r.token_index))
         groups.setdefault((r.sequence_id, r.phase), []).append(r)
     for seq_id, _ in groups:
         if "/" in seq_id or "\0" in seq_id:

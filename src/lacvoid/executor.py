@@ -19,7 +19,6 @@ from .halting import HaltPolicy, ProgressHistory, SkipMode, decide
 from .tensors import DTYPE, NormGranularity, l2_norm, require_hidden_state
 
 __all__ = [
-    "LayerStack",
     "ExecutionOutcome",
     "mask_example",
     "mask_token",
@@ -27,20 +26,6 @@ __all__ = [
 ]
 
 StepFn = Callable[[np.ndarray], np.ndarray]
-
-
-@dataclass(frozen=True)
-class LayerStack:
-    """Ordered shape-preserving step functions over hidden states."""
-
-    layers: tuple[StepFn, ...]
-
-    def __init__(self, layers: Sequence[StepFn]):
-        object.__setattr__(self, "layers", tuple(layers))
-
-    @property
-    def layer_count(self) -> int:
-        return len(self.layers)
 
 
 @dataclass
@@ -82,34 +67,27 @@ def mask_token(h, example_index: int, token_index: int) -> np.ndarray:
     return out
 
 
-def _expand_unit_to_tokens(arr: np.ndarray, token_shape: tuple[int, int], granularity: NormGranularity) -> np.ndarray:
-    """Broadcast a unit-shaped array to the (B, L) token grid."""
-    b, l = token_shape
-    if granularity is NormGranularity.BATCH:
-        view = arr.reshape(1, 1)
-    elif granularity is NormGranularity.EXAMPLE:
-        view = arr.reshape(b, 1)
-    else:
-        view = arr.reshape(b, l)
-    return np.broadcast_to(view, token_shape)
-
-
 def _measure(h: np.ndarray, granularity: NormGranularity) -> tuple[np.ndarray, np.ndarray]:
-    """Unit norms and (B, L) token norms of h; one reduction at TOKEN granularity."""
+    """Unit norms on the token grid ((1, 1), (B, 1) or (B, L)) and (B, L)
+    token norms of h; one reduction at TOKEN granularity."""
     tok = l2_norm(h, NormGranularity.TOKEN)[..., 0]
     if granularity is NormGranularity.TOKEN:
         return tok, tok
-    unit = l2_norm(h, granularity)
-    return (unit.reshape(()) if granularity is NormGranularity.BATCH else unit[:, 0]), tok
+    return l2_norm(h, granularity).reshape(-1, 1), tok
 
 
-def run_stack(stack: LayerStack, h0, policy: HaltPolicy, forced_voids=None) -> ExecutionOutcome:
-    """Execute all layers in order, deciding and applying voids per unit.
+def run_stack(layers: Sequence[StepFn], h0, policy: HaltPolicy, forced_voids=None) -> ExecutionOutcome:
+    """Execute the step functions in order, deciding and applying voids per unit.
+
+    Unit arrays (norms, progress, void flags) live on the (B, L) token
+    grid: (1, 1) per batch, (B, 1) per example, (B, L) per token, so
+    they broadcast over the tokens of each unit.
 
     forced_voids bypasses the live controller entirely: a boolean array
-    of shape (layer_count,) (one flag per layer, all units) or
-    (layer_count, *unit_shape). The skip mode still determines how a
-    forced void is applied. Progress is recorded either way.
+    of shape (layers,) (one flag per layer, all units) or (layers,) +
+    unit, unit being () per batch, (B,) per example or (B, L) per token.
+    The skip mode still determines how a forced void is applied.
+    Progress is recorded either way.
 
     Each state is measured once: h0 and every candidate. A void unit's
     accepted state is its prior state or zeros, so its accepted norm is
@@ -117,7 +95,7 @@ def run_stack(stack: LayerStack, h0, policy: HaltPolicy, forced_voids=None) -> E
     values in the same order, so this equals measuring the accepted state.
     """
     h = require_hidden_state(h0)
-    t_total = stack.layer_count
+    t_total = len(layers)
     if t_total == 0:
         raise ValueError("layer stack is empty")
     if policy.min_layers > t_total:
@@ -126,22 +104,22 @@ def run_stack(stack: LayerStack, h0, policy: HaltPolicy, forced_voids=None) -> E
     mode = policy.skip_mode
 
     norm_before, tok_before = _measure(h, g)
-    unit_shape = norm_before.shape
+    grid = norm_before.shape
 
     forced = None
     if forced_voids is not None:
         forced = np.asarray(forced_voids, dtype=bool)
-        if forced.shape == (t_total,):
-            forced = np.broadcast_to(forced.reshape((t_total,) + (1,) * len(unit_shape)), (t_total,) + unit_shape)
-        elif forced.shape != (t_total,) + unit_shape:
-            raise ShapeError(f"forced_voids shape {forced.shape} does not match (layers,)+unit {(t_total,) + unit_shape}")
+        unit = () if g is NormGranularity.BATCH else grid if g is NormGranularity.TOKEN else grid[:1]
+        if forced.shape not in ((t_total,), (t_total,) + unit):
+            raise ShapeError(f"forced_voids shape {forced.shape} does not match (layers,)+unit {(t_total,) + unit}")
+        forced = forced.reshape((t_total,) + (grid if forced.ndim > 1 else (1, 1)))
 
     history = ProgressHistory()
     flags = np.zeros((t_total,) + tok_before.shape, dtype=bool)
     tok_norms = np.zeros((t_total,) + tok_before.shape, dtype=DTYPE)
     tok_deltas = np.zeros((t_total,) + tok_before.shape, dtype=DTYPE)
 
-    for t, layer in enumerate(stack.layers, start=1):
+    for t, layer in enumerate(layers, start=1):
         candidate = layer(h)
         candidate = np.asarray(candidate, dtype=DTYPE)
         if candidate.shape != h.shape:
@@ -153,13 +131,12 @@ def run_stack(stack: LayerStack, h0, policy: HaltPolicy, forced_voids=None) -> E
         if forced is not None:
             void = forced[t - 1]
         elif mode is SkipMode.OFF:
-            void = np.zeros(unit_shape, dtype=bool)
+            void = np.zeros(grid, dtype=bool)
         else:
             history.append(delta)
             void = decide(history, delta, policy).void
 
-        void_tok = _expand_unit_to_tokens(void, candidate.shape[:2], g)
-        flags[t - 1] = void_tok
+        flags[t - 1] = void
         tok_deltas[t - 1] = cand_tok - tok_before
         if mode in (SkipMode.OFF, SkipMode.DETECT) or not void.any():
             h, norm_before, tok_before = candidate, cand_norm, cand_tok
@@ -167,8 +144,8 @@ def run_stack(stack: LayerStack, h0, policy: HaltPolicy, forced_voids=None) -> E
             # MASK_ZERO zeroes a void unit; SKIP_IDENTITY and HALT_FROZEN keep its prior state
             if mode is SkipMode.MASK_ZERO:
                 h = norm_before = tok_before = np.float32(0.0)
-            h = np.where(void_tok[..., None], h, candidate)
-            tok_before = np.where(void_tok, tok_before, cand_tok)
+            h = np.where(void[..., None], h, candidate)
+            tok_before = np.where(void, tok_before, cand_tok)
             norm_before = tok_before if g is NormGranularity.TOKEN else np.where(void, norm_before, cand_norm)
         tok_norms[t - 1] = tok_before
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .container import load_container, save_container
 from .errors import ContainerError, ShapeError
-from .executor import LayerStack, run_stack
+from .executor import StepFn, run_stack
 from .halting import HaltPolicy
 from .rng import stream_for
 from .tensors import DTYPE, NormGranularity, layer_norm_pre, matmul
@@ -195,7 +195,7 @@ class ToyTransformer:
         return KVCache(len(self.blocks), rows, cfg.head_count,
                        cfg.max_seq if capacity is None else capacity, cfg.depth // cfg.head_count)
 
-    def stack_for(self, cache: KVCache, rows, starts) -> LayerStack:
+    def stack_for(self, cache: KVCache, rows, starts) -> list[StepFn]:
         """Stack of step functions bound to one cache: batch row i of the
         hidden state is cache row rows[i], its tokens starting at position
         starts[i]. Adjacent rows at one position share an attention call."""
@@ -208,7 +208,7 @@ class ToyTransformer:
 
         def bind(i, block):
             return lambda h: block.forward(h, cache, i, segments)
-        return LayerStack([bind(i, blk) for i, blk in enumerate(self.blocks)])
+        return [bind(i, blk) for i, blk in enumerate(self.blocks)]
 
     def logits_from_hidden(self, h: np.ndarray) -> np.ndarray:
         return matmul(layer_norm_pre(h, self.ln_f_gain), self._unembed)

@@ -17,9 +17,11 @@ SUITE_NAMES = ("copy", "sorted")
 
 @dataclass(frozen=True)
 class SuiteCase:
+    """One sequence to run: a suite case, or a prompt with no expected answer."""
+
     sequence_id: str
     prompt_ids: tuple[int, ...]
-    expected_ids: tuple[int, ...]
+    expected_ids: tuple[int, ...] | None = None
 
 
 def build_suite(name: str, seed: int, cases: int = 6, length: int = 8) -> list[SuiteCase]:

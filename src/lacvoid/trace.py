@@ -121,6 +121,18 @@ _LAYER_FIELDS = ("layer_flags", "layer_norms", "layer_deltas")
 _REQUIRED_FIELDS = ("sequence_id", "token_index", "phase", "token_id", *_LAYER_FIELDS, "alpha", "formula", "skip_mode")
 
 
+def _no_repeated_keys(pairs: list[tuple[str, object]]) -> dict:
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        keys = [k for k, _ in pairs]
+        raise TraceError(f"field {next(k for k in keys if keys.count(k) > 1)!r} is repeated")
+    return obj
+
+
+# Built once: passing object_pairs_hook to json.loads builds a decoder per call.
+_DECODER = json.JSONDecoder(object_pairs_hook=_no_repeated_keys)
+
+
 def _integer(obj: dict, field: str) -> int:
     value = obj[field]
     if type(value) is not int:
@@ -144,16 +156,18 @@ def _finite_floats(obj: dict, field: str) -> list[float]:
 def parse_record(obj) -> TraceRecord:
     """Build a record from one decoded JSON line, enforcing what the writer emits.
 
-    Raises TraceError unless obj is an object with every field, a
-    string sequence_id, integer token_index and token_id, layer flags
-    of exactly 0 or 1, finite numbers for norms, deltas and alpha, and
-    values that TraceRecord.validate accepts.
+    Raises TraceError unless obj is an object with every field and no
+    other, a string sequence_id, integer token_index and token_id, layer
+    flags of exactly 0 or 1, finite numbers for norms, deltas and alpha,
+    and values that TraceRecord.validate accepts.
     """
     if type(obj) is not dict:
         raise TraceError(f"record must be a JSON object, got {type(obj).__name__}")
     missing = [f for f in _REQUIRED_FIELDS if f not in obj]
     if missing:
         raise TraceError(f"missing field(s): {', '.join(missing)}")
+    if len(obj) != len(_REQUIRED_FIELDS):
+        raise TraceError(f"unknown field(s): {', '.join(f for f in obj if f not in _REQUIRED_FIELDS)}")
     if type(obj["sequence_id"]) is not str:
         raise TraceError(f"sequence_id must be a string, got {obj['sequence_id']!r}")
     flags = obj["layer_flags"]
@@ -181,7 +195,8 @@ def parse_record(obj) -> TraceRecord:
 def read_trace(source) -> list[TraceRecord]:
     """Parse a JSONL trace from a path, file object, or iterable of lines.
 
-    Malformed lines raise TraceError naming the 1-based line number.
+    Malformed lines, including a field that is repeated or not one the
+    writer emits, raise TraceError naming the 1-based line number.
     """
     if hasattr(source, "read") or isinstance(source, (list, tuple)):
         lines = source if isinstance(source, (list, tuple)) else source.read().splitlines()
@@ -197,11 +212,9 @@ def _parse_lines(lines: Iterable[str], origin: str) -> list[TraceRecord]:
         if not line:
             continue
         try:
-            obj = json.loads(line)
+            records.append(parse_record(_DECODER.decode(line)))
         except json.JSONDecodeError as exc:
             raise TraceError(f"{origin}: line {i}: not valid JSON: {exc}") from exc
-        try:
-            records.append(parse_record(obj))
         except TraceError as exc:
             raise TraceError(f"{origin}: line {i}: {exc}") from exc
     return records

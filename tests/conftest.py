@@ -5,19 +5,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from lacvoid import LayerStack, TraceRecord
+from lacvoid import TraceRecord
 
 
-def add_constant_stack(increments) -> LayerStack:
+def add_constant_stack(increments) -> list:
     """Stack whose layer t adds a constant to every element.
 
     With depth-1 hidden states starting positive and staying positive,
     each layer's progress equals its increment exactly.
     """
-    return LayerStack([lambda h, c=np.float32(c): h + c for c in increments])
+    return [lambda h, c=np.float32(c): h + c for c in increments]
 
 
-def random_affine_stack(seed: int, layer_count: int, depth: int) -> LayerStack:
+def random_affine_stack(seed: int, layer_count: int, depth: int) -> list:
     """Shape-preserving nonlinear layers with seeded weights."""
     rng = np.random.default_rng(seed)
     layers = []
@@ -25,13 +25,13 @@ def random_affine_stack(seed: int, layer_count: int, depth: int) -> LayerStack:
         w = rng.uniform(-0.5, 0.5, size=(depth, depth)).astype(np.float32)
         b = rng.uniform(-0.1, 0.1, size=depth).astype(np.float32)
         layers.append(lambda h, w=w, b=b: h + np.tanh(h @ w + b))
-    return LayerStack(layers)
+    return layers
 
 
-def compose_stack(stack: LayerStack, h0: np.ndarray) -> np.ndarray:
+def compose_stack(stack, h0: np.ndarray) -> np.ndarray:
     """Independent oracle: fold the layers directly, no controller."""
     h = h0
-    for layer in stack.layers:
+    for layer in stack:
         h = layer(h)
     return h
 

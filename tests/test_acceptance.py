@@ -13,7 +13,6 @@ import pytest
 
 from lacvoid import (
     HaltPolicy,
-    LayerStack,
     ModelConfig,
     NormGranularity,
     ProgressHistory,
@@ -119,7 +118,7 @@ def test_explicit_removal_oracle():
     policy = HaltPolicy(skip_mode=SkipMode.SKIP_IDENTITY)
     for subset in itertools.product([False, True], repeat=4):
         out = run_stack(stack, h0, policy, forced_voids=list(subset))
-        kept = LayerStack([l for l, v in zip(stack.layers, subset) if not v])
+        kept = [l for l, v in zip(stack, subset) if not v]
         expect = compose_stack(kept, h0)
         assert np.abs(out.final_hidden - expect).max() < 1e-5
     ok("explicit-removal oracle (16 void subsets)")
@@ -141,7 +140,7 @@ def test_halt_frozen_and_mask_zero_suites():
                 return layer(h)
             return wrapped
 
-        spied = LayerStack([spy(l) for l in stack.layers])
+        spied = [spy(l) for l in stack]
         out = run_stack(spied, h0, HaltPolicy(alpha=1.0, skip_mode=SkipMode.HALT_FROZEN))
         trajectory = seen[1:] + [out.final_hidden]  # states after layers 1..3
         for j in range(2):

@@ -243,6 +243,16 @@ class TestReport:
         assert "error:" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.rglob("*") if p.is_file()) == ["trace.jsonl"]
 
+    def test_duplicate_token_records_exit_1(self, tmp_path, capsys):
+        assert run(["trace", *MODEL, "--prompt", "hi", "--max-new", "3", "--out", str(tmp_path / "t")]) == 0
+        once = (tmp_path / "t" / "trace.jsonl").read_text(encoding="utf-8")
+        trace = tmp_path / "twice.jsonl"
+        trace.write_text(once + once, encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["report", "--trace", str(trace), "--out", str(out)]) == 1
+        assert "sequence 'seq000' has more than one record for token_index 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_interleaved_sequences_give_the_grouped_bitmaps(self, tmp_path):
         pf = tmp_path / "prompts.txt"
         pf.write_text(RAGGED_PROMPTS, encoding="utf-8")

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ import pytest
 import lacvoid.executor as executor
 from lacvoid import (
     HaltPolicy,
-    LayerStack,
     NormGranularity,
     ShapeError,
     SkipMode,
@@ -149,19 +149,39 @@ class TestRunStackModes:
         def bad(h):
             return h[:, :1, :]
 
-        stack = LayerStack([lambda h: h + 1, bad])
+        stack = [lambda h: h + 1, bad]
         with pytest.raises(ShapeError, match="layer 2"):
             run_stack(stack, np.ones((1, 3, 2), np.float32), policy(SkipMode.OFF))
 
     def test_empty_stack_rejected(self):
         with pytest.raises(ValueError):
-            run_stack(LayerStack([]), np.ones((1, 1, 1), np.float32), policy(SkipMode.OFF))
+            run_stack([], np.ones((1, 1, 1), np.float32), policy(SkipMode.OFF))
 
     def test_forced_voids_bad_shape(self):
         stack = add_constant_stack([1.0, 1.0])
         with pytest.raises(ShapeError):
             run_stack(stack, np.ones((1, 1, 1), np.float32), policy(SkipMode.DETECT),
                       forced_voids=[True, False, False])
+
+    @pytest.mark.parametrize("g, bad, unit", [
+        (NormGranularity.BATCH, (2, 2), "(2,)"),
+        (NormGranularity.EXAMPLE, (3,), "(2, 2)"),
+        (NormGranularity.EXAMPLE, (2, 2, 3), "(2, 2)"),
+        (NormGranularity.TOKEN, (2, 2), "(2, 2, 3)"),
+    ])
+    def test_forced_voids_bad_shape_message_names_the_unit_shape(self, g, bad, unit):
+        message = f"forced_voids shape {bad} does not match (layers,)+unit {unit}"
+        with pytest.raises(ShapeError, match=re.escape(message)):
+            run_stack(add_constant_stack([1.0, 1.0]), np.ones((2, 3, 1), np.float32),
+                      policy(SkipMode.DETECT, granularity=g), forced_voids=np.zeros(bad, bool))
+
+    def test_list_and_tuple_stacks_agree(self):
+        stack = random_affine_stack(3, 4, 5)
+        h0 = np.random.default_rng(3).normal(size=(2, 3, 5)).astype(np.float32)
+        a = run_stack(stack, h0, policy(SkipMode.HALT_FROZEN, alpha=1.0))
+        b = run_stack(tuple(stack), h0, policy(SkipMode.HALT_FROZEN, alpha=1.0))
+        for field in ("final_hidden", "void_flags", "token_norms", "token_deltas"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
 
 
 class TestExplicitRemoval:
@@ -170,7 +190,7 @@ class TestExplicitRemoval:
         h0 = np.random.default_rng(14).normal(size=(2, 3, 6)).astype(np.float32)
         for void_set in itertools.product([False, True], repeat=4):
             out = run_stack(stack, h0, policy(SkipMode.SKIP_IDENTITY), forced_voids=list(void_set))
-            kept = LayerStack([l for l, v in zip(stack.layers, void_set) if not v])
+            kept = [l for l, v in zip(stack, void_set) if not v]
             expect = compose_stack(kept, h0)
             assert np.abs(out.final_hidden - expect).max() < 1e-5
 
@@ -209,7 +229,7 @@ class TestSingleMeasurement:
                 seen.append(np.array(h, copy=True))
                 return layer(h)
             return step
-        return LayerStack([spy(layer) for layer in random_affine_stack(seed, layer_count, depth).layers])
+        return [spy(layer) for layer in random_affine_stack(seed, layer_count, depth)]
 
     @pytest.mark.parametrize("g", list(NormGranularity))
     @pytest.mark.parametrize("mode", list(SkipMode))

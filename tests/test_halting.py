@@ -46,7 +46,7 @@ class TestProgress:
         stack = random_affine_stack(11, 4, 3)
         h = np.random.default_rng(11).normal(size=(1, 2, 3)).astype(np.float32)
         norms = [l2_norm(h, NormGranularity.TOKEN)]
-        for layer in stack.layers:
+        for layer in stack:
             h = layer(h)
             norms.append(l2_norm(h, NormGranularity.TOKEN))
         for prev, curr in zip(norms, norms[1:]):

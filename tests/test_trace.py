@@ -193,6 +193,19 @@ class TestStrictReader:
         with pytest.raises(TraceError, match=f"line 1: {field}"):
             read_trace([with_field(field, raw)])
 
+    @pytest.mark.parametrize("extra", [',"bogus":[1,2]', ',"Alpha":0.5', ',"":null'])
+    def test_unknown_field(self, extra):
+        line = record_to_line(make_record())
+        with pytest.raises(TraceError, match="line 1: unknown field"):
+            read_trace([line[:-1] + extra + "}"])
+
+    @pytest.mark.parametrize("field", ["token_index", "sequence_id", "alpha"])
+    def test_repeated_field(self, field):
+        line = record_to_line(make_record())
+        value = re.search(rf'"{field}":[^,]*,', line).group(0)
+        with pytest.raises(TraceError, match=f"line 1: field '{field}' is repeated"):
+            read_trace([line.replace(value, value + value)])
+
     def test_zero_layers(self):
         line = ONE_LAYER
         for field in ("layer_flags", "layer_norms", "layer_deltas"):
