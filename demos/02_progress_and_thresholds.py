@@ -9,20 +9,20 @@ threshold and more voids.
 
 import numpy as np
 
-from lacvoid import HaltPolicy, ProgressHistory, decide, detect_voids_offline
+from lacvoid import detect_voids_offline, offline_void_mask
 
 # a hand-picked progress sequence: one big jump, a dip, two small steps
 deltas = [5.0, -1.0, 4.0, 0.1]
+# max - min of the progress observed up to and including each layer
+seen = np.float32(deltas)
+spread = np.maximum.accumulate(seen) - np.minimum.accumulate(seen)
 
 for alpha in (0.2, 0.5, 1.0):
-    policy = HaltPolicy(alpha=alpha)
-    history = ProgressHistory()
     print(f"alpha = {alpha}")
-    for t, d in enumerate(deltas, start=1):
-        history.append(np.float32([d]))
-        decision = decide(history, np.float32([d]), policy)
-        status = "VOID" if decision.void[0] else "kept"
-        print(f"  layer {t}: delta {d:+5.2f}  lambda {float(decision.threshold_value[0]):5.2f}  -> {status}")
+    voids = offline_void_mask(deltas, alpha)
+    for t, (d, lam, void) in enumerate(zip(deltas, np.float32(alpha) * spread, voids), start=1):
+        status = "VOID" if void else "kept"
+        print(f"  layer {t}: delta {d:+5.2f}  lambda {float(lam):5.2f}  -> {status}")
     print()
 
 # the same decisions can be replayed from a recorded sequence at any alpha

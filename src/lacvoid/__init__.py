@@ -10,18 +10,7 @@ from .analysis import LayerUsageReport, NormProfile, alpha_sweep, export_reports
 from .container import load_container, save_container
 from .errors import ContainerError, NonFiniteError, ShapeError, TraceError
 from .executor import ExecutionOutcome, mask_example, mask_token, run_stack
-from .halting import (
-    HaltDecision,
-    HaltPolicy,
-    ProgressHistory,
-    SkipMode,
-    ThresholdFormula,
-    decide,
-    detect_voids_offline,
-    offline_void_mask,
-    progress,
-    threshold,
-)
+from .halting import HaltPolicy, SkipMode, detect_voids_offline, offline_void_mask
 from .model import (
     EOT,
     GenerationState,
@@ -43,8 +32,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "NormGranularity", "l2_norm", "matmul", "layer_norm_pre",
-    "ThresholdFormula", "SkipMode", "HaltPolicy", "ProgressHistory", "HaltDecision",
-    "progress", "threshold", "decide", "detect_voids_offline", "offline_void_mask",
+    "SkipMode", "HaltPolicy", "detect_voids_offline", "offline_void_mask",
     "ExecutionOutcome", "run_stack", "mask_example", "mask_token",
     "EOT", "ModelConfig", "ToyTransformer", "GenerationState",
     "build_model", "save_weights", "load_weights", "run_prompt", "generate",

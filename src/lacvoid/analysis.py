@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .halting import ThresholdFormula, offline_void_mask
+from .halting import offline_void_mask
 from .tensors import DTYPE
 from .trace import PHASES, TraceRecord, record_array
 
@@ -114,8 +114,7 @@ def norm_profile(records: list[TraceRecord]) -> NormProfile:
                        mean_deltas={p: sub.mean(axis=0) for p, sub in _by_phase(deltas, phases)})
 
 
-def alpha_sweep(records: list[TraceRecord], alphas, formula: ThresholdFormula = ThresholdFormula.MODIFIED,
-                min_layers: int = 1) -> list[tuple[float, LayerUsageReport]]:
+def alpha_sweep(records: list[TraceRecord], alphas, min_layers: int = 1) -> list[tuple[float, LayerUsageReport]]:
     """Re-threshold recorded progress at each alpha, without re-running.
 
     Records must carry per-layer deltas from a run that did not alter
@@ -125,8 +124,8 @@ def alpha_sweep(records: list[TraceRecord], alphas, formula: ThresholdFormula = 
     """
     deltas = record_array(records, "layer_deltas", DTYPE)
     phases = record_array(records, "phase")
-    return [(float(alpha), _usage_from_columns(~offline_void_mask(deltas, alpha, formula, min_layers), phases,
-                                               float(alpha), formula.value))
+    return [(float(alpha), _usage_from_columns(~offline_void_mask(deltas, alpha, min_layers), phases,
+                                               float(alpha), "modified"))
             for alpha in alphas]
 
 

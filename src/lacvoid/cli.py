@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import alpha_sweep, export_reports, norm_profile, usage_report
-from .halting import HaltPolicy, SkipMode, ThresholdFormula
+from .halting import HaltPolicy, SkipMode
 from .model import ModelConfig, ToyTransformer, build_model, generate, load_weights, run_prompt
 from .suites import SUITE_NAMES, SuiteCase, build_suite, score_case
 from .tensors import DTYPE, NormGranularity
@@ -124,7 +124,6 @@ def _parse_seed_model(text: str, seed: int) -> ModelConfig:
 def _add_policy_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=float, default=0.8, help="threshold knob in (0, 1]")
     p.add_argument("--granularity", choices=[g.value for g in NormGranularity], default="token")
-    p.add_argument("--formula", choices=[f.value for f in ThresholdFormula], default="modified")
     p.add_argument("--mode", choices=[m.value for m in SkipMode], default="detect")
     p.add_argument("--min-layers", type=int, default=1, help="layers 1..N are never voids")
 
@@ -173,7 +172,6 @@ def _policy_from_args(args, parser, skip_mode: str | None = None) -> HaltPolicy:
     return HaltPolicy(
         granularity=NormGranularity(args.granularity),
         alpha=args.alpha,
-        formula=ThresholdFormula(args.formula),
         skip_mode=SkipMode(skip_mode if skip_mode is not None else args.mode),
         min_layers=args.min_layers,
     )
@@ -277,7 +275,7 @@ def cmd_sweep(args, parser) -> int:
     write_trace(all_records, trace_path)
 
     score_mode = args.mode if args.mode in ("mask-zero", "skip-identity", "halt-frozen") else "skip-identity"
-    sweep = alpha_sweep(all_records, alphas, ThresholdFormula(args.formula), args.min_layers)
+    sweep = alpha_sweep(all_records, alphas, args.min_layers)
     rows = []
     for alpha, report in sweep:
         score = ""
@@ -354,7 +352,7 @@ def cmd_compare(args, parser) -> int:
 
     source = f"seed:{args.seed_model}" if args.seed_model else args.weights
     print(f"suite={args.suite} model={source} layers={model.layer_count} "
-          f"alpha={args.alpha} formula={args.formula} skip={skip_mode}")
+          f"alpha={args.alpha} skip={skip_mode}")
     print(f"{'metric':<12} {'not_skipped':>12} {'skipped':>12}")
     for metric in ("score", "pp_usage", "rg_usage"):
         a = columns["not_skipped"][metric]

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ShapeError
-from .halting import HaltPolicy, ProgressHistory, SkipMode, decide
+from .halting import HaltPolicy, SkipMode, _void_rule
 from .tensors import DTYPE, NormGranularity, l2_norm, require_hidden_state
 
 __all__ = [
@@ -79,9 +79,13 @@ def _measure(h: np.ndarray, granularity: NormGranularity) -> tuple[np.ndarray, n
 def run_stack(layers: Sequence[StepFn], h0, policy: HaltPolicy, forced_voids=None) -> ExecutionOutcome:
     """Execute the step functions in order, deciding and applying voids per unit.
 
-    Unit arrays (norms, progress, void flags) live on the (B, L) token
-    grid: (1, 1) per batch, (B, 1) per example, (B, L) per token, so
-    they broadcast over the tokens of each unit.
+    Unit arrays (norms, progress, its running max and min, void flags
+    and the halt-frozen latch) live on the (B, L) token grid: (1, 1) per
+    batch, (B, 1) per example, (B, L) per token, so they broadcast over
+    the tokens of each unit. Each layer's void flags come from the void
+    rule (halting._void_rule) over the progress so far, the current
+    layer's included; under HALT_FROZEN a unit's first void latches it
+    void for every later layer.
 
     forced_voids bypasses the live controller entirely: a boolean array
     of shape (layers,) (one flag per layer, all units) or (layers,) +
@@ -114,7 +118,7 @@ def run_stack(layers: Sequence[StepFn], h0, policy: HaltPolicy, forced_voids=Non
             raise ShapeError(f"forced_voids shape {forced.shape} does not match (layers,)+unit {(t_total,) + unit}")
         forced = forced.reshape((t_total,) + (grid if forced.ndim > 1 else (1, 1)))
 
-    history = ProgressHistory()
+    dmax, dmin, latched = np.float32(-np.inf), np.float32(np.inf), False
     flags = np.zeros((t_total,) + tok_before.shape, dtype=bool)
     tok_norms = np.zeros((t_total,) + tok_before.shape, dtype=DTYPE)
     tok_deltas = np.zeros((t_total,) + tok_before.shape, dtype=DTYPE)
@@ -133,8 +137,10 @@ def run_stack(layers: Sequence[StepFn], h0, policy: HaltPolicy, forced_voids=Non
         elif mode is SkipMode.OFF:
             void = np.zeros(grid, dtype=bool)
         else:
-            history.append(delta)
-            void = decide(history, delta, policy).void
+            dmax, dmin = np.maximum(dmax, delta), np.minimum(dmin, delta)
+            void = _void_rule(delta, dmax, dmin, t, policy.alpha, policy.min_layers)
+            if mode is SkipMode.HALT_FROZEN:
+                void = latched = void | latched
 
         flags[t - 1] = void
         tok_deltas[t - 1] = cand_tok - tok_before

@@ -320,7 +320,8 @@ class GenerationState:
 
     position is the number of tokens forwarded so far (prompt and
     response). error holds the ValueError that stopped the row's last
-    generate call (a token past max_seq); None otherwise.
+    generate call (a token past max_seq or the cache's capacity);
+    None otherwise.
     """
 
     sequence_id: str
@@ -366,7 +367,7 @@ def _forward(model: ToyTransformer, cache: KVCache, rows, starts, ids, phase: st
             layer_norms=outcome.token_norms[:, b, j].tolist(),
             layer_deltas=outcome.token_deltas[:, b, j].tolist(),
             alpha=float(policy.alpha),
-            formula=policy.formula.value,
+            formula="modified",
             skip_mode=policy.skip_mode.value,
         ) for j, tok in enumerate(row_ids)])
     return records, logits
@@ -401,8 +402,8 @@ def generate(states: list[GenerationState], model: ToyTransformer, policy: HaltP
     trace record) to produce the logits for the next token. A row stops
     after max_new tokens or when the end-of-text byte wins the argmax;
     the end-of-text byte itself is not emitted. A row whose next token
-    would pass max_seq stops with the ValueError in its state.error,
-    and the other rows go on.
+    would pass max_seq or the cache's capacity stops with the ValueError
+    in its state.error, and the other rows go on.
 
     The rows decode as one batch: each position is one (B, 1, D)
     run_stack over the rows still decoding, and every op in it works
@@ -425,7 +426,7 @@ def generate(states: list[GenerationState], model: ToyTransformer, policy: HaltP
         forced_voids = forced_voids.reshape(t_total)
     if policy.granularity is NormGranularity.BATCH:
         policy = dataclasses.replace(policy, granularity=NormGranularity.EXAMPLE)
-    max_seq = model.config.max_seq
+    limit = min(model.config.max_seq, states[0].cache.capacity) if states else 0
     for s in states:
         s.error = None
 
@@ -442,8 +443,8 @@ def generate(states: list[GenerationState], model: ToyTransformer, policy: HaltP
             nxt = int(np.argmax(s.last_logits))
             if nxt == EOT:
                 continue
-            if s.position >= max_seq:
-                s.error = ValueError(f"position {s.position} overflows max_seq {max_seq}")
+            if s.position >= limit:
+                s.error = ValueError(f"position {s.position} overflows max_seq {limit}")
                 continue
             step.append(i)
             tokens.append(nxt)

@@ -18,12 +18,12 @@ from typing import IO, Iterable
 import numpy as np
 
 from .errors import TraceError
-from .halting import SkipMode, ThresholdFormula
+from .halting import SkipMode
 
 PHASE_PP = "PP"  # prompt processing
 PHASE_RG = "RG"  # response generation
 PHASES = (PHASE_PP, PHASE_RG)
-_FORMULAS = tuple(f.value for f in ThresholdFormula)
+_FORMULAS = ("original", "modified")  # both name alpha * (max - min); new traces write "modified"
 _SKIP_MODES = tuple(m.value for m in SkipMode)
 
 

@@ -15,9 +15,7 @@ from lacvoid import (
     HaltPolicy,
     ModelConfig,
     NormGranularity,
-    ProgressHistory,
     SkipMode,
-    ThresholdFormula,
     build_model,
     detect_voids_offline,
     export_reports,
@@ -31,7 +29,6 @@ from lacvoid import (
     run_prompt,
     run_stack,
     save_weights,
-    threshold,
     usage_report,
     write_trace,
 )
@@ -74,24 +71,6 @@ def test_granularity_consistency_suite():
         for i in range(b):
             assert float(ex[i, 0] ** 2) == pytest.approx(float((tok[i] ** 2).sum()), rel=1e-5, abs=1e-9)
     ok("granularity consistency (1000 tensors)")
-
-
-def test_threshold_formula_equivalence():
-    """Both threshold variants are bitwise equal over 1e5 random histories.
-
-    max(deltas) - min(deltas) is non-negative by construction, so the
-    absolute value in the original variant can never change the result;
-    the two formulas are kept as distinct configuration anyway.
-    """
-    rng = np.random.default_rng(77)
-    history = ProgressHistory()
-    for _ in range(10):  # 1e5 unit histories advanced 10 steps each
-        history.append(rng.uniform(-50, 50, size=100_000).astype(np.float32))
-        for alpha in (0.13, 0.8, 1.0):
-            a = threshold(history, alpha, ThresholdFormula.ORIGINAL)
-            b = threshold(history, alpha, ThresholdFormula.MODIFIED)
-            assert a.tobytes() == b.tobytes()
-    ok("threshold formula equivalence (1e5 histories, bitwise)")
 
 
 def test_offline_alpha_monotonicity():

@@ -7,7 +7,6 @@ import pytest
 from lacvoid import (
     HaltPolicy,
     SkipMode,
-    ThresholdFormula,
     TraceError,
     alpha_sweep,
     export_reports,

@@ -121,11 +121,16 @@ class TestTrace:
         assert "--max-new must be >= 0, got -5" in capsys.readouterr().err
         assert not (tmp_path / "trace.jsonl").exists()
 
-    def test_granularity_and_formula_flags(self, tmp_path):
+    def test_formula_flag_is_a_usage_error(self, tmp_path, capsys):
+        assert run(["trace", *MODEL, "--prompt", "hi", "--formula", "original", "--out", str(tmp_path)]) == 2
+        assert "--formula" in capsys.readouterr().err
+        assert not (tmp_path / "trace.jsonl").exists()
+
+    def test_granularity_flag(self, tmp_path):
         assert run(["trace", *MODEL, "--prompt", "coarse", "--granularity", "example",
-                    "--formula", "original", "--max-new", "2", "--out", str(tmp_path)]) == 0
+                    "--max-new", "2", "--out", str(tmp_path)]) == 0
         records = read_trace(tmp_path / "trace.jsonl")
-        assert all(r.formula == "original" for r in records)
+        assert all(r.formula == "modified" for r in records)
         # per-example halting applies one decision to every prompt token
         pp = [r for r in records if r.phase == "PP"]
         assert all(r.layer_flags == pp[0].layer_flags for r in pp)

@@ -467,6 +467,20 @@ class TestBatchedGenerate:
             assert states[i].position == ref.position
             assert (None if states[i].error is None else str(states[i].error)) == err
 
+    def test_cache_smaller_than_max_seq_stops_each_row_at_its_capacity(self):
+        model = build_model(ModelConfig(layer_count=1, depth=8, head_count=1, ffn_dim=32, max_seq=64, seed=1))
+        prompts = [encode_text("abcd"), encode_text("ab")]
+        cache = model.new_cache(2, capacity=6)
+        states = [run_prompt(model, p, DETECT, cache=cache, row=i)[0] for i, p in enumerate(prompts)]
+        ids, rg = generate(states, model, DETECT, 10)
+        assert [s.position for s in states] == [6, 6] and [len(x) for x in ids] == [2, 4]
+        for i, p in enumerate(prompts):
+            alone, _ = run_prompt(model, p, DETECT, cache=model.new_cache(1, capacity=6))
+            (ref_ids,), (ref_rg,) = generate([alone], model, DETECT, 10)
+            assert ids[i] == ref_ids
+            assert [record_to_line(r) for r in rg[i]] == [record_to_line(r) for r in ref_rg]
+            assert str(states[i].error) == str(alone.error) == "position 6 overflows max_seq 6"
+
     def test_states_must_share_a_cache_in_distinct_rows(self):
         model = build_model(CFG)
         a, _ = run_prompt(model, [65], OFF)
