@@ -1,12 +1,14 @@
 """Command-line front-end: trace runs, alpha sweeps, reports, comparisons.
 
 Exit codes: 0 success, 1 runtime error, 2 usage error. Sequences run in
-groups, in input order, whose KV caches fit a fixed byte budget. In a
-group, prompt processing (PP) runs one sequence per worker of a thread
-pool, one worker per CPU, whose BLAS calls overlap.
-Response generation (RG) then decodes the group's rows as one batch on
-the main thread. Output files are written by the main thread after all
-groups finish, in input order, so runs are byte-deterministic.
+groups, in input order, whose KV caches fit 8 MiB. In a group, prompt
+processing (PP) runs one sequence per worker of a thread pool, one worker
+per CPU, whose BLAS calls overlap. Response generation (RG) then decodes
+the group's rows as one batch on the main thread, which takes results in
+input order, so runs are byte-deterministic. `trace` writes each group's
+records as soon as the group finishes, so it holds one group's records at
+a time, to a temporary file that replaces trace.jsonl only once every
+group has succeeded.
 """
 
 from __future__ import annotations
@@ -33,12 +35,16 @@ def _fmt_usage(value: float | None) -> str:
 
 
 # KV cache bytes of one group of sequences; a group still takes one row per pool worker.
-_GROUP_KV_BYTES = 1 << 20
+# A group's rows decode as one batch, so a wider group takes fewer RG steps.
+_GROUP_KV_BYTES = 8 << 20
 
 
 def _groups(model: ToyTransformer, jobs: list[SuiteCase], max_new: int, workers: int):
-    """Runs of consecutive jobs whose KV cache fits _GROUP_KV_BYTES, each of at
-    least `workers` jobs but the last. Yields (jobs, cache capacity)."""
+    """Runs of consecutive jobs whose KV cache fits _GROUP_KV_BYTES,
+    each of at least `workers` jobs but the last. Yields (jobs, cache capacity).
+
+    The budget also bounds `trace`'s record memory, since it writes each
+    group's records before the next group starts."""
     per_position = 2 * model.layer_count * model.config.depth * np.dtype(DTYPE).itemsize
     group: list[SuiteCase] = []
     capacity = 0
@@ -83,21 +89,20 @@ def _run_group(model: ToyTransformer, group: list[SuiteCase], capacity: int, pol
 
 
 def _run_jobs(model: ToyTransformer, jobs: list[SuiteCase], policy: HaltPolicy, max_new: int):
-    """Run each sequence (PP then RG); results returned in input order.
+    """Run each sequence (PP then RG); yields (records, generated ids) per
+    job in input order, one group at a time.
 
     A group finishes even when one of its jobs fails; then the error of
-    the first failing job, in input order, is raised.
+    the first failing job, in input order, is raised in place of its result.
     """
     workers = min(len(jobs), os.cpu_count() or 1)
-    out = []
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for group, capacity in _groups(model, jobs, max_new, workers):
-            results = _run_group(model, group, capacity, policy, max_new, pool)
-            for res in results:
+            # the loop holds the group's results only until it has yielded them
+            for res in _run_group(model, group, capacity, policy, max_new, pool):
                 if isinstance(res, ValueError):
                     raise res
-            out += results
-    return out
+                yield res
 
 
 def _parse_seed_model(text: str, seed: int) -> ModelConfig:
@@ -123,7 +128,8 @@ def _parse_seed_model(text: str, seed: int) -> ModelConfig:
 
 def _add_policy_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=float, default=0.8, help="threshold knob in (0, 1]")
-    p.add_argument("--granularity", choices=[g.value for g in NormGranularity], default="token")
+    p.add_argument("--granularity", choices=[g.value for g in NormGranularity], default="token",
+                   help="norm unit; each prompt is its own batch, so batch gives the same trace as example")
     p.add_argument("--mode", choices=[m.value for m in SkipMode], default="detect")
     p.add_argument("--min-layers", type=int, default=1, help="layers 1..N are never voids")
 
@@ -219,20 +225,30 @@ def _summarize(records) -> tuple[dict[str, int], dict[str, float | None]]:
 
 
 def cmd_trace(args, parser) -> int:
+    """Stream each group's records to trace.jsonl.partial in --out, which
+    replaces trace.jsonl after the last group succeeds and is deleted on
+    any failure. Summary lines are printed once the run has succeeded."""
     policy = _policy_from_args(args, parser)
     model = _model_from_args(args, parser)
     jobs, max_new = _jobs_from_args(args, parser)
-    results = _run_jobs(model, jobs, policy, max_new)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    trace_path = out_dir / "trace.jsonl"
-    trace_path.unlink(missing_ok=True)
-    for job, (records, _) in zip(jobs, results):
-        write_trace(records, trace_path)
-        tokens, usage = _summarize(records)
-        print(f"{job.sequence_id}: pp_tokens={tokens[PHASE_PP]} rg_tokens={tokens[PHASE_RG]} "
-              f"pp_usage={_fmt_usage(usage[PHASE_PP])} rg_usage={_fmt_usage(usage[PHASE_RG])}")
+    partial = out_dir / "trace.jsonl.partial"
+    summaries = []
+    try:
+        with open(partial, "w", encoding="utf-8", newline="\n") as fh:
+            for (records, _), job in zip(_run_jobs(model, jobs, policy, max_new), jobs, strict=True):
+                write_trace(records, fh)
+                tokens, usage = _summarize(records)
+                summaries.append(f"{job.sequence_id}: pp_tokens={tokens[PHASE_PP]} rg_tokens={tokens[PHASE_RG]} "
+                                 f"pp_usage={_fmt_usage(usage[PHASE_PP])} rg_usage={_fmt_usage(usage[PHASE_RG])}")
+        os.replace(partial, out_dir / "trace.jsonl")
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+    for line in summaries:
+        print(line)
     return 0
 
 
@@ -265,8 +281,7 @@ def cmd_sweep(args, parser) -> int:
     base_policy = _policy_from_args(args, parser, skip_mode="detect")
     model = _model_from_args(args, parser)
     jobs, max_new = _jobs_from_args(args, parser)
-    results = _run_jobs(model, jobs, base_policy, max_new)
-    all_records = [r for records, _ in results for r in records]
+    all_records = [r for records, _ in _run_jobs(model, jobs, base_policy, max_new) for r in records]
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -282,7 +297,7 @@ def cmd_sweep(args, parser) -> int:
         if args.suite:
             policy = dataclasses.replace(_policy_from_args(args, parser, skip_mode=score_mode), alpha=alpha)
             runs = _run_jobs(model, jobs, policy, max_new)
-            scores = [score_case(gen_ids, job.expected_ids) for job, (_, gen_ids) in zip(jobs, runs)]
+            scores = [score_case(gen_ids, job.expected_ids) for (_, gen_ids), job in zip(runs, jobs, strict=True)]
             score = f"{sum(scores) / len(scores):.6f}"
         pp = report.average_usage.get(PHASE_PP)
         rg = report.average_usage.get(PHASE_RG)
@@ -340,7 +355,7 @@ def cmd_compare(args, parser) -> int:
     columns = {}
     for label, mode in (("not_skipped", "off"), ("skipped", skip_mode)):
         policy = _policy_from_args(args, parser, skip_mode=mode)
-        results = _run_jobs(model, jobs, policy, max_new)
+        results = list(_run_jobs(model, jobs, policy, max_new))
         records = [r for recs, _ in results for r in recs]
         scores = [score_case(gen_ids, job.expected_ids) for job, (_, gen_ids) in zip(jobs, results)]
         _, usage = _summarize(records)

@@ -74,10 +74,10 @@ def _void_rule(delta, dmax, dmin, step, alpha: float, min_layers: int) -> np.nda
     """Void flags of delta, given its running extrema so far and its 1-based step.
 
     lambda = alpha * (dmax - dmin); void is strictly below lambda, and
-    layer 1 and layers up to min_layers are never void. step is an int,
+    layer 1 and layers 1..min_layers are never void. step is an int,
     or an array broadcasting to delta.
     """
-    eligible = (step >= 2) & (step >= min_layers)
+    eligible = (step >= 2) & (step > min_layers)
     return (delta < np.float32(alpha) * (dmax - dmin)) & eligible
 
 
@@ -103,4 +103,4 @@ def detect_voids_offline(delta_sequence, alpha: float, min_layers: int = 1) -> s
     mask = offline_void_mask(delta_sequence, alpha, min_layers)
     if mask.ndim != 1:
         raise ValueError(f"expected a 1-d delta sequence, got shape {mask.shape}")
-    return {i + 1 for i in np.flatnonzero(mask)}
+    return {int(i) + 1 for i in np.flatnonzero(mask)}

@@ -256,9 +256,3 @@ def render_bitmap(records: list[TraceRecord], phase: str | None = None) -> str:
     chosen.sort(key=lambda r: r.token_index)
     pixels = np.where(record_array(chosen, "layer_flags", bool).T[::-1], "255", "0").tolist()
     return f"P2\n{len(chosen)} {len(pixels)}\n255\n" + "".join(" ".join(row) + "\n" for row in pixels)
-
-
-def white_pixel_count(pgm_text: str) -> int:
-    """Number of 255 pixels in a P2 image (test/verification helper)."""
-    body = pgm_text.split("\n", 3)[3]
-    return sum(1 for v in body.split() if v == "255")

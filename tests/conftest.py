@@ -46,6 +46,12 @@ def make_record(seq="s0", token_index=0, phase="PP", token_id=65,
     )
 
 
+def white_pixel_count(pgm_text: str) -> int:
+    """Number of 255 pixels in a P2 image."""
+    body = pgm_text.split("\n", 3)[3]
+    return sum(1 for v in body.split() if v == "255")
+
+
 @pytest.fixture
 def rng42():
     return np.random.default_rng(42)

@@ -35,8 +35,7 @@ from lacvoid import (
 from lacvoid.cli import main as cli_main
 from lacvoid.model import ToyTransformer, TransformerBlock
 from lacvoid.rng import stream_for
-from lacvoid.trace import white_pixel_count
-from conftest import add_constant_stack, compose_stack, random_affine_stack
+from conftest import add_constant_stack, compose_stack, random_affine_stack, white_pixel_count
 
 
 def ok(name: str) -> None:

@@ -8,7 +8,7 @@ import tracemalloc
 import pytest
 
 from conftest import make_record
-from lacvoid import read_trace, write_trace
+from lacvoid import cli, read_trace, write_trace
 from lacvoid.cli import main
 
 MODEL = ["--seed-model", "d16,h2,l4", "--seed", "3"]
@@ -96,6 +96,45 @@ class TestTrace:
                     "--max-new", "12", "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == "error: position 8 overflows max_seq 8\n"
         assert not (tmp_path / "trace.jsonl").exists()
+
+    @pytest.mark.parametrize("mode, granularity", [("halt-frozen", "token"), ("skip-identity", "example")])
+    def test_group_budget_does_not_change_the_outputs(self, tmp_path, monkeypatch, capsys, mode, granularity):
+        # budget 1 puts every job in a group of one pool width; 1 << 30 puts them all in one group
+        pf = tmp_path / "prompts.txt"
+        pf.write_text(RAGGED_PROMPTS, encoding="utf-8")
+        stdouts = set()
+        for budget in (1, 1 << 30):
+            for cpus in (1, 8):
+                monkeypatch.setattr(cli, "_GROUP_KV_BYTES", budget)
+                monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+                out = tmp_path / f"{budget}-{cpus}"
+                assert run(["trace", *MODEL, "--prompt-file", str(pf), "--max-new", "12", "--alpha", "0.6",
+                            "--mode", mode, "--granularity", granularity, "--out", str(out)]) == 0
+                stdouts.add(capsys.readouterr().out)
+                assert sorted(p.name for p in out.iterdir()) == ["trace.jsonl"]
+                digest = hashlib.sha256((out / "trace.jsonl").read_bytes()).hexdigest()
+                assert digest == RAGGED_DIGESTS[mode, granularity]
+        assert len(stdouts) == 1
+
+    @pytest.mark.parametrize("existing", [None, b"an earlier run's trace\n"])
+    def test_failure_in_a_later_group_writes_nothing(self, tmp_path, monkeypatch, capsys, existing):
+        # one job per group: seq000 is traced and streamed before seq001 fails to prompt
+        pf = tmp_path / "prompts.txt"
+        pf.write_text("ab\nabcdefghij\n", encoding="utf-8")
+        monkeypatch.setattr(cli, "_GROUP_KV_BYTES", 1)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        out = tmp_path / "out"
+        out.mkdir()
+        if existing is not None:
+            (out / "trace.jsonl").write_bytes(existing)
+        assert run(["trace", "--seed-model", "d16,h2,l4,m8", "--seed", "3", "--prompt-file", str(pf),
+                    "--max-new", "2", "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", "error: prompt length 10 exceeds max_seq 8\n")
+        if existing is None:
+            assert list(out.iterdir()) == []
+        else:
+            assert [p.name for p in out.iterdir()] == ["trace.jsonl"]
+            assert (out / "trace.jsonl").read_bytes() == existing
 
     def test_pool_width_does_not_change_the_trace(self, tmp_path, monkeypatch):
         # PP workers write disjoint rows of one shared KV cache; a misplaced write changes the trace

@@ -57,8 +57,15 @@ class TestVoidRule:
         assert detect_voids_offline([-2.0, 4.0, 2.99], alpha=0.5) == {3}
 
     def test_floor_protects_early_layers(self):
+        # --min-layers N keeps layers 1..N
         assert detect_voids_offline([1.0, -1.0, -1.0], alpha=1.0, min_layers=1) == {2, 3}
-        assert 2 not in detect_voids_offline([1.0, -1.0, -1.0], alpha=1.0, min_layers=3)
+        assert detect_voids_offline([1.0, -1.0, -1.0], alpha=1.0, min_layers=2) == {3}
+        assert detect_voids_offline([1.0, -1.0, -1.0], alpha=1.0, min_layers=3) == set()
+
+    def test_void_layers_are_python_ints(self):
+        voids = detect_voids_offline([5.0, -1.0, 4.0, 0.1], alpha=0.5)
+        assert voids == {2, 4}
+        assert all(type(t) is int for t in voids)
 
     def test_first_layer_always_kept(self):
         # with one observation lambda is 0; a negative first delta must not void layer 1
@@ -179,7 +186,7 @@ class TestOfflineVoids:
         arr = np.asarray(deltas, dtype=np.float32)
         mask = offline_void_mask(arr, alpha, min_layers)
         for t in range(2, len(arr) + 1):
-            if arr[t - 1] < 0 and t >= min_layers:
+            if arr[t - 1] < 0 and t > min_layers:
                 assert mask[t - 1]
 
 
@@ -204,7 +211,7 @@ class TestOneRule:
             for t in range(1, t_total + 1):
                 window = deltas[i, :t]
                 lam = np.float32(alpha) * (window.max() - window.min())
-                expect = t >= 2 and t >= min_layers and bool(window[-1] < lam)
+                expect = t >= 2 and t > min_layers and bool(window[-1] < lam)
                 assert bool(mask[i, t - 1]) == expect
 
     @given(

@@ -17,8 +17,8 @@ from lacvoid import (
     run_prompt,
     write_trace,
 )
-from lacvoid.trace import record_array, record_to_line, white_pixel_count
-from conftest import make_record
+from lacvoid.trace import record_array, record_to_line
+from conftest import make_record, white_pixel_count
 
 
 def random_records(n, layers=4, seed=0):
