@@ -25,7 +25,7 @@ from .model import (
     save_weights,
 )
 from .tensors import NormGranularity, l2_norm, layer_norm_pre, matmul
-from .trace import PHASE_PP, PHASE_RG, TraceRecord, read_trace, render_bitmap, write_trace
+from .trace import PHASE_PP, PHASE_RG, TraceColumns, TraceRecord, read_trace, render_bitmap, write_trace
 
 __version__ = "0.1.0"
 
@@ -37,7 +37,7 @@ __all__ = [
     "EOT", "ModelConfig", "ToyTransformer", "GenerationState",
     "build_model", "save_weights", "load_weights", "run_prompt", "generate",
     "encode_text", "decode_tokens",
-    "TraceRecord", "PHASE_PP", "PHASE_RG", "write_trace", "read_trace", "render_bitmap",
+    "TraceRecord", "TraceColumns", "PHASE_PP", "PHASE_RG", "write_trace", "read_trace", "render_bitmap",
     "LayerUsageReport", "NormProfile", "usage_report", "norm_profile", "alpha_sweep", "export_reports",
     "save_container", "load_container",
     "ShapeError", "NonFiniteError", "ContainerError", "TraceError",

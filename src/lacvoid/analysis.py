@@ -1,5 +1,8 @@
 """Aggregate trace records into usage and norm statistics.
 
+Every aggregator takes a TraceColumns block or a list of records, which
+it turns into one block (TraceColumns.from_records) and reads as arrays.
+
 Usage is a per-token micro-average: the mean over tokens of (active
 layers / layer count). Per-layer frequencies are the fraction of
 tokens for which the layer was active, split by phase; the normalized
@@ -18,7 +21,7 @@ import numpy as np
 
 from .halting import offline_void_mask
 from .tensors import DTYPE
-from .trace import PHASES, TraceRecord, record_array
+from .trace import PHASES, TraceColumns, TraceRecord
 
 __all__ = [
     "LayerUsageReport",
@@ -96,35 +99,36 @@ def _usage_from_columns(flags: np.ndarray, phases: np.ndarray, alpha, formula) -
     )
 
 
-def usage_report(records: list[TraceRecord]) -> LayerUsageReport:
+def usage_report(records: TraceColumns | list[TraceRecord]) -> LayerUsageReport:
     """Aggregate activation flags. alpha/formula are the records' own
     settings when those are uniform, else None."""
-    return _usage_from_columns(record_array(records, "layer_flags", bool), record_array(records, "phase"),
-                               _uniform_or_none(r.alpha for r in records),
-                               _uniform_or_none(r.formula for r in records))
+    trace = TraceColumns.from_records(records)
+    return _usage_from_columns(trace.layer_flags, trace.phase, _uniform_or_none(trace.alpha.tolist()),
+                               _uniform_or_none(trace.formula.tolist()))
 
 
-def norm_profile(records: list[TraceRecord]) -> NormProfile:
+def norm_profile(records: TraceColumns | list[TraceRecord]) -> NormProfile:
     """Arithmetic means of per-layer norms and progress, by phase."""
-    phases = record_array(records, "phase")
-    norms = record_array(records, "layer_norms", np.float64)
-    deltas = record_array(records, "layer_deltas", np.float64)
-    return NormProfile(layer_count=norms.shape[1],
-                       mean_norms={p: sub.mean(axis=0) for p, sub in _by_phase(norms, phases)},
-                       mean_deltas={p: sub.mean(axis=0) for p, sub in _by_phase(deltas, phases)})
+    trace = TraceColumns.from_records(records)
+    return NormProfile(layer_count=trace.layer_count,
+                       mean_norms={p: sub.mean(axis=0) for p, sub in _by_phase(trace.layer_norms, trace.phase)},
+                       mean_deltas={p: sub.mean(axis=0) for p, sub in _by_phase(trace.layer_deltas, trace.phase)})
 
 
-def alpha_sweep(records: list[TraceRecord], alphas, min_layers: int = 1) -> list[tuple[float, LayerUsageReport]]:
+def alpha_sweep(records: TraceColumns | list[TraceRecord], alphas,
+                min_layers: int = 1) -> list[tuple[float, LayerUsageReport]]:
     """Re-threshold recorded progress at each alpha, without re-running.
 
     Records must carry per-layer deltas from a run that did not alter
     the stream (off or detect mode), otherwise the replayed decisions
-    do not correspond to any single forward pass. The (N, T) delta
-    matrix is built once; each alpha is one offline_void_mask call.
+    do not correspond to any single forward pass. The deltas are
+    replayed per token, so the sweep matches a live run at token
+    granularity only. Each alpha is one offline_void_mask call over the
+    (N, T) delta matrix.
     """
-    deltas = record_array(records, "layer_deltas", DTYPE)
-    phases = record_array(records, "phase")
-    return [(float(alpha), _usage_from_columns(~offline_void_mask(deltas, alpha, min_layers), phases,
+    trace = TraceColumns.from_records(records)
+    deltas = trace.layer_deltas.astype(DTYPE)
+    return [(float(alpha), _usage_from_columns(~offline_void_mask(deltas, alpha, min_layers), trace.phase,
                                                float(alpha), "modified"))
             for alpha in alphas]
 

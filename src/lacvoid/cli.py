@@ -27,7 +27,7 @@ from .halting import HaltPolicy, SkipMode
 from .model import ModelConfig, ToyTransformer, build_model, generate, load_weights, run_prompt
 from .suites import SUITE_NAMES, SuiteCase, build_suite, score_case
 from .tensors import DTYPE, NormGranularity
-from .trace import PHASE_PP, PHASE_RG, read_trace, render_bitmap, write_trace
+from .trace import PHASE_PP, PHASE_RG, TraceColumns, read_trace, render_bitmap, write_trace
 
 
 def _fmt_usage(value: float | None) -> str:
@@ -64,8 +64,8 @@ def _run_group(model: ToyTransformer, group: list[SuiteCase], capacity: int, pol
                max_new: int, pool: ThreadPoolExecutor) -> list:
     """PP per job on `pool`, then RG of the group as one batch.
 
-    Returns, in input order, (records, generated ids) per job or the
-    ValueError that stopped it.
+    Returns, in input order, (trace, generated ids) per job or the
+    ValueError that stopped it; a job's trace holds its PP records, then its RG ones.
     """
     cache = model.new_cache(len(group), capacity)
     # rows in prompt-length order, so rows decoding at one position are adjacent
@@ -81,15 +81,15 @@ def _run_group(model: ToyTransformer, group: list[SuiteCase], capacity: int, pol
 
     results = list(pool.map(prompt, range(len(group))))
     ok = [i for i, res in enumerate(results) if not isinstance(res, ValueError)]
-    gen_ids, rg_records = generate([results[i][0] for i in ok], model, policy, max_new)
-    for i, ids, records in zip(ok, gen_ids, rg_records):
-        state, pp_records = results[i]
-        results[i] = state.error if state.error is not None else (pp_records + records, ids)
+    gen_ids, rg_traces = generate([results[i][0] for i in ok], model, policy, max_new)
+    for i, ids, rg in zip(ok, gen_ids, rg_traces):
+        state, pp = results[i]
+        results[i] = state.error if state.error is not None else (pp + rg, ids)
     return results
 
 
 def _run_jobs(model: ToyTransformer, jobs: list[SuiteCase], policy: HaltPolicy, max_new: int):
-    """Run each sequence (PP then RG); yields (records, generated ids) per
+    """Run each sequence (PP then RG); yields (trace, generated ids) per
     job in input order, one group at a time.
 
     A group finishes even when one of its jobs fails; then the error of
@@ -215,13 +215,11 @@ def _jobs_from_args(args, parser) -> tuple[list[SuiteCase], int]:
     return [SuiteCase(f"seq{i:03d}", tuple(p.encode("utf-8"))) for i, p in enumerate(prompts)], args.max_new
 
 
-def _summarize(records) -> tuple[dict[str, int], dict[str, float | None]]:
-    tokens = {p: sum(1 for r in records if r.phase == p) for p in (PHASE_PP, PHASE_RG)}
-    usage: dict[str, float | None] = {PHASE_PP: None, PHASE_RG: None}
-    if records:
-        report = usage_report(records)
-        usage.update(report.average_usage)
-    return tokens, usage
+def _summarize(trace: TraceColumns) -> tuple[dict[str, int], dict[str, float | None]]:
+    """Tokens and average usage per phase; a phase without tokens has usage None."""
+    report = usage_report(trace)
+    phases = (PHASE_PP, PHASE_RG)
+    return {p: report.token_counts.get(p, 0) for p in phases}, {p: report.average_usage.get(p) for p in phases}
 
 
 def cmd_trace(args, parser) -> int:
@@ -238,9 +236,9 @@ def cmd_trace(args, parser) -> int:
     summaries = []
     try:
         with open(partial, "w", encoding="utf-8", newline="\n") as fh:
-            for (records, _), job in zip(_run_jobs(model, jobs, policy, max_new), jobs, strict=True):
-                write_trace(records, fh)
-                tokens, usage = _summarize(records)
+            for (trace, _), job in zip(_run_jobs(model, jobs, policy, max_new), jobs, strict=True):
+                write_trace(trace, fh)
+                tokens, usage = _summarize(trace)
                 summaries.append(f"{job.sequence_id}: pp_tokens={tokens[PHASE_PP]} rg_tokens={tokens[PHASE_RG]} "
                                  f"pp_usage={_fmt_usage(usage[PHASE_PP])} rg_usage={_fmt_usage(usage[PHASE_RG])}")
         os.replace(partial, out_dir / "trace.jsonl")
@@ -278,19 +276,22 @@ def cmd_sweep(args, parser) -> int:
     column re-runs generation with skipping applied at each alpha.
     """
     alphas = _parse_alphas(args.alphas, parser)
+    if args.granularity != NormGranularity.TOKEN.value:
+        parser.error(f"sweep needs --granularity token, got {args.granularity}: "
+                     "the replay re-thresholds per-token deltas")
     base_policy = _policy_from_args(args, parser, skip_mode="detect")
     model = _model_from_args(args, parser)
     jobs, max_new = _jobs_from_args(args, parser)
-    all_records = [r for records, _ in _run_jobs(model, jobs, base_policy, max_new) for r in records]
+    trace = TraceColumns.concat(t for t, _ in _run_jobs(model, jobs, base_policy, max_new))
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     trace_path = out_dir / "trace.jsonl"
     trace_path.unlink(missing_ok=True)
-    write_trace(all_records, trace_path)
+    write_trace(trace, trace_path)
 
     score_mode = args.mode if args.mode in ("mask-zero", "skip-identity", "halt-frozen") else "skip-identity"
-    sweep = alpha_sweep(all_records, alphas, args.min_layers)
+    sweep = alpha_sweep(trace, alphas, args.min_layers)
     rows = []
     for alpha, report in sweep:
         score = ""
@@ -319,26 +320,27 @@ def cmd_report(args, parser) -> int:
     if not records:
         print(f"error: {args.trace} contains no records", file=sys.stderr)
         return 1
-    groups: dict[tuple[str, str], list] = {}
+    groups: dict[tuple[str, str], list[int]] = {}  # (sequence, phase) -> record indices
     tokens: set[tuple[str, int]] = set()
-    for r in records:
+    for i, r in enumerate(records):
         if (r.sequence_id, r.token_index) in tokens:
             raise ValueError(f"{args.trace}: sequence {r.sequence_id!r} has more than one record "
                              f"for token_index {r.token_index}")
         tokens.add((r.sequence_id, r.token_index))
-        groups.setdefault((r.sequence_id, r.phase), []).append(r)
+        groups.setdefault((r.sequence_id, r.phase), []).append(i)
     for seq_id, _ in groups:
         if "/" in seq_id or "\0" in seq_id:
             raise ValueError(f"sequence_id {seq_id!r} cannot name a bitmap file: it holds '/' or NUL")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    usage = usage_report(records)
-    profile = norm_profile(records)
+    trace = TraceColumns.from_records(records)
+    usage = usage_report(trace)
+    profile = norm_profile(trace)
     written = list(export_reports(usage, profile, out_dir))
     # PP sorts before RG, so each sequence's bitmaps come in phase order
-    for (seq_id, phase), group in sorted(groups.items()):
+    for (seq_id, phase), rows in sorted(groups.items()):
         pgm_path = out_dir / f"bitmap_{seq_id}_{phase.lower()}.pgm"
-        pgm_path.write_text(render_bitmap(group), encoding="utf-8")
+        pgm_path.write_text(render_bitmap(trace[rows]), encoding="utf-8")
         written.append(pgm_path)
     for path in written:
         print(f"wrote {path}")
@@ -356,9 +358,8 @@ def cmd_compare(args, parser) -> int:
     for label, mode in (("not_skipped", "off"), ("skipped", skip_mode)):
         policy = _policy_from_args(args, parser, skip_mode=mode)
         results = list(_run_jobs(model, jobs, policy, max_new))
-        records = [r for recs, _ in results for r in recs]
         scores = [score_case(gen_ids, job.expected_ids) for job, (_, gen_ids) in zip(jobs, results)]
-        _, usage = _summarize(records)
+        _, usage = _summarize(TraceColumns.concat(trace for trace, _ in results))
         columns[label] = {
             "score": sum(scores) / len(scores),
             "pp_usage": usage[PHASE_PP],

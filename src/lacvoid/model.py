@@ -4,13 +4,17 @@ Byte-level vocabulary (256 ids, utf-8 bytes), greedy decoding of many
 sequences as one batch, and a KV cache preallocated per layer. Each
 transformer block (attention + FFN together) is one
 step function of the measured layer stack; embedding and the final
-projection sit outside it. Weights come from named xoshiro256**
-streams (see rng), so a seed fully determines the model.
+projection sit outside it. Each forward step hands run_stack's
+per-token flags, norms and progress to the trace as one TraceColumns
+block, so no per-token record object is built. Weights come from
+named xoshiro256** streams (see rng), so a seed fully determines the
+model.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +25,7 @@ from .executor import StepFn, run_stack
 from .halting import HaltPolicy
 from .rng import stream_for
 from .tensors import DTYPE, NormGranularity, layer_norm_pre, matmul
-from .trace import PHASE_PP, PHASE_RG, TraceRecord
+from .trace import PHASE_PP, PHASE_RG, TraceColumns
 
 __all__ = [
     "EOT",
@@ -91,17 +95,24 @@ def gelu(x: np.ndarray) -> np.ndarray:
 class KVCache:
     """Per-layer key/value buffers, each (rows, heads, capacity, head_dim).
 
-    Every buffer is allocated once. A forward chunk writes its keys and
-    values in place at its positions and gets back views of the buffer,
-    so the cache is never reallocated. Attention's matmul still copies
-    the views it reads into contiguous operands.
+    Every buffer is allocated once; a cache too large to allocate
+    raises ValueError naming its capacity and byte count. A forward
+    chunk writes its keys and values in place at its positions and gets
+    back views of the buffer, so the cache is never reallocated.
+    Attention's matmul still copies the views it reads into contiguous
+    operands.
     """
 
     def __init__(self, layer_count: int, rows: int, head_count: int, capacity: int, head_dim: int):
         shape = (rows, head_count, capacity, head_dim)
         self.capacity = capacity
-        self.k = [np.zeros(shape, dtype=DTYPE) for _ in range(layer_count)]
-        self.v = [np.zeros(shape, dtype=DTYPE) for _ in range(layer_count)]
+        try:
+            self.k = [np.zeros(shape, dtype=DTYPE) for _ in range(layer_count)]
+            self.v = [np.zeros(shape, dtype=DTYPE) for _ in range(layer_count)]
+        except MemoryError as exc:
+            nbytes = 2 * layer_count * math.prod(shape) * np.dtype(DTYPE).itemsize
+            raise ValueError(f"cannot allocate a KV cache of capacity {capacity} positions: {nbytes} bytes "
+                             f"for {layer_count} layers of {rows} rows") from exc
 
     def append(self, layer: int, rows: slice, pos: int, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Write k and v, each (rows, heads, n, head_dim), at positions pos..pos+n-1
@@ -346,42 +357,47 @@ def _coerce_tokens(tokens, vocab_size: int) -> list[int]:
 
 
 def _forward(model: ToyTransformer, cache: KVCache, rows, starts, ids, phase: str, sequence_ids,
-             policy: HaltPolicy, forced_voids) -> tuple[list[list[TraceRecord]], np.ndarray]:
+             policy: HaltPolicy, forced_voids) -> tuple[TraceColumns, np.ndarray]:
     """One run_stack over B rows of n tokens: row b is tokens ids[b] at
-    positions starts[b].. in cache row rows[b]. Returns each row's trace
-    records and its last token's logits, (B, vocab)."""
-    ids = np.asarray(ids)
-    positions = np.add.outer(starts, np.arange(ids.shape[1]))
+    positions starts[b].. in cache row rows[b]. Returns the trace of the
+    B * n tokens, row by row, and each row's last token's logits, (B, vocab)."""
+    ids = np.asarray(ids, dtype=np.int64)
+    b, n = ids.shape
+    positions = np.add.outer(np.asarray(starts, dtype=np.int64), np.arange(n))
     h0 = model.embed[ids] + sinusoidal_positions(positions, model.config.depth)
     outcome = run_stack(model.stack_for(cache, rows, starts), h0, policy, forced_voids)
     logits = model.logits_from_hidden(outcome.final_hidden[:, -1:])[:, 0]
-    kept = ~outcome.void_flags
-    records = []
-    for b, (row_ids, start, sequence_id) in enumerate(zip(ids, starts, sequence_ids)):
-        records.append([TraceRecord(
-            sequence_id=sequence_id,
-            token_index=start + j,
-            phase=phase,
-            token_id=int(tok),
-            layer_flags=kept[:, b, j].tolist(),
-            layer_norms=outcome.token_norms[:, b, j].tolist(),
-            layer_deltas=outcome.token_deltas[:, b, j].tolist(),
-            alpha=float(policy.alpha),
-            formula="modified",
-            skip_mode=policy.skip_mode.value,
-        ) for j, tok in enumerate(row_ids)])
-    return records, logits
+
+    def per_token(layers_first: np.ndarray, dtype) -> np.ndarray:  # (T, B, n) -> (B * n, T)
+        return layers_first.transpose(1, 2, 0).reshape(b * n, -1).astype(dtype, copy=False)
+
+    def repeated(value) -> np.ndarray:
+        return np.full(b * n, value, dtype=object)
+
+    trace = TraceColumns(
+        sequence_id=np.repeat(np.array(sequence_ids, dtype=object), n),
+        token_index=positions.reshape(-1),
+        phase=repeated(phase),
+        token_id=ids.reshape(-1),
+        layer_flags=per_token(~outcome.void_flags, bool),
+        layer_norms=per_token(outcome.token_norms, np.float64),
+        layer_deltas=per_token(outcome.token_deltas, np.float64),
+        alpha=np.full(b * n, float(policy.alpha)),
+        formula=repeated("modified"),
+        skip_mode=repeated(policy.skip_mode.value),
+    )
+    return trace, logits
 
 
 def run_prompt(model: ToyTransformer, prompt_tokens, policy: HaltPolicy, sequence_id: str = "seq0",
                forced_voids=None, cache: KVCache | None = None, row: int = 0
-               ) -> tuple[GenerationState, list[TraceRecord]]:
+               ) -> tuple[GenerationState, TraceColumns]:
     """Forward the whole prompt grid at once (prompt-processing phase).
 
     Writes the prompt's keys and values into one row of `cache` (a new
     one-row cache of max_seq positions by default). Returns the decoding
-    state (next-token logits pending) and one trace record per prompt
-    token.
+    state (next-token logits pending) and the prompt's trace, one record
+    per prompt token.
     """
     ids = _coerce_tokens(prompt_tokens, model.config.vocab_size)
     if not ids:
@@ -390,12 +406,12 @@ def run_prompt(model: ToyTransformer, prompt_tokens, policy: HaltPolicy, sequenc
         raise ValueError(f"prompt length {len(ids)} exceeds max_seq {model.config.max_seq}")
     if cache is None:
         cache = model.new_cache()
-    (records,), (logits,) = _forward(model, cache, [row], [0], [ids], PHASE_PP, [sequence_id], policy, forced_voids)
-    return GenerationState(sequence_id, cache, len(ids), logits, row), records
+    trace, (logits,) = _forward(model, cache, [row], [0], [ids], PHASE_PP, [sequence_id], policy, forced_voids)
+    return GenerationState(sequence_id, cache, len(ids), logits, row), trace
 
 
 def generate(states: list[GenerationState], model: ToyTransformer, policy: HaltPolicy, max_new: int,
-             forced_voids=None) -> tuple[list[list[int]], list[list[TraceRecord]]]:
+             forced_voids=None) -> tuple[list[list[int]], list[TraceColumns]]:
     """Greedy decoding (response-generation phase) of states that share one KVCache, a row each.
 
     Each emitted token is forwarded through the stack (so it gets one
@@ -412,7 +428,8 @@ def generate(states: list[GenerationState], model: ToyTransformer, policy: HaltP
     reduction), as for one sequence. forced_voids is per sequence: one
     flag per layer.
 
-    Returns (ids per state, records per state), in the order of states.
+    Returns (ids per state, trace per state), in the order of states;
+    a state's trace holds one record per emitted token.
     """
     if len({id(s.cache) for s in states}) > 1:
         raise ValueError("states decoded together must share one KVCache")
@@ -431,7 +448,8 @@ def generate(states: list[GenerationState], model: ToyTransformer, policy: HaltP
         s.error = None
 
     out_ids: list[list[int]] = [[] for _ in states]
-    out_records: list[list[TraceRecord]] = [[] for _ in states]
+    steps: list[TraceColumns] = []  # one block per position, its rows' states in `owners`
+    owners: list[int] = []
     # in cache-row order, so rows decoding at one position form runs
     live = sorted(range(len(states)), key=lambda i: states[i].row)
     while True:
@@ -451,13 +469,16 @@ def generate(states: list[GenerationState], model: ToyTransformer, policy: HaltP
         if not step:
             break
         live = step
-        records, logits = _forward(model, states[step[0]].cache, [states[i].row for i in step],
-                                   [states[i].position for i in step], [[t] for t in tokens], PHASE_RG,
-                                   [states[i].sequence_id for i in step], policy, forced_voids)
+        trace, logits = _forward(model, states[step[0]].cache, [states[i].row for i in step],
+                                 [states[i].position for i in step], [[t] for t in tokens], PHASE_RG,
+                                 [states[i].sequence_id for i in step], policy, forced_voids)
+        steps.append(trace)
+        owners += step
         for b, i in enumerate(step):
             s = states[i]
             out_ids[i].append(tokens[b])
-            out_records[i] += records[b]
             s.position += 1
             s.last_logits = logits[b]
-    return out_ids, out_records
+    trace = TraceColumns.concat(steps) if steps else TraceColumns.empty(t_total)
+    owner = np.array(owners, dtype=np.int64)
+    return out_ids, [trace[owner == i] for i in range(len(states))]

@@ -1,23 +1,29 @@
 """Durable per-token trace records: JSONL streams and void bitmaps.
 
-One record per (sequence, token, phase). The JSONL encoding is byte
-stable: fixed field order, floats printed with 9 significant digits
-(enough to round-trip float32 exactly), flags as 0/1. Bitmaps are
-plain PGM (P2, ASCII): one column per token, one row per layer with
-the last layer on top, 255 = activated, 0 = void.
+One record per (sequence, token, phase). The model hands its records
+over as a TraceColumns block, arrays of N records, and the writer
+formats a block with one % template per layer count; a TraceRecord is
+one record's view, which the reader returns. The JSONL encoding is
+byte stable: fixed field order, floats printed with 9 significant
+digits (enough to round-trip float32 exactly), flags as 0/1. Bitmaps
+are plain PGM (P2, ASCII): one column per token, one row per layer
+with the last layer on top, 255 = activated, 0 = void.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
-from .errors import TraceError
+from .errors import ShapeError, TraceError
 from .halting import SkipMode
 
 PHASE_PP = "PP"  # prompt processing
@@ -65,60 +71,207 @@ class TraceRecord:
             raise TraceError(f"skip_mode must be one of {_SKIP_MODES}, got {self.skip_mode!r}")
 
 
-def _fmt(x: float) -> str:
-    return "%.9g" % float(x)
+_LAYER_FIELDS = ("layer_flags", "layer_norms", "layer_deltas")
+_REQUIRED_FIELDS = tuple(f.name for f in dataclasses.fields(TraceRecord))
+_COLUMN_DTYPES = dict(zip(_REQUIRED_FIELDS, (object, np.int64, object, np.int64, bool, np.float64, np.float64,
+                                              np.float64, object, object)))
+
+
+@dataclass(frozen=True, eq=False)
+class TraceColumns(Sequence):
+    """N trace records as columns, in TraceRecord's field order.
+
+    Each per-layer field is an (N, T) array: flags bool, norms and
+    deltas float64 (which holds the model's float32 values exactly).
+    Every other field is an (N,) array. A Sequence of TraceRecord views:
+    an integer index builds one record, and iteration builds them all;
+    a slice, an index array or a boolean mask takes a block of the
+    chosen rows. Equal to any block, list or tuple of the same records.
+    """
+
+    sequence_id: np.ndarray
+    token_index: np.ndarray
+    phase: np.ndarray
+    token_id: np.ndarray
+    layer_flags: np.ndarray
+    layer_norms: np.ndarray
+    layer_deltas: np.ndarray
+    alpha: np.ndarray
+    formula: np.ndarray
+    skip_mode: np.ndarray
+
+    def __post_init__(self) -> None:
+        n = len(self.sequence_id)
+        per_layer = (n, self.layer_flags.shape[-1])
+        for name in _REQUIRED_FIELDS:
+            want = per_layer if name in _LAYER_FIELDS else (n,)
+            if getattr(self, name).shape != want:
+                raise ShapeError(f"{name} has shape {getattr(self, name).shape}, expected {want}")
+
+    @property
+    def layer_count(self) -> int:
+        return self.layer_flags.shape[1]
+
+    def _columns(self) -> list[np.ndarray]:
+        return [getattr(self, name) for name in _REQUIRED_FIELDS]
+
+    def __len__(self) -> int:
+        return len(self.sequence_id)
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            i = range(len(self))[index]
+            return next(iter(self[i:i + 1]))
+        return TraceColumns(*(c[index] for c in self._columns()))
+
+    def __iter__(self):
+        return map(TraceRecord, *(c.tolist() for c in self._columns()))
+
+    def __add__(self, other):
+        return TraceColumns.concat([self, other]) if isinstance(other, TraceColumns) else NotImplemented
+
+    def __eq__(self, other):
+        if not isinstance(other, (TraceColumns, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    @classmethod
+    def concat(cls, blocks: Iterable[TraceColumns]) -> TraceColumns:
+        """One block of the given blocks' rows, in order; at least one block."""
+        return cls(*(np.concatenate(parts) for parts in zip(*(b._columns() for b in blocks))))
+
+    @classmethod
+    def empty(cls, layer_count: int) -> TraceColumns:
+        return cls(*(np.empty((0, layer_count) if name in _LAYER_FIELDS else 0, dtype)
+                     for name, dtype in _COLUMN_DTYPES.items()))
+
+    @classmethod
+    def from_records(cls, records: Iterable[TraceRecord] | TraceColumns) -> TraceColumns:
+        """The one place records become columns; a block is returned as it is.
+
+        Raises ValueError for no records, and TraceError naming the field
+        when a per-layer field's length is not the one layer count that
+        every record shares.
+        """
+        records = records if isinstance(records, TraceColumns) else list(records)
+        if not len(records):
+            raise ValueError("no records to aggregate")
+        if isinstance(records, TraceColumns):
+            return records
+        columns = []
+        for name, dtype in _COLUMN_DTYPES.items():  # one list of N values alive at a time
+            values = [getattr(r, name) for r in records]
+            if name == "layer_flags":
+                flag_counts = {len(v) for v in values}
+            if name in _LAYER_FIELDS:
+                counts = flag_counts | {len(v) for v in values}
+                if len(counts) != 1:
+                    raise TraceError(f"records mix layer counts in {name}: {sorted(counts)}")
+            columns.append(np.array(values, dtype=dtype))
+        return cls(*columns)
+
+
+@functools.lru_cache(maxsize=64)
+def _template(layer_count: int) -> str:
+    """The % template of one JSONL line of a record with layer_count layers."""
+    def per_layer(spec):
+        return ",".join([spec] * layer_count)
+    return ('{"sequence_id":%s,"token_index":%d,"phase":"%s","token_id":%d,'
+            f'"layer_flags":[{per_layer("%d")}],"layer_norms":[{per_layer("%.9g")}],'
+            f'"layer_deltas":[{per_layer("%.9g")}],"alpha":%.9g,"formula":%s,"skip_mode":%s}}\n')
+
+
+def _check(block: TraceColumns) -> None:
+    """TraceRecord.validate over a non-empty block, then the finiteness JSON needs."""
+    def refuse_outside(name: str, allowed: tuple[str, ...]) -> None:
+        values = getattr(block, name).tolist()
+        if not set(values) <= set(allowed):
+            raise TraceError(f"{name} must be one of {allowed}, got {next(v for v in values if v not in allowed)!r}")
+
+    def refuse_where(bad: np.ndarray, name: str, rule: str) -> None:
+        if bad.any():
+            raise TraceError(f"{name} must be {rule}, got {getattr(block, name)[np.argmax(bad)].item()!r}")
+
+    if block.layer_count == 0:
+        raise TraceError("a record needs at least one layer")
+    refuse_outside("phase", PHASES)
+    for name in ("token_index", "token_id"):
+        refuse_where(getattr(block, name) < 0, name, "non-negative")
+    refuse_where(~((block.alpha > 0.0) & (block.alpha <= 1.0)), "alpha", "a finite number in (0, 1]")
+    refuse_outside("formula", _FORMULAS)
+    refuse_outside("skip_mode", _SKIP_MODES)
+    for name in ("layer_norms", "layer_deltas"):
+        values = getattr(block, name)
+        bad = ~np.isfinite(values).all(axis=1)
+        if bad.any():
+            row = values[np.argmax(bad)].tolist()
+            raise TraceError(f"{name} must be finite, got [{','.join('%.9g' % x for x in row)}]")
+
+
+def _quoted(column: np.ndarray) -> list[str]:
+    """JSON string literal of each value, encoding each distinct value once."""
+    values = column.tolist()
+    literal = {v: json.dumps(v) for v in set(values)}
+    return [literal[v] for v in values]
+
+
+# Rows formatted at a time: bounds the Python lists and text the writer holds at once.
+_CHUNK_ROWS = 512
+
+
+def _chunks(block: TraceColumns) -> Iterator[str]:
+    """The JSONL lines of a checked block, each ending in a newline, _CHUNK_ROWS lines a piece."""
+    for start in range(0, len(block), _CHUNK_ROWS):
+        part = block[start:start + _CHUNK_ROWS]
+        columns = (_quoted(part.sequence_id), part.token_index.tolist(), part.phase.tolist(), part.token_id.tolist(),
+                   *part.layer_flags.T.tolist(), *part.layer_norms.T.tolist(), *part.layer_deltas.T.tolist(),
+                   part.alpha.tolist(), _quoted(part.formula), _quoted(part.skip_mode))
+        yield "".join(map(_template(part.layer_count).__mod__, zip(*columns)))
 
 
 def record_to_line(r: TraceRecord) -> str:
-    """One JSONL line, fixed field order, no trailing newline.
+    """One JSONL line, fixed field order, no trailing newline: the
+    writer's template filled from one record, without building a block.
 
-    Raises TraceError for a NaN or infinite norm, delta or alpha, which
-    JSON cannot encode.
+    Raises TraceError for what the writer refuses: a record that
+    validate refuses, or a NaN or infinite norm or delta.
     """
     r.validate()
-    flags = ",".join("1" if f else "0" for f in r.layer_flags)
-    norms = ",".join(_fmt(x) for x in r.layer_norms)
-    deltas = ",".join(_fmt(x) for x in r.layer_deltas)
-    alpha = _fmt(r.alpha)
-    # %g spells a non-finite value nan, inf or -inf: the only outputs with an "n".
-    for field, text in (("layer_norms", norms), ("layer_deltas", deltas), ("alpha", alpha)):
-        if "n" in text:
-            raise TraceError(f"{field} must be finite, got [{text}]")
-    return (
-        "{"
-        f'"sequence_id":{json.dumps(r.sequence_id)},'
-        f'"token_index":{int(r.token_index)},'
-        f'"phase":"{r.phase}",'
-        f'"token_id":{int(r.token_id)},'
-        f'"layer_flags":[{flags}],'
-        f'"layer_norms":[{norms}],'
-        f'"layer_deltas":[{deltas}],'
-        f'"alpha":{alpha},'
-        f'"formula":{json.dumps(r.formula)},'
-        f'"skip_mode":{json.dumps(r.skip_mode)}'
-        "}"
-    )
+    for name in ("layer_norms", "layer_deltas"):
+        values = getattr(r, name)
+        if not all(map(math.isfinite, values)):
+            raise TraceError(f"{name} must be finite, got [{','.join('%.9g' % x for x in values)}]")
+    line = _template(r.layer_count) % (
+        json.dumps(r.sequence_id), int(r.token_index), r.phase, int(r.token_id),
+        *[1 if f else 0 for f in r.layer_flags], *map(float, r.layer_norms), *map(float, r.layer_deltas),
+        float(r.alpha), json.dumps(r.formula), json.dumps(r.skip_mode))
+    return line[:-1]
 
 
-def write_trace(records: Iterable[TraceRecord], sink) -> int:
-    """Append records to a path or text file object. Returns bytes written."""
+def write_trace(records: TraceColumns | Iterable[TraceRecord], sink) -> int:
+    """Append a block, or records taken as one block, to a path or text
+    file object. Returns bytes written.
+
+    The whole block is checked first, so a block that holds one refused
+    record writes nothing.
+    """
+    block = records if isinstance(records, TraceColumns) else list(records)
+    if len(block):
+        block = TraceColumns.from_records(block)
+        _check(block)
     if hasattr(sink, "write"):
-        return _write_stream(records, sink)
+        return _write_chunks(block, sink)
     with open(sink, "a", encoding="utf-8", newline="\n") as fh:
-        return _write_stream(records, fh)
+        return _write_chunks(block, fh)
 
 
-def _write_stream(records: Iterable[TraceRecord], fh: IO[str]) -> int:
+def _write_chunks(block: TraceColumns | list, fh: IO[str]) -> int:
     count = 0
-    for r in records:
-        line = record_to_line(r) + "\n"
-        fh.write(line)
-        count += len(line.encode("utf-8"))
+    for text in _chunks(block):
+        fh.write(text)
+        # an ASCII string's length is its UTF-8 byte count, and isascii() is O(1)
+        count += len(text) if text.isascii() else len(text.encode("utf-8"))
     return count
-
-
-_LAYER_FIELDS = ("layer_flags", "layer_norms", "layer_deltas")
-_REQUIRED_FIELDS = ("sequence_id", "token_index", "phase", "token_id", *_LAYER_FIELDS, "alpha", "formula", "skip_mode")
 
 
 def _no_repeated_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -220,25 +373,7 @@ def _parse_lines(lines: Iterable[str], origin: str) -> list[TraceRecord]:
     return records
 
 
-def record_array(records: list[TraceRecord], field: str, dtype=None) -> np.ndarray:
-    """One field of N records as an array: (N, T) for a per-layer field
-    (layer_flags, layer_norms, layer_deltas), (N,) for any other.
-
-    Raises ValueError for no records, and TraceError naming the field
-    when a per-layer field's length is not the one layer count that
-    every record shares.
-    """
-    if not records:
-        raise ValueError("no records to aggregate")
-    values = [getattr(r, field) for r in records]
-    if field in _LAYER_FIELDS:
-        counts = {r.layer_count for r in records} | {len(v) for v in values}
-        if len(counts) != 1:
-            raise TraceError(f"records mix layer counts in {field}: {sorted(counts)}")
-    return np.array(values, dtype=dtype)
-
-
-def render_bitmap(records: list[TraceRecord], phase: str | None = None) -> str:
+def render_bitmap(records: TraceColumns | list[TraceRecord], phase: str | None = None) -> str:
     """Token-by-layer activation bitmap for one sequence as PGM (P2) text.
 
     Columns are tokens in token_index order, rows are layers with the
@@ -247,12 +382,16 @@ def render_bitmap(records: list[TraceRecord], phase: str | None = None) -> str:
     """
     if phase is not None and phase not in PHASES:
         raise ValueError(f"phase filter must be one of {PHASES} or None, got {phase!r}")
-    chosen = [r for r in records if phase is None or r.phase == phase]
-    if not chosen:
+    if not len(records):
         raise ValueError("no records to render (empty selection)")
-    seq_ids = {r.sequence_id for r in chosen}
+    block = TraceColumns.from_records(records)
+    if phase is not None:
+        block = block[block.phase == phase]
+    if not len(block):
+        raise ValueError("no records to render (empty selection)")
+    seq_ids = set(block.sequence_id.tolist())
     if len(seq_ids) != 1:
         raise ValueError(f"records span multiple sequences: {sorted(seq_ids)}")
-    chosen.sort(key=lambda r: r.token_index)
-    pixels = np.where(record_array(chosen, "layer_flags", bool).T[::-1], "255", "0").tolist()
-    return f"P2\n{len(chosen)} {len(pixels)}\n255\n" + "".join(" ".join(row) + "\n" for row in pixels)
+    flags = block.layer_flags[np.argsort(block.token_index, kind="stable")]
+    pixels = np.where(flags.T[::-1], "255", "0").tolist()
+    return f"P2\n{len(block)} {len(pixels)}\n255\n" + "".join(" ".join(row) + "\n" for row in pixels)

@@ -244,6 +244,25 @@ class TestSweep:
         assert float(row["pp_usage"]) == pytest.approx(summary["average_usage"]["PP"], abs=1e-9)
         assert float(row["rg_usage"]) == pytest.approx(summary["average_usage"]["RG"], abs=1e-9)
 
+    @pytest.mark.parametrize("granularity", ["example", "batch"])
+    def test_granularity_other_than_token_is_a_usage_error(self, tmp_path, capsys, granularity):
+        assert run(["sweep", *MODEL, "--prompt", "x", "--alphas", "0.6", "--granularity", granularity,
+                    "--out", str(tmp_path)]) == 2
+        assert "the replay re-thresholds per-token deltas" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("alpha", ["0.6", "0.8"])
+    def test_usage_equals_a_live_detect_trace_and_report(self, tmp_path, alpha):
+        prompts = tmp_path / "prompts.txt"
+        prompts.write_text("the first prompt\nsecond\na third, longer prompt\n", encoding="utf-8")
+        common = [*MODEL, "--prompt-file", str(prompts), "--max-new", "6", "--granularity", "token"]
+        assert run(["sweep", *common, "--alphas", alpha, "--out", str(tmp_path / "sweep")]) == 0
+        assert run(["trace", *common, "--mode", "detect", "--alpha", alpha, "--out", str(tmp_path / "live")]) == 0
+        assert run(["report", "--trace", str(tmp_path / "live" / "trace.jsonl"), "--out", str(tmp_path / "rep")]) == 0
+        row, = csv.DictReader((tmp_path / "sweep" / "sweep.csv").read_text().splitlines())
+        usage = json.loads((tmp_path / "rep" / "report_summary.json").read_text())["average_usage"]
+        assert (row["pp_usage"], row["rg_usage"]) == ("%.9g" % usage["PP"], "%.9g" % usage["RG"])
+
     def test_empty_alpha_list_exits_2(self, tmp_path):
         assert run(["sweep", *MODEL, "--prompt", "x", "--alphas", "", "--out", str(tmp_path)]) == 2
 

@@ -25,7 +25,7 @@ from lacvoid import (
     save_weights,
 )
 from lacvoid.model import KVCache, TransformerBlock, sinusoidal_positions
-from lacvoid.trace import record_to_line
+from lacvoid.trace import TraceColumns, TraceRecord, record_to_line
 from lacvoid.rng import Xoshiro256StarStar
 
 OFF = HaltPolicy(skip_mode=SkipMode.OFF)
@@ -232,6 +232,47 @@ class TestHandComputedForward:
         assert np.abs(state.last_logits - self.oracle_logits(tensors)).max() < 1e-5
 
 
+def records_from_outcome(outcome, ids, starts, sequence_ids, phase, policy):
+    """The per-token records of one run_stack outcome, built one TraceRecord at a time."""
+    kept = ~outcome.void_flags
+    return [TraceRecord(sequence_id=seq, token_index=start + j, phase=phase, token_id=int(tok),
+                        layer_flags=kept[:, b, j].tolist(), layer_norms=outcome.token_norms[:, b, j].tolist(),
+                        layer_deltas=outcome.token_deltas[:, b, j].tolist(), alpha=float(policy.alpha),
+                        formula="modified", skip_mode=policy.skip_mode.value)
+            for b, (row_ids, start, seq) in enumerate(zip(ids, starts, sequence_ids))
+            for j, tok in enumerate(row_ids)]
+
+
+TRACE_POLICIES = [DETECT, HaltPolicy(alpha=0.6, skip_mode=SkipMode.HALT_FROZEN),
+                  HaltPolicy(granularity=NormGranularity.EXAMPLE, skip_mode=SkipMode.SKIP_IDENTITY)]
+
+
+class TestTraceBlocks:
+    @pytest.mark.parametrize("policy", TRACE_POLICIES)
+    def test_run_prompt_block_holds_the_outcome_records(self, policy):
+        model = build_model(CFG)
+        prompt = encode_text("columns")
+        _, block = run_prompt(model, prompt, policy, sequence_id="p7")
+        out = run_stack(model.stack_for(model.new_cache(), [0], [0]), embed_at(model, prompt, 0), policy)
+        assert isinstance(block, TraceColumns)
+        assert list(block) == records_from_outcome(out, [prompt], [0], ["p7"], "PP", policy)
+
+    @pytest.mark.parametrize("policy", TRACE_POLICIES)
+    def test_generate_block_holds_each_steps_outcome_records(self, policy):
+        model = build_model(CFG)
+        prompt = encode_text("rows")
+        state, _ = run_prompt(model, prompt, policy, sequence_id="g")
+        (ids,), (block,) = generate([state], model, policy, 6)
+        assert isinstance(block, TraceColumns) and len(ids) == 6
+        ref, _ = run_prompt(model, prompt, policy)
+        expected, pos = [], len(prompt)
+        for tok in ids:
+            out = run_stack(model.stack_for(ref.cache, [0], [pos]), embed_at(model, [tok], pos), policy)
+            expected += records_from_outcome(out, [[tok]], [pos], ["g"], "RG", policy)
+            pos += 1
+        assert list(block) == expected
+
+
 class TestRunPrompt:
     def test_single_token_off(self):
         model = build_model(CFG)
@@ -386,6 +427,19 @@ class TestKVCache:
         cache.append(0, slice(0, 1), 0, kv, kv)
         with pytest.raises(ValueError, match="position 3 overflows max_seq 3"):
             cache.append(0, slice(0, 1), 2, kv, kv)
+
+    def test_unallocatable_cache_is_a_named_value_error(self, monkeypatch):
+        real_zeros = np.zeros
+
+        def zeros(shape, *args, **kwargs):
+            if math.prod(shape) > 1 << 30:
+                raise MemoryError("Unable to allocate 238. GiB")
+            return real_zeros(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros", zeros)
+        model = build_model(ModelConfig(layer_count=1, depth=16, head_count=2, ffn_dim=32, max_seq=4_000_000_000))
+        with pytest.raises(ValueError, match=r"capacity 4000000000 .* 512000000000 bytes"):
+            run_prompt(model, [65], OFF)
 
     def test_decoding_keeps_the_buffers(self):
         model = build_model(CFG)

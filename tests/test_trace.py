@@ -1,4 +1,6 @@
+import dataclasses
 import io
+import json
 import re
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from lacvoid import (
     HaltPolicy,
     ModelConfig,
+    ShapeError,
     SkipMode,
     TraceError,
     build_model,
@@ -17,7 +20,7 @@ from lacvoid import (
     run_prompt,
     write_trace,
 )
-from lacvoid.trace import record_array, record_to_line
+from lacvoid.trace import PHASES, TraceColumns, record_to_line
 from conftest import make_record, white_pixel_count
 
 
@@ -125,6 +128,137 @@ class TestWriteRead:
         write_trace([make_record(token_index=0)], path)
         write_trace([make_record(token_index=1)], path)
         assert len(read_trace(path)) == 2
+
+
+def reference_line(r):
+    """The record-at-a-time encoding that the template writer replaced, as an independent oracle."""
+    def fmt(x):
+        return "%.9g" % float(x)
+    return ("{"
+            f'"sequence_id":{json.dumps(r.sequence_id)},"token_index":{int(r.token_index)},'
+            f'"phase":"{r.phase}","token_id":{int(r.token_id)},'
+            f'"layer_flags":[{",".join("1" if f else "0" for f in r.layer_flags)}],'
+            f'"layer_norms":[{",".join(fmt(x) for x in r.layer_norms)}],'
+            f'"layer_deltas":[{",".join(fmt(x) for x in r.layer_deltas)}],'
+            f'"alpha":{fmt(r.alpha)},"formula":{json.dumps(r.formula)},"skip_mode":{json.dumps(r.skip_mode)}'
+            "}")
+
+
+@st.composite
+def record_lists(draw):
+    """1-6 records sharing 1-8 layers, with any float32 norms and deltas (NaN and infinities too)."""
+    layers = draw(st.integers(1, 8))
+    per_layer = st.lists(st.floats(width=32), min_size=layers, max_size=layers)
+    return draw(st.lists(st.builds(
+        make_record,
+        seq=st.text(st.sampled_from('"\\%sd\u00e9\u65e5\x01\n a'), max_size=6) | st.text(max_size=6),
+        token_index=st.integers(0, 2**40),
+        phase=st.sampled_from(PHASES),
+        token_id=st.integers(0, 255),
+        flags=st.lists(st.booleans(), min_size=layers, max_size=layers),
+        norms=per_layer,
+        deltas=per_layer,
+        alpha=st.floats(0.0, 1.0, exclude_min=True, width=32),
+        formula=st.sampled_from(["original", "modified"]),
+        skip_mode=st.sampled_from([m.value for m in SkipMode]),
+    ), min_size=1, max_size=6))
+
+
+# Records the writer refuses, each with two layers like random_records(..., layers=2).
+REFUSED = {
+    "token_index": {"token_index": -1}, "token_id": {"token_id": -3},
+    "alpha-high": {"alpha": 1.5}, "alpha-zero": {"alpha": 0.0}, "alpha-nan": {"alpha": float("nan")},
+    "formula": {"formula": "bogus"}, "skip_mode": {"skip_mode": "MASK_ZERO"}, "phase": {"phase": "XX"},
+    "norm-nan": {"norms": (1.0, float("nan"))}, "delta-inf": {"deltas": (float("-inf"), 1.0)},
+    "short-norms": {"norms": (1.0,)},
+}
+
+
+class TestTraceColumns:
+    @given(records=record_lists())
+    @settings(max_examples=300, deadline=None)
+    def test_block_writer_equals_record_lines(self, records):
+        buf = io.StringIO()
+        try:
+            lines = "".join(record_to_line(r) + "\n" for r in records)
+        except TraceError:
+            with pytest.raises(TraceError):
+                write_trace(TraceColumns.from_records(records), buf)
+            assert buf.getvalue() == ""
+            return
+        assert write_trace(TraceColumns.from_records(records), buf) == len(lines.encode("utf-8"))
+        assert buf.getvalue() == lines == "".join(reference_line(r) + "\n" for r in records)
+
+    def test_block_longer_than_a_chunk(self, tmp_path):
+        records = random_records(1300, layers=3, seed=7)
+        lines = "".join(record_to_line(r) + "\n" for r in records)
+        path = tmp_path / "t.jsonl"
+        assert write_trace(TraceColumns.from_records(records), path) == len(lines)
+        assert path.read_text(encoding="utf-8") == lines
+
+    @pytest.mark.parametrize("position", [0, 3, 6])
+    @pytest.mark.parametrize("fields", list(REFUSED.values()), ids=list(REFUSED))
+    def test_one_refused_record_writes_nothing(self, tmp_path, fields, position):
+        bad = make_record(**fields)
+        with pytest.raises(TraceError):
+            record_to_line(bad)
+        records = random_records(6, layers=2, seed=3)
+        records.insert(position, bad)
+        buf = io.StringIO()
+        with pytest.raises(TraceError):
+            write_trace(records, buf)
+        with pytest.raises(TraceError):
+            write_trace(TraceColumns.from_records(records), buf)
+        assert buf.getvalue() == ""
+        path = tmp_path / "t.jsonl"
+        with pytest.raises(TraceError):
+            write_trace(records, path)
+        assert not path.exists()
+
+    def test_zero_layer_block_refused(self):
+        block = TraceColumns.from_records([make_record(flags=(), norms=(), deltas=())])
+        buf = io.StringIO()
+        with pytest.raises(TraceError, match="at least one layer"):
+            write_trace(block, buf)
+        assert buf.getvalue() == ""
+
+    def test_a_sequence_of_record_views(self):
+        records = random_records(5, layers=3, seed=5)
+        block = TraceColumns.from_records(records)
+        assert len(block) == 5 and block.layer_count == 3
+        assert list(block) == records and block == records and records == block and block == tuple(records)
+        assert block[1] == records[1] and block[-1] == records[-1]
+        with pytest.raises(IndexError):
+            block[5]
+        assert isinstance(block[1:4], TraceColumns) and block[1:4] == records[1:4]
+        assert block[block.phase == "RG"] == [r for r in records if r.phase == "RG"]
+        assert block[[4, 0]] == [records[4], records[0]]
+        assert block != records[:4] and block != records[::-1] and block != "records"
+        assert block[:2] + block[2:] == records
+        assert TraceColumns.concat([block[:1], block[1:3], block[3:]]) == block
+        assert TraceColumns.from_records(block) is block
+
+    def test_columns_hold_the_records_values_exactly(self):
+        records = random_records(4, layers=3, seed=6)
+        block = TraceColumns.from_records(records)
+        assert block.layer_norms.dtype == block.layer_deltas.dtype == np.float64
+        assert block.layer_flags.dtype == bool
+        assert block.layer_norms.tolist() == [r.layer_norms for r in records]
+        assert block.sequence_id.tolist() == [r.sequence_id for r in records]
+
+    def test_empty_block(self):
+        empty = TraceColumns.empty(3)
+        assert len(empty) == 0 and empty.layer_count == 3 and list(empty) == [] and empty == []
+        assert write_trace(empty, io.StringIO()) == 0
+        with pytest.raises(ValueError, match="no records"):
+            TraceColumns.from_records(empty)
+
+    def test_columns_of_other_lengths_rejected(self):
+        block = TraceColumns.from_records(random_records(3))
+        with pytest.raises(ShapeError, match="alpha"):
+            dataclasses.replace(block, alpha=block.alpha[:2])
+        with pytest.raises(ShapeError, match="layer_norms"):
+            dataclasses.replace(block, layer_norms=block.layer_norms[:, :2])
 
 
 def with_field(field, raw, line=None):
@@ -243,28 +377,27 @@ class TestStrictReader:
             record_to_line(r)
 
 
-class TestRecordArray:
+class TestFromRecords:
     def test_per_layer_field_is_records_by_layers(self):
         records = [make_record(token_index=i, norms=[i, 2 * i]) for i in range(3)]
-        arr = record_array(records, "layer_norms", np.float64)
+        arr = TraceColumns.from_records(records).layer_norms
         assert arr.shape == (3, 2) and arr.dtype == np.float64
         assert arr.tolist() == [[0, 0], [1, 2], [2, 4]]
 
     def test_scalar_field_is_one_per_record(self):
         records = [make_record(phase=p) for p in ("PP", "RG", "PP")]
-        assert record_array(records, "phase").tolist() == ["PP", "RG", "PP"]
+        assert TraceColumns.from_records(records).phase.tolist() == ["PP", "RG", "PP"]
 
     def test_mixed_layer_counts_name_the_field(self):
         records = [make_record(), make_record(token_index=1)]
+        assert TraceColumns.from_records(records).layer_flags.shape == (2, 2)
         records[1].layer_deltas = [1.0, 1.0, 1.0]
-        assert record_array(records, "layer_flags", bool).shape == (2, 2)
         with pytest.raises(TraceError, match=r"layer_deltas: \[2, 3\]"):
-            record_array(records, "layer_deltas")
+            TraceColumns.from_records(records)
 
     def test_no_records_rejected(self):
         with pytest.raises(ValueError, match="no records"):
-            record_array([], "layer_flags")
-
+            TraceColumns.from_records([])
 
 class TestBitmap:
     def test_single_column_top_to_bottom(self):
@@ -295,8 +428,8 @@ class TestBitmap:
 
     def test_columns_sorted_by_token_index(self):
         records = [
-            make_record(token_index=1, flags=[False]),
-            make_record(token_index=0, flags=[True]),
+            make_record(token_index=1, flags=[False], norms=[1.0], deltas=[1.0]),
+            make_record(token_index=0, flags=[True], norms=[1.0], deltas=[1.0]),
         ]
         assert render_bitmap(records) == "P2\n2 1\n255\n255 0\n"
 
