@@ -9,7 +9,7 @@ aggregates usage and norm statistics.
 from .analysis import LayerUsageReport, NormProfile, alpha_sweep, export_reports, norm_profile, usage_report
 from .container import load_container, save_container
 from .errors import ContainerError, NonFiniteError, ShapeError, TraceError
-from .executor import ExecutionOutcome, mask_example, mask_token, run_stack
+from .executor import ExecutionOutcome, run_stack
 from .halting import HaltPolicy, SkipMode, detect_voids_offline, offline_void_mask
 from .model import (
     EOT,
@@ -33,7 +33,7 @@ __all__ = [
     "__version__",
     "NormGranularity", "l2_norm", "matmul", "layer_norm_pre",
     "SkipMode", "HaltPolicy", "detect_voids_offline", "offline_void_mask",
-    "ExecutionOutcome", "run_stack", "mask_example", "mask_token",
+    "ExecutionOutcome", "run_stack",
     "EOT", "ModelConfig", "ToyTransformer", "GenerationState",
     "build_model", "save_weights", "load_weights", "run_prompt", "generate",
     "encode_text", "decode_tokens",

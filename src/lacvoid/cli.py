@@ -2,10 +2,13 @@
 
 Exit codes: 0 success, 1 runtime error, 2 usage error. Sequences run in
 groups, in input order, whose KV caches fit 8 MiB. In a group, prompt
-processing (PP) runs one sequence per worker of a thread pool, one worker
-per CPU, whose BLAS calls overlap. Response generation (RG) then decodes
-the group's rows as one batch on the main thread, which takes results in
-input order, so runs are byte-deterministic. `trace` writes each group's
+processing (PP) forwards equal-length prompts as batches, each one
+run_prompt call on a thread pool of one worker per CPU, whose BLAS calls
+overlap; each length's prompts split into at least one batch per worker
+while prompts remain, none holding more tokens than one max_seq prompt.
+Response generation (RG) then decodes the group's rows as one batch on
+the main thread, which takes results in input order, so runs are
+byte-deterministic. `trace` writes each group's
 records as soon as the group finishes, so it holds one group's records at
 a time, to a temporary file that replaces trace.jsonl only once every
 group has succeeded.
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -24,7 +28,7 @@ import numpy as np
 
 from .analysis import alpha_sweep, export_reports, norm_profile, usage_report
 from .halting import HaltPolicy, SkipMode
-from .model import ModelConfig, ToyTransformer, build_model, generate, load_weights, run_prompt
+from .model import ModelConfig, ToyTransformer, _prompt_ids, build_model, generate, load_weights, run_prompt
 from .suites import SUITE_NAMES, SuiteCase, build_suite, score_case
 from .tensors import DTYPE, NormGranularity
 from .trace import PHASE_PP, PHASE_RG, TraceColumns, read_trace, render_bitmap, write_trace
@@ -60,31 +64,56 @@ def _groups(model: ToyTransformer, jobs: list[SuiteCase], max_new: int, workers:
         yield group, capacity
 
 
+def _pp_batches(lengths: list[int], max_seq: int, workers: int):
+    """Split rows, given by their checked prompt lengths in sorted order,
+    into PP batches: each run of rows of one length n into at least
+    min(workers, run) contiguous batches of near-equal size, each of at
+    most max_seq // n rows, so no batch holds more tokens than one
+    max_seq prompt. Yields (start, stop) row ranges."""
+    start = 0
+    for n, run in itertools.groupby(lengths):
+        size = len(list(run))
+        parts = max(min(workers, size), -(-size // (max_seq // n)))
+        for k in range(parts):
+            yield start + k * size // parts, start + (k + 1) * size // parts
+        start += size
+
+
 def _run_group(model: ToyTransformer, group: list[SuiteCase], capacity: int, policy: HaltPolicy,
-               max_new: int, pool: ThreadPoolExecutor) -> list:
-    """PP per job on `pool`, then RG of the group as one batch.
+               max_new: int, pool: ThreadPoolExecutor, workers: int) -> list:
+    """PP of equal-length prompts in batches on `pool`, then RG of the group as one batch.
 
-    Returns, in input order, (trace, generated ids) per job or the
-    ValueError that stopped it; a job's trace holds its PP records, then its RG ones.
+    Each prompt is checked before it is batched, so a prompt that
+    run_prompt refuses fails alone, with its own ValueError. Returns, in
+    input order, (trace, generated ids) per job or the ValueError that
+    stopped it; a job's trace holds its PP records, then its RG ones.
     """
-    cache = model.new_cache(len(group), capacity)
-    # rows in prompt-length order, so rows decoding at one position are adjacent
-    by_length = sorted(range(len(group)), key=lambda i: len(group[i].prompt_ids))
-    row_of = {i: row for row, i in enumerate(by_length)}
-
-    def prompt(i: int):
-        job = group[i]
+    results: list = [None] * len(group)
+    for i, job in enumerate(group):
         try:
-            return run_prompt(model, job.prompt_ids, policy, sequence_id=job.sequence_id, cache=cache, row=row_of[i])
+            _prompt_ids(job.prompt_ids, model.config)
         except ValueError as exc:
-            return exc
+            results[i] = exc
+    # rows in prompt-length order, so equal-length prompts, and rows decoding at one position, are adjacent
+    by_length = sorted((i for i in range(len(group)) if results[i] is None), key=lambda i: len(group[i].prompt_ids))
+    lengths = [len(group[i].prompt_ids) for i in by_length]
+    cache = model.new_cache(len(by_length), capacity)
 
-    results = list(pool.map(prompt, range(len(group))))
-    ok = [i for i, res in enumerate(results) if not isinstance(res, ValueError)]
-    gen_ids, rg_traces = generate([results[i][0] for i in ok], model, policy, max_new)
-    for i, ids, rg in zip(ok, gen_ids, rg_traces):
-        state, pp = results[i]
-        results[i] = state.error if state.error is not None else (pp + rg, ids)
+    def prompts(rows: tuple[int, int]):
+        batch = by_length[rows[0]:rows[1]]
+        return run_prompt(model, [group[i].prompt_ids for i in batch], policy,
+                          sequence_id=[group[i].sequence_id for i in batch], cache=cache, row=list(range(*rows)))
+
+    batches = list(_pp_batches(lengths, model.config.max_seq, workers))
+    pp = {}  # job index -> (state, PP trace)
+    for (start, stop), (states, trace) in zip(batches, pool.map(prompts, batches)):
+        n = lengths[start]
+        for b, i in enumerate(by_length[start:stop]):
+            pp[i] = states[b], trace[b * n:(b + 1) * n]
+    states = [state for state, _ in pp.values()]
+    gen_ids, rg_traces = generate(states, model, policy, max_new)
+    for i, state, ids, rg in zip(pp, states, gen_ids, rg_traces):
+        results[i] = state.error if state.error is not None else (pp[i][1] + rg, ids)
     return results
 
 
@@ -99,7 +128,7 @@ def _run_jobs(model: ToyTransformer, jobs: list[SuiteCase], policy: HaltPolicy, 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for group, capacity in _groups(model, jobs, max_new, workers):
             # the loop holds the group's results only until it has yielded them
-            for res in _run_group(model, group, capacity, policy, max_new, pool):
+            for res in _run_group(model, group, capacity, policy, max_new, pool, workers):
                 if isinstance(res, ValueError):
                     raise res
                 yield res

@@ -20,8 +20,6 @@ from .tensors import DTYPE, NormGranularity, l2_norm, require_hidden_state
 
 __all__ = [
     "ExecutionOutcome",
-    "mask_example",
-    "mask_token",
     "run_stack",
 ]
 
@@ -43,28 +41,6 @@ class ExecutionOutcome:
     void_flags: np.ndarray
     token_norms: np.ndarray
     token_deltas: np.ndarray
-
-
-def mask_example(h, example_index: int) -> np.ndarray:
-    """Copy of h with one example's activations zeroed."""
-    arr = require_hidden_state(h)
-    if not 0 <= example_index < arr.shape[0]:
-        raise IndexError(f"example index {example_index} out of range for batch {arr.shape[0]}")
-    out = arr.copy()
-    out[example_index] = 0.0
-    return out
-
-
-def mask_token(h, example_index: int, token_index: int) -> np.ndarray:
-    """Copy of h with one token's activations zeroed."""
-    arr = require_hidden_state(h)
-    if not 0 <= example_index < arr.shape[0]:
-        raise IndexError(f"example index {example_index} out of range for batch {arr.shape[0]}")
-    if not 0 <= token_index < arr.shape[1]:
-        raise IndexError(f"token index {token_index} out of range for length {arr.shape[1]}")
-    out = arr.copy()
-    out[example_index, token_index] = 0.0
-    return out
 
 
 def _measure(h: np.ndarray, granularity: NormGranularity) -> tuple[np.ndarray, np.ndarray]:

@@ -86,10 +86,20 @@ def sinusoidal_positions(positions, depth: int) -> np.ndarray:
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    # tanh approximation, float32 throughout
+    """tanh approximation, float32 throughout:
+    0.5 * x * (1 + tanh(c * (x + 0.044715 * x * x * x))), computed in
+    place on one temporary with the same operations in the same order."""
     x = np.asarray(x, dtype=DTYPE)
-    c = np.float32(0.7978845608028654)
-    return np.float32(0.5) * x * (np.float32(1.0) + np.tanh(c * (x + np.float32(0.044715) * x * x * x)))
+    t = x * np.float32(0.044715)
+    t *= x
+    t *= x
+    t += x
+    t *= np.float32(0.7978845608028654)
+    np.tanh(t, out=t)
+    t += np.float32(1.0)
+    out = x * np.float32(0.5)
+    out *= t
+    return out
 
 
 class KVCache:
@@ -169,21 +179,23 @@ class TransformerBlock:
         for row_start, row_stop, pos_start in segments:
             j = i + row_stop - row_start
             k_all, v_all = cache.append(layer, slice(row_start, row_stop), pos_start, k[i:j], v[i:j])
-            scores = matmul(q[i:j], k_all.transpose(0, 1, 3, 2)) / np.float32(np.sqrt(hd))
-            qpos = pos_start + np.arange(n)
-            kpos = np.arange(pos_start + n)
-            future = kpos[None, :] > qpos[:, None]
-            scores = np.where(future, np.float32(-np.inf), scores)
-            scores = scores - scores.max(axis=-1, keepdims=True)
-            weights = np.exp(scores)
-            weights = weights / weights.sum(axis=-1, keepdims=True)
-            ctx[i:j] = matmul(weights, v_all)
+            # causal softmax in place on the scores buffer
+            scores = matmul(q[i:j], k_all.transpose(0, 1, 3, 2))
+            scores /= np.float32(np.sqrt(hd))
+            if n > 1:  # a single query is the newest position, so no key lies in its future
+                future = np.arange(pos_start + n) > np.arange(pos_start, pos_start + n)[:, None]
+                np.copyto(scores, np.float32(-np.inf), where=future)
+            scores -= scores.max(axis=-1, keepdims=True)
+            np.exp(scores, out=scores)
+            scores /= scores.sum(axis=-1, keepdims=True)
+            ctx[i:j] = matmul(scores, v_all)
             i = j
-        h = h + matmul(ctx.transpose(0, 2, 1, 3).reshape(b, n, d), self.wo)
-
-        f_in = layer_norm_pre(h, self.ln2_gain)
-        h = h + matmul(gelu(matmul(f_in, self.w1)), self.w2)
-        return h
+        # each residual sum lands in the fresh matmul output: run_stack may keep h as the prior state
+        attn = matmul(ctx.transpose(0, 2, 1, 3).reshape(b, n, d), self.wo)
+        attn += h
+        out = matmul(gelu(matmul(layer_norm_pre(attn, self.ln2_gain), self.w1)), self.w2)
+        out += attn
+        return out
 
 
 class ToyTransformer:
@@ -343,7 +355,9 @@ class GenerationState:
     error: ValueError | None = None
 
 
-def _coerce_tokens(tokens, vocab_size: int) -> list[int]:
+def _prompt_ids(tokens, config: ModelConfig) -> list[int]:
+    """A prompt's token ids; ValueError for an empty prompt, one longer
+    than max_seq, or a token outside the vocabulary."""
     if isinstance(tokens, str):
         ids = encode_text(tokens)
     elif isinstance(tokens, (bytes, bytearray)):
@@ -351,8 +365,12 @@ def _coerce_tokens(tokens, vocab_size: int) -> list[int]:
     else:
         ids = [int(t) for t in tokens]
     for t in ids:
-        if not 0 <= t < vocab_size:
-            raise ValueError(f"token id {t} outside vocabulary [0, {vocab_size})")
+        if not 0 <= t < config.vocab_size:
+            raise ValueError(f"token id {t} outside vocabulary [0, {config.vocab_size})")
+    if not ids:
+        raise ValueError("prompt must be non-empty")
+    if len(ids) > config.max_seq:
+        raise ValueError(f"prompt length {len(ids)} exceeds max_seq {config.max_seq}")
     return ids
 
 
@@ -360,7 +378,11 @@ def _forward(model: ToyTransformer, cache: KVCache, rows, starts, ids, phase: st
              policy: HaltPolicy, forced_voids) -> tuple[TraceColumns, np.ndarray]:
     """One run_stack over B rows of n tokens: row b is tokens ids[b] at
     positions starts[b].. in cache row rows[b]. Returns the trace of the
-    B * n tokens, row by row, and each row's last token's logits, (B, vocab)."""
+    B * n tokens, row by row, and each row's last token's logits, (B, vocab).
+    BATCH granularity is taken per row (the EXAMPLE reduction), its
+    meaning for one sequence."""
+    if policy.granularity is NormGranularity.BATCH:
+        policy = dataclasses.replace(policy, granularity=NormGranularity.EXAMPLE)
     ids = np.asarray(ids, dtype=np.int64)
     b, n = ids.shape
     positions = np.add.outer(np.asarray(starts, dtype=np.int64), np.arange(n))
@@ -389,25 +411,42 @@ def _forward(model: ToyTransformer, cache: KVCache, rows, starts, ids, phase: st
     return trace, logits
 
 
-def run_prompt(model: ToyTransformer, prompt_tokens, policy: HaltPolicy, sequence_id: str = "seq0",
-               forced_voids=None, cache: KVCache | None = None, row: int = 0
-               ) -> tuple[GenerationState, TraceColumns]:
-    """Forward the whole prompt grid at once (prompt-processing phase).
+def run_prompt(model: ToyTransformer, prompt_tokens, policy: HaltPolicy, sequence_id: str | list[str] = "seq0",
+               forced_voids=None, cache: KVCache | None = None, row: int | list[int] = 0):
+    """Forward whole prompt grids at once (prompt-processing phase).
 
-    Writes the prompt's keys and values into one row of `cache` (a new
-    one-row cache of max_seq positions by default). Returns the decoding
-    state (next-token logits pending) and the prompt's trace, one record
-    per prompt token.
+    One prompt: writes its keys and values into one row of `cache` (a
+    new one-row cache of max_seq positions by default) and returns the
+    decoding state (next-token logits pending) and the prompt's trace,
+    one record per prompt token.
+
+    A batch: prompt_tokens, sequence_id and row are equal-length lists,
+    the prompts of one length, each written into its own cache row (the
+    default cache has max(row) + 1 rows). The batch is one run_stack,
+    and every op in it works row by row, so each prompt's state, KV row
+    and records equal those of running it alone. Returns the states and
+    one trace block, the prompts' records in list order.
+
+    BATCH granularity is applied per prompt (the EXAMPLE reduction), as
+    generate does. forced_voids is one flag per layer, or per layer and
+    unit of the batch's token grid.
     """
-    ids = _coerce_tokens(prompt_tokens, model.config.vocab_size)
-    if not ids:
-        raise ValueError("prompt must be non-empty")
-    if len(ids) > model.config.max_seq:
-        raise ValueError(f"prompt length {len(ids)} exceeds max_seq {model.config.max_seq}")
+    single = isinstance(sequence_id, str)
+    prompts, sequence_ids, rows = ([prompt_tokens], [sequence_id], [row]) if single else (
+        prompt_tokens, list(sequence_id), list(row))
+    if not 0 < len(prompts) == len(sequence_ids) == len(rows):
+        raise ValueError(f"a batch needs as many prompts, sequence ids and rows, at least one: "
+                         f"got {len(prompts)}, {len(sequence_ids)} and {len(rows)}")
+    if len(set(rows)) != len(rows):
+        raise ValueError("batched prompts need distinct cache rows")
+    ids = [_prompt_ids(p, model.config) for p in prompts]
+    if len({len(x) for x in ids}) > 1:
+        raise ValueError(f"batched prompts must share one length, got lengths {sorted({len(x) for x in ids})}")
     if cache is None:
-        cache = model.new_cache()
-    trace, (logits,) = _forward(model, cache, [row], [0], [ids], PHASE_PP, [sequence_id], policy, forced_voids)
-    return GenerationState(sequence_id, cache, len(ids), logits, row), trace
+        cache = model.new_cache(max(rows) + 1)
+    trace, logits = _forward(model, cache, rows, [0] * len(rows), ids, PHASE_PP, sequence_ids, policy, forced_voids)
+    states = [GenerationState(s, cache, len(ids[0]), logits[b], r) for b, (s, r) in enumerate(zip(sequence_ids, rows))]
+    return (states[0] if single else states), trace
 
 
 def generate(states: list[GenerationState], model: ToyTransformer, policy: HaltPolicy, max_new: int,
@@ -441,8 +480,6 @@ def generate(states: list[GenerationState], model: ToyTransformer, policy: HaltP
         if forced_voids.shape[:1] != (t_total,) or forced_voids.size != t_total:
             raise ShapeError(f"forced_voids shape {forced_voids.shape} is not one flag per layer ({t_total})")
         forced_voids = forced_voids.reshape(t_total)
-    if policy.granularity is NormGranularity.BATCH:
-        policy = dataclasses.replace(policy, granularity=NormGranularity.EXAMPLE)
     limit = min(model.config.max_seq, states[0].cache.capacity) if states else 0
     for s in states:
         s.error = None

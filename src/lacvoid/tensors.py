@@ -86,11 +86,19 @@ def layer_norm_pre(h, gain, eps: float = 1e-5) -> np.ndarray:
 
     out = h / sqrt(mean(h^2) + eps) * gain. The mean accumulates in
     float64; eps keeps an all-zero vector at zero instead of blowing up.
+    The steps run in place on two buffers: the mean is the float64 sum
+    of the contiguous squares divided by the depth, as np.mean computes it.
     """
     arr = as_f32(h)
     g = as_f32(gain)
     if g.ndim != 1 or g.shape[0] != arr.shape[-1]:
         raise ShapeError(f"gain length {g.shape} does not match depth {arr.shape[-1]}")
-    ms = np.mean(np.square(arr, dtype=np.float64), axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(ms + float(eps))
-    return (arr * inv).astype(DTYPE) * g
+    sq = np.square(arr, dtype=np.float64)
+    inv = sq.sum(axis=-1, keepdims=True)
+    inv /= arr.shape[-1]
+    inv += float(eps)
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    out = np.multiply(arr, inv, out=sq).astype(DTYPE)
+    out *= g
+    return out

@@ -20,8 +20,6 @@ from lacvoid import (
     detect_voids_offline,
     export_reports,
     l2_norm,
-    mask_example,
-    mask_token,
     norm_profile,
     offline_void_mask,
     read_trace,
@@ -130,14 +128,24 @@ def test_halt_frozen_and_mask_zero_suites():
                 for t in range(first, 3):
                     assert trajectory[t][0, j].tobytes() == frozen
 
+        # mask-zero through run_stack: two identity layers, the unit forced void in the
+        # first (masked once) or in both (masked twice)
         masked_out = run_stack(stack, h0, HaltPolicy(alpha=1.0, skip_mode=SkipMode.MASK_ZERO))
+        identity = [lambda h: h, lambda h: h]
         for state in list(seen) + [masked_out.final_hidden]:
-            for i in range(state.shape[0]):
-                once_e = mask_example(state, i)
-                assert mask_example(once_e, i).tobytes() == once_e.tobytes()
-                for j in range(state.shape[1]):
-                    once = mask_token(state, i, j)
-                    assert mask_token(once, i, j).tobytes() == once.tobytes()
+            b, l = state.shape[:2]
+            for g, units in ((NormGranularity.EXAMPLE, [(i,) for i in range(b)]),
+                             (NormGranularity.TOKEN, list(itertools.product(range(b), range(l))))):
+                mask_zero = HaltPolicy(granularity=g, skip_mode=SkipMode.MASK_ZERO)
+                for unit in units:
+                    void = np.zeros((b, l)[:len(unit)], dtype=bool)
+                    void[unit] = True
+                    once = run_stack(identity, state, mask_zero, forced_voids=[void, np.zeros_like(void)])
+                    twice = run_stack(identity, state, mask_zero, forced_voids=[void, void])
+                    expect = state.copy()
+                    expect[unit] = 0.0
+                    assert once.final_hidden.tobytes() == expect.tobytes()
+                    assert twice.final_hidden.tobytes() == once.final_hidden.tobytes()
     ok("halt-frozen permanence + mask-zero idempotence (27 scripted stacks)")
 
 

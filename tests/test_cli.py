@@ -4,12 +4,15 @@ import json
 import os
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from conftest import make_record
-from lacvoid import cli, read_trace, write_trace
+from lacvoid import (HaltPolicy, ModelConfig, build_model, cli, generate, load_weights, read_trace, run_prompt,
+                     save_weights, write_trace)
 from lacvoid.cli import main
+from lacvoid.suites import SuiteCase
 
 MODEL = ["--seed-model", "d16,h2,l4", "--seed", "3"]
 
@@ -79,8 +82,11 @@ class TestTrace:
         seqs = {r.sequence_id for r in read_trace(tmp_path / "trace.jsonl")}
         assert seqs == {"seq000", "seq001", "seq002"}
 
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
     @pytest.mark.parametrize("mode, granularity", sorted(RAGGED_DIGESTS))
-    def test_batched_decode_writes_the_same_trace(self, tmp_path, mode, granularity):
+    def test_batched_decode_writes_the_same_trace(self, tmp_path, monkeypatch, mode, granularity, cpus):
+        # the four 6-byte prompts run as PP batches of 4, 2 + 2 and 1 + 1 + 1 + 1
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         pf = tmp_path / "prompts.txt"
         pf.write_text(RAGGED_PROMPTS, encoding="utf-8")
         assert run(["trace", *MODEL, "--prompt-file", str(pf), "--max-new", "12", "--alpha", "0.6",
@@ -96,6 +102,42 @@ class TestTrace:
                     "--max-new", "12", "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == "error: position 8 overflows max_seq 8\n"
         assert not (tmp_path / "trace.jsonl").exists()
+
+    def test_refused_prompt_fails_alone_in_input_order(self, tmp_path, monkeypatch, capsys):
+        # one worker puts equal-length prompts in one PP batch; bytes 126 and 125 lie outside a 100-id vocabulary
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        weights = tmp_path / "small.lactnsr"
+        save_weights(build_model(ModelConfig(layer_count=2, depth=8, head_count=2, ffn_dim=16, vocab_size=100)),
+                     weights)
+        pf = tmp_path / "prompts.txt"
+        pf.write_text("abc\nab~\nbca\na}c\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["trace", "--weights", str(weights), "--prompt-file", str(pf), "--max-new", "3",
+                    "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", "error: token id 126 outside vocabulary [0, 100)\n")
+        assert list(out.iterdir()) == []
+
+        model = load_weights(weights)
+        jobs = [SuiteCase(f"seq{i}", tuple(p.encode())) for i, p in enumerate(["abc", "ab~", "bca", "a}c"])]
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            results = cli._run_group(model, jobs, 8, HaltPolicy(), 3, pool, 1)
+        assert [str(r) for r in results[1::2]] == ["token id 126 outside vocabulary [0, 100)",
+                                                   "token id 125 outside vocabulary [0, 100)"]
+        for job, (trace, ids) in zip(jobs[::2], results[::2]):
+            state, pp = run_prompt(model, job.prompt_ids, HaltPolicy(), sequence_id=job.sequence_id)
+            (ref_ids,), (rg,) = generate([state], model, HaltPolicy(), 3)
+            assert ids == ref_ids and trace == pp + rg
+
+    @pytest.mark.parametrize("lengths, workers, batches", [
+        ([16] * 8, 2, [(0, 4), (4, 8)]),  # the decode workload
+        ([240] * 3, 2, [(0, 1), (1, 2), (2, 3)]),  # one max_seq prompt's tokens per batch at most
+        ([2, 6, 6, 6, 6], 1, [(0, 1), (1, 5)]),
+        ([2, 6, 6, 6, 6], 8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]),
+        ([100] * 5, 2, [(0, 1), (1, 3), (3, 5)]),
+        ([256, 256], 4, [(0, 1), (1, 2)]),
+    ])
+    def test_pp_batches(self, lengths, workers, batches):
+        assert list(cli._pp_batches(lengths, 256, workers)) == batches
 
     @pytest.mark.parametrize("mode, granularity", [("halt-frozen", "token"), ("skip-identity", "example")])
     def test_group_budget_does_not_change_the_outputs(self, tmp_path, monkeypatch, capsys, mode, granularity):

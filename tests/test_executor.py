@@ -11,8 +11,6 @@ from lacvoid import (
     ShapeError,
     SkipMode,
     l2_norm,
-    mask_example,
-    mask_token,
     run_stack,
 )
 from conftest import add_constant_stack, compose_stack, random_affine_stack
@@ -22,57 +20,6 @@ TOKEN = NormGranularity.TOKEN
 
 def policy(mode, alpha=0.8, granularity=TOKEN, min_layers=1):
     return HaltPolicy(granularity=granularity, alpha=alpha, skip_mode=mode, min_layers=min_layers)
-
-
-class TestMasking:
-    def test_mask_example_direct(self):
-        h = np.ones((2, 2, 2), dtype=np.float32)
-        out = mask_example(h, 0)
-        assert np.array_equal(out[0], np.zeros((2, 2), np.float32))
-        assert np.array_equal(out[1], h[1])
-
-    def test_mask_example_idempotent(self):
-        h = np.ones((2, 2, 2), dtype=np.float32)
-        once = mask_example(h, 1)
-        assert mask_example(once, 1).tobytes() == once.tobytes()
-
-    def test_mask_example_matches_loop_oracle(self):
-        h = np.random.default_rng(5).normal(size=(3, 4, 2)).astype(np.float32)
-        expect = np.zeros_like(h)
-        for i in range(3):
-            for j in range(4):
-                for k in range(2):
-                    expect[i, j, k] = 0.0 if i == 1 else h[i, j, k]
-        assert np.array_equal(mask_example(h, 1), expect)
-
-    def test_mask_token_direct(self):
-        h = np.ones((1, 3, 2), dtype=np.float32)
-        out = mask_token(h, 0, 1)
-        assert np.array_equal(out[0, 1], np.zeros(2, np.float32))
-        assert np.array_equal(out[0, 0], h[0, 0])
-        assert np.array_equal(out[0, 2], h[0, 2])
-
-    def test_mask_token_idempotent(self):
-        h = np.random.default_rng(5).normal(size=(2, 3, 2)).astype(np.float32)
-        once = mask_token(h, 1, 2)
-        assert mask_token(once, 1, 2).tobytes() == once.tobytes()
-
-    def test_mask_token_matches_loop_oracle(self):
-        h = np.random.default_rng(5).normal(size=(2, 3, 4)).astype(np.float32)
-        expect = h.copy()
-        for k in range(4):
-            expect[0, 2, k] = 0.0
-        assert np.array_equal(mask_token(h, 0, 2), expect)
-
-    @pytest.mark.parametrize("call", [
-        lambda h: mask_example(h, 2),
-        lambda h: mask_example(h, -1),
-        lambda h: mask_token(h, 0, 5),
-        lambda h: mask_token(h, 0, -1),
-    ])
-    def test_index_out_of_range(self, call):
-        with pytest.raises(IndexError):
-            call(np.ones((2, 3, 2), np.float32))
 
 
 class TestRunStackModes:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lacvoid import (
     ContainerError,
@@ -17,6 +18,7 @@ from lacvoid import (
     decode_tokens,
     encode_text,
     generate,
+    layer_norm_pre,
     load_container,
     load_weights,
     run_prompt,
@@ -24,7 +26,7 @@ from lacvoid import (
     save_container,
     save_weights,
 )
-from lacvoid.model import KVCache, TransformerBlock, sinusoidal_positions
+from lacvoid.model import KVCache, TransformerBlock, gelu, sinusoidal_positions
 from lacvoid.trace import TraceColumns, TraceRecord, record_to_line
 from lacvoid.rng import Xoshiro256StarStar
 
@@ -544,6 +546,177 @@ class TestBatchedGenerate:
         c, _ = run_prompt(model, [67], OFF, cache=a.cache)
         with pytest.raises(ValueError, match="distinct cache rows"):
             generate([a, c], model, OFF, 2)
+
+
+class TestBatchedRunPrompt:
+    @pytest.mark.parametrize("mode", list(SkipMode))
+    @pytest.mark.parametrize("granularity", list(NormGranularity))
+    @settings(max_examples=5, deadline=None)
+    @given(
+        length=st.integers(1, 12),
+        count=st.integers(1, 4),
+        spare=st.integers(0, 2),
+        data=st.data(),
+        alpha=st.sampled_from([0.3, 0.6, 0.9]),
+        forced=st.none() | st.lists(st.booleans(), min_size=4, max_size=4),
+    )
+    def test_batch_equals_prompts_alone(self, mode, granularity, length, count, spare, data, alpha, forced):
+        prompts = data.draw(st.lists(st.lists(st.integers(1, 255), min_size=length, max_size=length),
+                                     min_size=count, max_size=count))
+        rows = data.draw(st.permutations(range(count + spare)))[:count]
+        model = build_model(CFG)
+        policy = HaltPolicy(granularity=granularity, alpha=alpha, skip_mode=mode)
+        cache = model.new_cache(count + spare)
+        seqs = [f"s{b}" for b in range(count)]
+        states, block = run_prompt(model, prompts, policy, sequence_id=seqs, forced_voids=forced,
+                                   cache=cache, row=rows)
+
+        assert isinstance(block, TraceColumns) and len(block) == count * length
+        for b, (prompt, row) in enumerate(zip(prompts, rows)):
+            ref, ref_block = run_prompt(model, prompt, policy, sequence_id=seqs[b], forced_voids=forced)
+            state = states[b]
+            assert (state.sequence_id, state.row, state.position, state.cache) == (seqs[b], row, length, cache)
+            assert state.last_logits.tobytes() == ref.last_logits.tobytes()
+            for layer in range(model.layer_count):
+                assert cache.k[layer][row].tobytes() == ref.cache.k[layer][0].tobytes()
+                assert cache.v[layer][row].tobytes() == ref.cache.v[layer][0].tobytes()
+            got = block[b * length:(b + 1) * length]
+            assert [record_to_line(r) for r in got] == [record_to_line(r) for r in ref_block]
+        untouched = sorted(set(range(count + spare)) - set(rows))
+        assert not any(cache.k[layer][untouched].any() for layer in range(model.layer_count))
+
+    @pytest.mark.parametrize("prompts, rows, match", [
+        ([[65, 66], [67]], [0, 1], r"share one length, got lengths \[1, 2\]"),
+        ([[65], [66]], [1, 1], "distinct cache rows"),
+        ([[65], [66]], [0], "as many prompts, sequence ids and rows"),
+        ([], [], "at least one"),
+        ([[65], [300]], [0, 1], r"token id 300 outside vocabulary \[0, 256\)"),
+    ])
+    def test_refused_batches(self, prompts, rows, match):
+        model = build_model(CFG)
+        with pytest.raises(ValueError, match=match):
+            run_prompt(model, prompts, OFF, sequence_id=[f"s{i}" for i in range(len(prompts))],
+                       cache=model.new_cache(2), row=rows)
+
+    def test_default_cache_covers_the_highest_row(self):
+        states, block = run_prompt(build_model(CFG), ["ab", "cd"], OFF, sequence_id=["x", "y"], row=[3, 1])
+        assert [s.row for s in states] == [3, 1] and states[0].cache.k[0].shape[0] == 4
+        assert [r.sequence_id for r in block] == ["x", "x", "y", "y"]
+
+
+def gelu_oracle(x):
+    """The out-of-place expression gelu computes in place."""
+    x = np.asarray(x, dtype=np.float32)
+    c = np.float32(0.7978845608028654)
+    return np.float32(0.5) * x * (np.float32(1.0) + np.tanh(c * (x + np.float32(0.044715) * x * x * x)))
+
+
+def layer_norm_oracle(h, gain, eps=1e-5):
+    """The out-of-place expression layer_norm_pre computes in place, with np.mean."""
+    arr = np.ascontiguousarray(h, dtype=np.float32)
+    ms = np.mean(np.square(arr, dtype=np.float64), axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(ms + float(eps))
+    return (arr * inv).astype(np.float32) * np.asarray(gain, dtype=np.float32)
+
+
+def forward_oracle(block, h, k_buf, v_buf, segments):
+    """TransformerBlock.forward with out-of-place softmax (np.where mask),
+    writing its keys and values into the given (rows, heads, capacity, hd) buffers."""
+    def mm(a, b):
+        return np.matmul(np.ascontiguousarray(a, np.float32), np.ascontiguousarray(b, np.float32))
+
+    b, n, d = h.shape
+    hd = d // block.head_count
+
+    def split(x):
+        return x.reshape(b, n, block.head_count, hd).transpose(0, 2, 1, 3)
+
+    a_in = layer_norm_oracle(h, block.ln1_gain)
+    q, k, v = split(mm(a_in, block.wq)), split(mm(a_in, block.wk)), split(mm(a_in, block.wv))
+    ctx = np.empty((b, block.head_count, n, hd), dtype=np.float32)
+    i = 0
+    for row_start, row_stop, pos_start in segments:
+        j = i + row_stop - row_start
+        k_buf[row_start:row_stop, :, pos_start:pos_start + n] = k[i:j]
+        v_buf[row_start:row_stop, :, pos_start:pos_start + n] = v[i:j]
+        k_all = k_buf[row_start:row_stop, :, :pos_start + n]
+        v_all = v_buf[row_start:row_stop, :, :pos_start + n]
+        scores = mm(q[i:j], k_all.transpose(0, 1, 3, 2)) / np.float32(np.sqrt(hd))
+        future = np.arange(pos_start + n)[None, :] > (pos_start + np.arange(n))[:, None]
+        scores = np.where(future, np.float32(-np.inf), scores)
+        scores = scores - scores.max(axis=-1, keepdims=True)
+        weights = np.exp(scores)
+        weights = weights / weights.sum(axis=-1, keepdims=True)
+        ctx[i:j] = mm(weights, v_all)
+        i = j
+    h = h + mm(ctx.transpose(0, 2, 1, 3).reshape(b, n, d), block.wo)
+    return h + mm(gelu_oracle(mm(layer_norm_oracle(h, block.ln2_gain), block.w1)), block.w2)
+
+
+@st.composite
+def segment_layouts(draw):
+    """(segments, cache rows, capacity): runs of batch rows mapped to
+    disjoint runs of cache rows, each at its own start position."""
+    segments, row = [], 0
+    for _ in range(draw(st.integers(1, 3))):
+        row += draw(st.integers(0, 1))  # cache rows no segment writes
+        size = draw(st.integers(1, 2))
+        segments.append((row, row + size, draw(st.integers(0, 6))))
+        row += size
+    return segments, row + draw(st.integers(0, 1))
+
+
+class TestInPlaceMath:
+    @settings(max_examples=60, deadline=None)
+    @given(layout=segment_layouts(), n=st.integers(1, 5), heads=st.integers(1, 3), head_dim=st.sampled_from([1, 2, 4, 8]),
+           ffn=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    def test_block_forward_equals_the_out_of_place_oracle(self, layout, n, heads, head_dim, ffn, seed):
+        segments, cache_rows = layout
+        rng = np.random.default_rng(seed)
+        d = heads * head_dim
+
+        def f32(*shape):
+            return rng.standard_normal(shape).astype(np.float32)
+
+        block = TransformerBlock(f32(d) + 1, f32(d, d), f32(d, d), f32(d, d), f32(d, d), f32(d) + 1,
+                                 f32(d, ffn), f32(ffn, d), head_count=heads)
+        b = sum(stop - start for start, stop, _ in segments)
+        h = f32(b, n, d)
+        h_before = h.copy()
+        capacity = max(pos for _, _, pos in segments) + n
+        cache = KVCache(layer_count=2, rows=cache_rows, head_count=heads, capacity=capacity, head_dim=head_dim)
+        for buf in cache.k + cache.v:
+            buf[...] = f32(*buf.shape)  # earlier positions hold keys and values the queries attend to
+        k_ref, v_ref = cache.k[1].copy(), cache.v[1].copy()
+
+        out = block.forward(h, cache, 1, segments)
+        expect = forward_oracle(block, h, k_ref, v_ref, segments)
+        assert out.dtype == expect.dtype and out.shape == expect.shape
+        assert out.tobytes() == expect.tobytes()
+        assert cache.k[1].tobytes() == k_ref.tobytes() and cache.v[1].tobytes() == v_ref.tobytes()
+        assert h.tobytes() == h_before.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=hnp.array_shapes(min_dims=1, max_dims=3, max_side=9), scale=st.sampled_from([1e-3, 1.0, 4.0, 40.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_gelu_equals_the_one_line_oracle(self, shape, scale, seed):
+        x = (np.random.default_rng(seed).standard_normal(shape) * scale).astype(np.float32)
+        before = x.copy()
+        out = gelu(x)
+        assert out.dtype == np.float32 and out.tobytes() == gelu_oracle(x).tobytes()
+        assert x.tobytes() == before.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=hnp.array_shapes(min_dims=1, max_dims=3, max_side=70), scale=st.sampled_from([0.0, 1e-3, 1.0, 1e4]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_layer_norm_equals_the_mean_oracle(self, shape, scale, seed):
+        rng = np.random.default_rng(seed)
+        h = (rng.standard_normal(shape) * scale).astype(np.float32)  # scale 0: all-zero vectors, held by eps
+        gain = rng.standard_normal(shape[-1:]).astype(np.float32)
+        before = h.copy()
+        out = layer_norm_pre(h, gain)
+        assert out.dtype == np.float32 and out.tobytes() == layer_norm_oracle(h, gain).tobytes()
+        assert h.tobytes() == before.tobytes()
 
 
 class TestTokenizer:
