@@ -51,7 +51,6 @@ class LayerUsageReport:
     average_usage: dict[str, float]
     token_counts: dict[str, int]
     alpha: float | None
-    formula: str | None
 
 
 @dataclass
@@ -76,7 +75,7 @@ def _by_phase(matrix: np.ndarray, phases: np.ndarray):
             yield phase, matrix[rows]
 
 
-def _usage_from_columns(flags: np.ndarray, phases: np.ndarray, alpha, formula) -> LayerUsageReport:
+def _usage_from_columns(flags: np.ndarray, phases: np.ndarray, alpha) -> LayerUsageReport:
     """Usage report from an (N, T) activation flag matrix and its (N,) phase column."""
     t_total = flags.shape[1]
     frequencies: dict[str, np.ndarray] = {}
@@ -95,16 +94,14 @@ def _usage_from_columns(flags: np.ndarray, phases: np.ndarray, alpha, formula) -
         average_usage=average,
         token_counts=counts,
         alpha=alpha,
-        formula=formula,
     )
 
 
 def usage_report(records: TraceColumns | list[TraceRecord]) -> LayerUsageReport:
-    """Aggregate activation flags. alpha/formula are the records' own
-    settings when those are uniform, else None."""
+    """Aggregate activation flags. alpha is the records' own alpha when
+    that is uniform, else None."""
     trace = TraceColumns.from_records(records)
-    return _usage_from_columns(trace.layer_flags, trace.phase, _uniform_or_none(trace.alpha.tolist()),
-                               _uniform_or_none(trace.formula.tolist()))
+    return _usage_from_columns(trace.layer_flags, trace.phase, _uniform_or_none(trace.alpha.tolist()))
 
 
 def norm_profile(records: TraceColumns | list[TraceRecord]) -> NormProfile:
@@ -129,7 +126,7 @@ def alpha_sweep(records: TraceColumns | list[TraceRecord], alphas,
     trace = TraceColumns.from_records(records)
     deltas = trace.layer_deltas.astype(DTYPE)
     return [(float(alpha), _usage_from_columns(~offline_void_mask(deltas, alpha, min_layers), trace.phase,
-                                               float(alpha), "modified"))
+                                               float(alpha)))
             for alpha in alphas]
 
 
@@ -137,11 +134,13 @@ def _fmt(x: float) -> str:
     return "%.9g" % float(x)
 
 
-def export_reports(usage: LayerUsageReport, profile: NormProfile, out_dir, stem: str = "report") -> tuple[Path, Path]:
+def export_reports(usage: LayerUsageReport, profile: NormProfile, out_dir, stem: str = "report",
+                   formula: str | None = None) -> tuple[Path, Path]:
     """Write the combined per-layer CSV and the JSON summary.
 
     The CSV has one row per layer (1-based indices); columns for a
-    phase with no tokens are left empty. Returns (csv_path, json_path).
+    phase with no tokens are left empty. The summary records formula,
+    the records' threshold formula, as given. Returns (csv_path, json_path).
     """
     if usage.layer_count != profile.layer_count:
         raise ValueError(f"usage has {usage.layer_count} layers but profile has {profile.layer_count}")
@@ -170,7 +169,7 @@ def export_reports(usage: LayerUsageReport, profile: NormProfile, out_dir, stem:
     summary = {
         "layer_count": usage.layer_count,
         "alpha": usage.alpha,
-        "formula": usage.formula,
+        "formula": formula,
         "token_counts": usage.token_counts,
         "average_usage": {p: usage.average_usage[p] for p in usage.average_usage},
         "average_usage_2dp": {p: round(usage.average_usage[p], 2) for p in usage.average_usage},

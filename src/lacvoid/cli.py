@@ -365,7 +365,8 @@ def cmd_report(args, parser) -> int:
     trace = TraceColumns.from_records(records)
     usage = usage_report(trace)
     profile = norm_profile(trace)
-    written = list(export_reports(usage, profile, out_dir))
+    formulas = set(trace.formula.tolist())
+    written = list(export_reports(usage, profile, out_dir, formula=formulas.pop() if len(formulas) == 1 else None))
     # PP sorts before RG, so each sequence's bitmaps come in phase order
     for (seq_id, phase), rows in sorted(groups.items()):
         pgm_path = out_dir / f"bitmap_{seq_id}_{phase.lower()}.pgm"

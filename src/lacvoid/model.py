@@ -23,7 +23,7 @@ from .container import load_container, save_container
 from .errors import ContainerError, ShapeError
 from .executor import StepFn, run_stack
 from .halting import HaltPolicy
-from .rng import stream_for
+from .rng import _draw_streams, _to_uniform, stream_for
 from .tensors import DTYPE, NormGranularity, layer_norm_pre, matmul
 from .trace import PHASE_PP, PHASE_RG, TraceColumns
 
@@ -285,15 +285,19 @@ def _from_tensors(config: ModelConfig, tensors: dict[str, np.ndarray]) -> ToyTra
 
 
 def build_model(config: ModelConfig) -> ToyTransformer:
-    """Deterministic model from the config seed. Same config, same bits."""
-    tensors = {}
-    for name, (shape, fan_in) in _tensor_shapes(config).items():
-        if fan_in is None:
-            tensors[name] = np.ones(shape, dtype=DTYPE)
-        else:
-            bound = 1.0 / np.sqrt(fan_in)
-            n = int(np.prod(shape))
-            tensors[name] = stream_for(config.seed, name).uniform(n, -bound, bound).reshape(shape)
+    """Deterministic model from the config seed. Same config, same bits.
+
+    Every drawn tensor's stream advances in one _draw_streams batch, and
+    each tensor's floats are written over its own draws."""
+    shapes = _tensor_shapes(config)
+    drawn = [name for name, (_, fan_in) in shapes.items() if fan_in is not None]
+    draws = _draw_streams([stream_for(config.seed, name) for name in drawn],
+                          [math.prod(shapes[name][0]) for name in drawn])
+    tensors = {name: np.ones(shape, dtype=DTYPE) for name, (shape, fan_in) in shapes.items() if fan_in is None}
+    for name, u in zip(drawn, draws):
+        shape, fan_in = shapes[name]
+        bound = 1.0 / np.sqrt(fan_in)
+        tensors[name] = _to_uniform(u, -bound, bound).reshape(shape)
     return _from_tensors(config, tensors)
 
 

@@ -16,18 +16,27 @@ scheme, in full, so other implementations can match it byte for byte:
     seed XOR fnv1a64(name), so every tensor or case draws from its own
     well-defined stream regardless of generation order elsewhere.
 
-uniform computes the same stream as next_u64, only faster. The state
-update T of xoshiro256** is linear over GF(2), so the n draws are split
-into lanes of a power-of-two length m: lane j starts from T^(j*m)
-applied to the current state, and all lanes step together as numpy
-uint64 vectors. Every jump T^(j*m) is composed from the squaring chain
-T, T^2, T^4, ..., built once per process and kept as bit-packed
+uniform and integers compute the same stream as next_u64, only faster.
+The state update T of xoshiro256** is linear over GF(2), so n draws are
+split into lanes of a power-of-two length m: lane j starts from
+T^(j*m) applied to the current state, and all lanes step together as
+numpy uint64 vectors. Every jump T^(j*m) is composed from the squaring
+chain T, T^2, T^4, ..., built once per process and kept as bit-packed
 256x256 bit matrices.
+
+_draw_streams advances many named streams in one batch, which is how
+build_model draws every weight tensor: all streams share one lane
+length, the lanes of all streams are started by the same jump calls and
+stepped by one lockstep loop. The draws are kept as their top 24 bits
+in one uint32 buffer, and _to_uniform writes each stream's float32
+values over its own draws, so the working set beyond the output is the
+lane states plus one stream's float64 transient.
 """
 
 from __future__ import annotations
 
 import threading
+from itertools import accumulate
 
 import numpy as np
 
@@ -83,56 +92,90 @@ class Xoshiro256StarStar:
 
     def uniform(self, n: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
         """n float32 values uniform in [lo, hi): the next n outputs of the stream."""
-        if n <= 0:
-            return np.empty(n, dtype=np.float32)
-        lo, hi = float(lo), float(hi)
-        k = _lane_log2(n)
-        m = 1 << k
-        lanes = -(-n // m)
-        starts = np.empty((lanes, 4), dtype=np.uint64)
-        starts[0] = self._s
-        filled = 1
-        while filled < lanes:
-            # lanes [filled, 2 * filled) are lanes [0, filled) jumped by filled * m = 2^k steps
-            count = min(filled, lanes - filled)
-            starts[filled:filled + count] = _gf2_apply(_jump(k), starts[:count])
-            filled += count
-            k += 1
-        s0, s1, s2, s3 = (np.ascontiguousarray(starts[:, w]) for w in range(4))
-        out = np.empty((lanes, m), dtype=np.float64)
-        r = np.empty(lanes, dtype=np.uint64)
-        t = np.empty(lanes, dtype=np.uint64)
-        last = n - (lanes - 1) * m  # steps the final lane takes to reach step n
-        for step in range(m):
-            np.multiply(s1, _U5, out=r)
-            np.left_shift(r, _U7, out=t)
-            np.right_shift(r, _U57, out=r)
-            np.bitwise_or(r, t, out=r)
-            np.multiply(r, _U9, out=r)
-            np.right_shift(r, _U40, out=r)
-            out[:, step] = r
-            np.left_shift(s1, _U17, out=t)
-            s2 ^= s0
-            s3 ^= s1
-            s1 ^= s2
-            s0 ^= s3
-            s2 ^= t
-            np.left_shift(s3, _U45, out=t)
-            np.right_shift(s3, _U19, out=s3)
-            s3 |= t
-            if step == last - 1:
-                self._s = [int(s0[-1]), int(s1[-1]), int(s2[-1]), int(s3[-1])]
-        values = out.reshape(-1)[:n]
-        values *= (hi - lo) / float(1 << 24)
-        values += lo
-        return values.astype(np.float32)
+        return _to_uniform(_draw_streams([self], [n])[0], lo, hi)
 
     def integers(self, n: int, lo: int, hi: int) -> list[int]:
         """n ints uniform in [lo, hi), by rejection-free modulo of the top bits."""
         span = hi - lo
         if span <= 0:
             raise ValueError(f"empty integer range [{lo}, {hi})")
-        return [lo + (self.next_u64() >> 40) % span for _ in range(n)]
+        return [lo + u % span for u in _draw_streams([self], [max(n, 0)])[0].tolist()]
+
+
+def _draw_streams(gens: list[Xoshiro256StarStar], counts: list[int]) -> list[np.ndarray]:
+    """The next counts[i] outputs of each gens[i], as their top 24 bits
+    (u64 >> 40) in uint32, leaving each generator where counts[i] calls
+    of next_u64 would. The arrays are views of one shared buffer.
+
+    Every stream is split into lanes of one power-of-two length m, sized
+    by the batch's total draw count. Lane j of a stream starts from
+    T^(j*m) applied to its generator's state; the start states of all
+    lanes of all streams come from one _gf2_apply per doubling of the
+    lane count, and all lanes step together in one lockstep loop.
+    """
+    if len({id(gen) for gen in gens}) != len(gens):
+        raise ValueError("_draw_streams: the same generator is passed twice in one batch")
+    counts = [int(n) for n in counts]
+    if any(n < 0 for n in counts):
+        raise ValueError(f"_draw_streams: negative draw count in {counts}")
+    k = _lane_log2(sum(counts))
+    m = 1 << k
+    lanes = [-(-n // m) for n in counts]
+    first = list(accumulate(lanes, initial=0))  # stream i holds lanes first[i]..first[i + 1] - 1
+    state = np.empty((4, first[-1]), dtype=np.uint64)  # word w of every lane's state is row w
+    for gen, f, count in zip(gens, first, lanes):
+        if count:
+            state[:, f] = gen._s
+    filled = 1
+    while filled < max(lanes, default=0):
+        # each stream's lanes [filled, 2 * filled) are its lanes [0, filled) jumped by filled * m = 2^k steps
+        src = np.concatenate([np.arange(f, f + min(filled, count - filled))
+                              for f, count in zip(first, lanes) if count > filled])
+        state[:, src + filled] = _gf2_apply(_jump(k), state[:, src].T).T
+        filled *= 2
+        k += 1
+    # after loop step e, the final lane of each stream i in ends[e] stands at step counts[i] of its
+    # stream: that state is where the generator continues
+    ends: dict[int, list[int]] = {}
+    for i, (n, count) in enumerate(zip(counts, lanes)):
+        if n:
+            ends.setdefault(n - (count - 1) * m - 1, []).append(i)
+    s0, s1, s2, s3 = state
+    out = np.empty((first[-1], m), dtype=np.uint32)
+    r = np.empty(first[-1], dtype=np.uint64)
+    t = np.empty(first[-1], dtype=np.uint64)
+    for step in range(m):
+        np.multiply(s1, _U5, out=r)
+        np.left_shift(r, _U7, out=t)
+        np.right_shift(r, _U57, out=r)
+        np.bitwise_or(r, t, out=r)
+        np.multiply(r, _U9, out=r)
+        np.right_shift(r, _U40, out=r)
+        out[:, step] = r
+        np.left_shift(s1, _U17, out=t)
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        np.left_shift(s3, _U45, out=t)
+        np.right_shift(s3, _U19, out=s3)
+        s3 |= t
+        for i in ends.get(step, ()):
+            j = first[i + 1] - 1
+            gens[i]._s = [int(s0[j]), int(s1[j]), int(s2[j]), int(s3[j])]
+    flat = out.reshape(-1)
+    return [flat[f * m:f * m + n] for f, n in zip(first, counts)]
+
+
+def _to_uniform(draws: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """The 24-bit draws mapped to float32 in [lo, hi) as lo + (hi - lo) * u,
+    in double precision, written over the draws' own memory."""
+    values = draws * ((float(hi) - float(lo)) / float(1 << 24))
+    values += float(lo)
+    out = draws.view(np.float32)
+    out[...] = values
+    return out
 
 
 # uint64 scalars, so the lockstep ufuncs skip converting a Python int each call

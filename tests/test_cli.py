@@ -329,6 +329,14 @@ class TestReport:
         pgm = (out / "bitmap_seq000_pp.pgm").read_text()
         assert pgm.startswith("P2\n9 4\n255\n")
 
+    @pytest.mark.parametrize("formulas, want", [(["modified"] * 2, "modified"), (["original"] * 2, "original"),
+                                                (["original", "modified"], None)])
+    def test_summary_formula_is_the_records_formula_when_uniform(self, tmp_path, formulas, want):
+        trace = tmp_path / "trace.jsonl"
+        write_trace([make_record(token_index=i, formula=f) for i, f in enumerate(formulas)], trace)
+        assert run(["report", "--trace", str(trace), "--out", str(tmp_path / "r")]) == 0
+        assert json.loads((tmp_path / "r" / "report_summary.json").read_text())["formula"] == want
+
     def test_missing_trace_exits_1(self, tmp_path):
         assert run(["report", "--trace", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path)]) == 1
 

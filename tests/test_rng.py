@@ -1,5 +1,6 @@
 """The portable RNG scheme, pinned by golden values, and the lane-parallel
-uniform checked against the scalar next_u64 loop it replaces."""
+draws (one stream or a batch of streams) checked against the scalar
+next_u64 loop they replace."""
 
 import hashlib
 
@@ -9,7 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lacvoid import ModelConfig, build_model
-from lacvoid.rng import Xoshiro256StarStar, splitmix64, stream_for
+from lacvoid.rng import Xoshiro256StarStar, _draw_streams, _to_uniform, splitmix64, stream_for
+
+# sizes at and next to powers of two, where the lane length and the lane count step
+BOUNDARY_SIZES = [0, 1, 2, 15, 16, 17, 255, 256, 257, 4095, 4096, 4097, 65537]
+SIZES = st.one_of(st.sampled_from(BOUNDARY_SIZES), st.integers(0, 3000))
 
 
 def scalar_uniform(gen: Xoshiro256StarStar, n: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
@@ -56,7 +61,7 @@ def test_build_model_weight_digest(config, digest):
     assert h.hexdigest() == digest
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 15, 16, 17, 255, 256, 257, 4095, 4096, 4097, 65537])
+@pytest.mark.parametrize("n", BOUNDARY_SIZES)
 def test_uniform_matches_scalar_at_lane_boundaries(n):
     fast, slow = stream_for(5, "edge"), stream_for(5, "edge")
     assert fast.uniform(n, -0.5, 0.5).tobytes() == scalar_uniform(slow, n, -0.5, 0.5).tobytes()
@@ -78,3 +83,42 @@ def test_consecutive_calls_continue_one_stream():
     gen, oracle = stream_for(9, "chunks"), stream_for(9, "chunks")
     parts = [gen.uniform(n) for n in (3, 700, 1, 5000)]
     assert np.concatenate(parts).tobytes() == scalar_uniform(oracle, 5704).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(specs=st.lists(st.tuples(st.integers(0, 2**64 - 1), st.text(max_size=8), SIZES,
+                                st.floats(-1e6, 1e6), st.floats(0.0, 1e6)), max_size=6))
+def test_draw_streams_equals_scalar_oracle(specs):
+    """A batch of streams of mixed sizes gives each stream's own bytes and state."""
+    gens = [stream_for(seed, name) for seed, name, *_ in specs]
+    draws = _draw_streams(gens, [n for _, _, n, _, _ in specs])
+    for gen, u, (seed, name, n, lo, width) in zip(gens, draws, specs):
+        oracle = stream_for(seed, name)
+        assert _to_uniform(u, lo, lo + width).tobytes() == scalar_uniform(oracle, n, lo, lo + width).tobytes()
+        assert gen.next_u64() == oracle.next_u64()
+
+
+def test_one_batch_of_every_boundary_size():
+    names = [f"edge{n}" for n in BOUNDARY_SIZES]
+    gens = [stream_for(5, name) for name in names]
+    draws = _draw_streams(gens, BOUNDARY_SIZES)
+    for gen, u, name, n in zip(gens, draws, names, BOUNDARY_SIZES):
+        oracle = stream_for(5, name)
+        assert _to_uniform(u, -0.5, 0.5).tobytes() == scalar_uniform(oracle, n, -0.5, 0.5).tobytes()
+        assert gen.next_u64() == oracle.next_u64()
+
+
+def test_draw_streams_refuses_a_generator_twice():
+    gen = stream_for(1, "twice")
+    with pytest.raises(ValueError, match="same generator is passed twice"):
+        _draw_streams([gen, stream_for(1, "other"), gen], [3, 300, 3])
+    assert gen.next_u64() == stream_for(1, "twice").next_u64()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), name=st.text(max_size=12), n=SIZES,
+       lo=st.integers(-2**70, 2**70), span=st.integers(1, 2**70))
+def test_integers_equals_scalar_loop(seed, name, n, lo, span):
+    fast, slow = stream_for(seed, name), stream_for(seed, name)
+    assert fast.integers(n, lo, lo + span) == [lo + (slow.next_u64() >> 40) % span for _ in range(n)]
+    assert fast.next_u64() == slow.next_u64()
