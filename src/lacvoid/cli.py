@@ -345,24 +345,24 @@ def cmd_sweep(args, parser) -> int:
 
 
 def cmd_report(args, parser) -> int:
-    records = read_trace(args.trace)
-    if not records:
+    trace = read_trace(args.trace)
+    if not trace:
         print(f"error: {args.trace} contains no records", file=sys.stderr)
         return 1
     groups: dict[tuple[str, str], list[int]] = {}  # (sequence, phase) -> record indices
     tokens: set[tuple[str, int]] = set()
-    for i, r in enumerate(records):
-        if (r.sequence_id, r.token_index) in tokens:
-            raise ValueError(f"{args.trace}: sequence {r.sequence_id!r} has more than one record "
-                             f"for token_index {r.token_index}")
-        tokens.add((r.sequence_id, r.token_index))
-        groups.setdefault((r.sequence_id, r.phase), []).append(i)
+    columns = trace.sequence_id.tolist(), trace.token_index.tolist(), trace.phase.tolist()
+    for i, (seq_id, token_index, phase) in enumerate(zip(*columns)):
+        if (seq_id, token_index) in tokens:
+            raise ValueError(f"{args.trace}: sequence {seq_id!r} has more than one record "
+                             f"for token_index {token_index}")
+        tokens.add((seq_id, token_index))
+        groups.setdefault((seq_id, phase), []).append(i)
     for seq_id, _ in groups:
         if "/" in seq_id or "\0" in seq_id:
             raise ValueError(f"sequence_id {seq_id!r} cannot name a bitmap file: it holds '/' or NUL")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    trace = TraceColumns.from_records(records)
     usage = usage_report(trace)
     profile = norm_profile(trace)
     formulas = set(trace.formula.tolist())

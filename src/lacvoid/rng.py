@@ -25,7 +25,8 @@ chain T, T^2, T^4, ..., built once per process and kept as bit-packed
 256x256 bit matrices.
 
 _draw_streams advances many named streams in one batch, which is how
-build_model draws every weight tensor: all streams share one lane
+build_model draws every weight tensor and build_suite every case's
+bytes (through _to_integers, as integers does): all streams share one lane
 length, the lanes of all streams are started by the same jump calls and
 stepped by one lockstep loop. The draws are kept as their top 24 bits
 in one uint32 buffer, and _to_uniform writes each stream's float32
@@ -96,10 +97,9 @@ class Xoshiro256StarStar:
 
     def integers(self, n: int, lo: int, hi: int) -> list[int]:
         """n ints uniform in [lo, hi), by rejection-free modulo of the top bits."""
-        span = hi - lo
-        if span <= 0:
+        if hi <= lo:
             raise ValueError(f"empty integer range [{lo}, {hi})")
-        return [lo + u % span for u in _draw_streams([self], [max(n, 0)])[0].tolist()]
+        return _to_integers(_draw_streams([self], [max(n, 0)])[0], lo, hi)
 
 
 def _draw_streams(gens: list[Xoshiro256StarStar], counts: list[int]) -> list[np.ndarray]:
@@ -176,6 +176,13 @@ def _to_uniform(draws: np.ndarray, lo: float, hi: float) -> np.ndarray:
     out = draws.view(np.float32)
     out[...] = values
     return out
+
+
+def _to_integers(draws: np.ndarray, lo: int, hi: int) -> list[int]:
+    """The 24-bit draws mapped to ints in [lo, hi), hi > lo, as
+    lo + u % (hi - lo) in Python ints, so any range is exact."""
+    span = hi - lo
+    return [lo + u % span for u in draws.tolist()]
 
 
 # uint64 scalars, so the lockstep ufuncs skip converting a Python int each call

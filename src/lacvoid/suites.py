@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rng import stream_for
+from .rng import _draw_streams, _to_integers, stream_for
 
 SUITE_NAMES = ("copy", "sorted")
 
@@ -33,10 +33,10 @@ def build_suite(name: str, seed: int, cases: int = 6, length: int = 8) -> list[S
     """
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}, expected one of {SUITE_NAMES}")
+    gens = [stream_for(seed, f"suite:{name}:{i}") for i in range(cases)]
     out = []
-    for i in range(cases):
-        gen = stream_for(seed, f"suite:{name}:{i}")
-        prompt = tuple(gen.integers(length, 33, 127))  # printable ASCII
+    for i, draws in enumerate(_draw_streams(gens, [length] * len(gens))):  # one batch for every case
+        prompt = tuple(_to_integers(draws, 33, 127))  # printable ASCII
         expected = tuple(sorted(prompt)) if name == "sorted" else prompt
         out.append(SuiteCase(sequence_id=f"{name}{i:03d}", prompt_ids=prompt, expected_ids=expected))
     return out

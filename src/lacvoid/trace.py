@@ -1,13 +1,15 @@
 """Durable per-token trace records: JSONL streams and void bitmaps.
 
-One record per (sequence, token, phase). The model hands its records
-over as a TraceColumns block, arrays of N records, and the writer
-formats a block with one % template per layer count; a TraceRecord is
-one record's view, which the reader returns. The JSONL encoding is
-byte stable: fixed field order, floats printed with 9 significant
-digits (enough to round-trip float32 exactly), flags as 0/1. Bitmaps
-are plain PGM (P2, ASCII): one column per token, one row per layer
-with the last layer on top, 255 = activated, 0 = void.
+One record per (sequence, token, phase). Records travel as a
+TraceColumns block, arrays of N records: the model hands its records
+over as one, the writer formats a block with one % template per layer
+count, and the reader returns one; a TraceRecord is one record's view.
+The value rules live in one place, _check, which the writer runs before
+it writes a byte and the reader runs once over the block it parsed. The
+JSONL encoding is byte stable: fixed field order, floats printed with 9
+significant digits (enough to round-trip float32 exactly), flags as
+0/1. Bitmaps are plain PGM (P2, ASCII): one column per token, one row
+per layer with the last layer on top, 255 = activated, 0 = void.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
-import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -49,26 +51,6 @@ class TraceRecord:
     @property
     def layer_count(self) -> int:
         return len(self.layer_flags)
-
-    def validate(self) -> None:
-        """Checks shared by the writer and the reader; the reader adds JSON type checks."""
-        if not self.layer_flags:
-            raise TraceError("a record needs at least one layer")
-        if self.phase not in PHASES:
-            raise TraceError(f"phase must be one of {PHASES}, got {self.phase!r}")
-        if not (len(self.layer_flags) == len(self.layer_norms) == len(self.layer_deltas)):
-            raise TraceError(
-                f"per-layer arrays disagree: {len(self.layer_flags)} flags, "
-                f"{len(self.layer_norms)} norms, {len(self.layer_deltas)} deltas")
-        for field in ("token_index", "token_id"):
-            if getattr(self, field) < 0:
-                raise TraceError(f"{field} must be non-negative, got {getattr(self, field)!r}")
-        if not 0.0 < self.alpha <= 1.0:
-            raise TraceError(f"alpha must be a finite number in (0, 1], got {self.alpha!r}")
-        if self.formula not in _FORMULAS:
-            raise TraceError(f"formula must be one of {_FORMULAS}, got {self.formula!r}")
-        if self.skip_mode not in _SKIP_MODES:
-            raise TraceError(f"skip_mode must be one of {_SKIP_MODES}, got {self.skip_mode!r}")
 
 
 _LAYER_FIELDS = ("layer_flags", "layer_norms", "layer_deltas")
@@ -151,7 +133,8 @@ class TraceColumns(Sequence):
 
         Raises ValueError for no records, and TraceError naming the field
         when a per-layer field's length is not the one layer count that
-        every record shares.
+        every record shares, or when a value does not fit its column's
+        dtype (such as a token_index of 2^63).
         """
         records = records if isinstance(records, TraceColumns) else list(records)
         if not len(records):
@@ -159,16 +142,36 @@ class TraceColumns(Sequence):
         if isinstance(records, TraceColumns):
             return records
         columns = []
-        for name, dtype in _COLUMN_DTYPES.items():  # one list of N values alive at a time
+        for name in _REQUIRED_FIELDS:  # one list of N values alive at a time
             values = [getattr(r, name) for r in records]
-            if name == "layer_flags":
-                flag_counts = {len(v) for v in values}
             if name in _LAYER_FIELDS:
-                counts = flag_counts | {len(v) for v in values}
+                counts = {len(v) for v in values} | {records[0].layer_count}
                 if len(counts) != 1:
                     raise TraceError(f"records mix layer counts in {name}: {sorted(counts)}")
-            columns.append(np.array(values, dtype=dtype))
+            columns.append(_column(name, values))
         return cls(*columns)
+
+
+class _RowError(TraceError):
+    """A TraceError about one row of a block; the reader names that row's line."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row
+
+
+def _column(name: str, values: list) -> np.ndarray:
+    """One field's values as its column; a value the dtype cannot hold raises _RowError."""
+    dtype = _COLUMN_DTYPES[name]
+    try:
+        return np.array(values, dtype=dtype)
+    except OverflowError:
+        for row, value in enumerate(values):
+            try:
+                np.array(value, dtype=dtype)
+            except OverflowError:
+                raise _RowError(row, f"{name} must fit in {np.dtype(dtype).name}, got {value!r}") from None
+        raise
 
 
 @functools.lru_cache(maxsize=64)
@@ -182,18 +185,22 @@ def _template(layer_count: int) -> str:
 
 
 def _check(block: TraceColumns) -> None:
-    """TraceRecord.validate over a non-empty block, then the finiteness JSON needs."""
+    """The value rules of a record, over a non-empty block: the only copy,
+    run by the writer and the reader alike. Raises _RowError naming a
+    refused row."""
     def refuse_outside(name: str, allowed: tuple[str, ...]) -> None:
         values = getattr(block, name).tolist()
         if not set(values) <= set(allowed):
-            raise TraceError(f"{name} must be one of {allowed}, got {next(v for v in values if v not in allowed)!r}")
+            row = next(i for i, v in enumerate(values) if v not in allowed)
+            raise _RowError(row, f"{name} must be one of {allowed}, got {values[row]!r}")
 
     def refuse_where(bad: np.ndarray, name: str, rule: str) -> None:
         if bad.any():
-            raise TraceError(f"{name} must be {rule}, got {getattr(block, name)[np.argmax(bad)].item()!r}")
+            row = int(np.argmax(bad))
+            raise _RowError(row, f"{name} must be {rule}, got {getattr(block, name)[row].item()!r}")
 
     if block.layer_count == 0:
-        raise TraceError("a record needs at least one layer")
+        raise _RowError(0, "a record needs at least one layer")
     refuse_outside("phase", PHASES)
     for name in ("token_index", "token_id"):
         refuse_where(getattr(block, name) < 0, name, "non-negative")
@@ -204,8 +211,8 @@ def _check(block: TraceColumns) -> None:
         values = getattr(block, name)
         bad = ~np.isfinite(values).all(axis=1)
         if bad.any():
-            row = values[np.argmax(bad)].tolist()
-            raise TraceError(f"{name} must be finite, got [{','.join('%.9g' % x for x in row)}]")
+            row = int(np.argmax(bad))
+            raise _RowError(row, f"{name} must be finite, got [{','.join('%.9g' % x for x in values[row].tolist())}]")
 
 
 def _quoted(column: np.ndarray) -> list[str]:
@@ -231,21 +238,13 @@ def _chunks(block: TraceColumns) -> Iterator[str]:
 
 def record_to_line(r: TraceRecord) -> str:
     """One JSONL line, fixed field order, no trailing newline: the
-    writer's template filled from one record, without building a block.
+    writer's output for a one-record block.
 
-    Raises TraceError for what the writer refuses: a record that
-    validate refuses, or a NaN or infinite norm or delta.
+    Raises TraceError for what the writer refuses.
     """
-    r.validate()
-    for name in ("layer_norms", "layer_deltas"):
-        values = getattr(r, name)
-        if not all(map(math.isfinite, values)):
-            raise TraceError(f"{name} must be finite, got [{','.join('%.9g' % x for x in values)}]")
-    line = _template(r.layer_count) % (
-        json.dumps(r.sequence_id), int(r.token_index), r.phase, int(r.token_id),
-        *[1 if f else 0 for f in r.layer_flags], *map(float, r.layer_norms), *map(float, r.layer_deltas),
-        float(r.alpha), json.dumps(r.formula), json.dumps(r.skip_mode))
-    return line[:-1]
+    block = TraceColumns.from_records([r])
+    _check(block)
+    return next(_chunks(block))[:-1]
 
 
 def write_trace(records: TraceColumns | Iterable[TraceRecord], sink) -> int:
@@ -284,93 +283,83 @@ def _no_repeated_keys(pairs: list[tuple[str, object]]) -> dict:
 
 # Built once: passing object_pairs_hook to json.loads builds a decoder per call.
 _DECODER = json.JSONDecoder(object_pairs_hook=_no_repeated_keys)
+_VALUES = operator.itemgetter(*_REQUIRED_FIELDS)
+_FIELD_SET = set(_REQUIRED_FIELDS)
+_NUMBER = {int, float}  # by exact type, so a JSON true or false is not a number
+_SCALAR_TYPES = {"sequence_id": ({str}, "a string"), "token_index": ({int}, "an integer"), "phase": ({str}, "a string"),
+                 "token_id": ({int}, "an integer"), "alpha": (_NUMBER, "a number"), "formula": ({str}, "a string"),
+                 "skip_mode": ({str}, "a string")}
 
 
-def _integer(obj: dict, field: str) -> int:
-    value = obj[field]
-    if type(value) is not int:
-        raise TraceError(f"{field} must be an integer, got {value!r}")
-    return value
-
-
-def _finite_floats(obj: dict, field: str) -> list[float]:
-    values = obj[field]
-    if type(values) is not list:
-        raise TraceError(f"{field} must be a list, got {values!r}")
-    try:
-        out = [float(x) for x in values if type(x) is float or type(x) is int]
-    except OverflowError:  # an integer literal too large for a float
-        out = []
-    if len(out) != len(values) or not all(map(math.isfinite, out)):
-        raise TraceError(f"{field} must hold finite numbers, got {values!r}")
-    return out
-
-
-def parse_record(obj) -> TraceRecord:
-    """Build a record from one decoded JSON line, enforcing what the writer emits.
-
-    Raises TraceError unless obj is an object with every field and no
-    other, a string sequence_id, integer token_index and token_id, layer
-    flags of exactly 0 or 1, finite numbers for norms, deltas and alpha,
-    and values that TraceRecord.validate accepts.
-    """
+def _values(obj) -> tuple:
+    """One decoded line's values in field order, after the checks that
+    need only the JSON types: every field once and no other, each scalar
+    of its JSON type, flags of exactly 0 or 1, numbers for norms and
+    deltas, and per-layer lists of one length. The value rules are
+    _check's."""
     if type(obj) is not dict:
         raise TraceError(f"record must be a JSON object, got {type(obj).__name__}")
-    missing = [f for f in _REQUIRED_FIELDS if f not in obj]
-    if missing:
-        raise TraceError(f"missing field(s): {', '.join(missing)}")
-    if len(obj) != len(_REQUIRED_FIELDS):
-        raise TraceError(f"unknown field(s): {', '.join(f for f in obj if f not in _REQUIRED_FIELDS)}")
-    if type(obj["sequence_id"]) is not str:
-        raise TraceError(f"sequence_id must be a string, got {obj['sequence_id']!r}")
+    if obj.keys() != _FIELD_SET:
+        missing = [f for f in _REQUIRED_FIELDS if f not in obj]
+        if missing:
+            raise TraceError(f"missing field(s): {', '.join(missing)}")
+        raise TraceError(f"unknown field(s): {', '.join(f for f in obj if f not in _FIELD_SET)}")
+    for name, (types, kind) in _SCALAR_TYPES.items():
+        if type(obj[name]) not in types:
+            raise TraceError(f"{name} must be {kind}, got {obj[name]!r}")
     flags = obj["layer_flags"]
-    if type(flags) is not list or not all(type(f) is int and 0 <= f <= 1 for f in flags):
+    if type(flags) is not list or not {*map(type, flags)} <= {int} or not {*flags} <= {0, 1}:
         raise TraceError(f"layer_flags must be a list of 0 and 1, got {flags!r}")
-    alpha = obj["alpha"]
-    if type(alpha) not in (int, float) or not 0.0 < alpha <= 1.0:
-        raise TraceError(f"alpha must be a finite number in (0, 1], got {alpha!r}")
-    rec = TraceRecord(
-        sequence_id=obj["sequence_id"],
-        token_index=_integer(obj, "token_index"),
-        phase=obj["phase"],
-        token_id=_integer(obj, "token_id"),
-        layer_flags=[f == 1 for f in flags],
-        layer_norms=_finite_floats(obj, "layer_norms"),
-        layer_deltas=_finite_floats(obj, "layer_deltas"),
-        alpha=float(alpha),
-        formula=obj["formula"],
-        skip_mode=obj["skip_mode"],
-    )
-    rec.validate()
-    return rec
+    for name in ("layer_norms", "layer_deltas"):
+        if type(obj[name]) is not list or not {*map(type, obj[name])} <= _NUMBER:
+            raise TraceError(f"{name} must be a list of numbers, got {obj[name]!r}")
+    if not len(flags) == len(obj["layer_norms"]) == len(obj["layer_deltas"]):
+        raise TraceError("per-layer arrays disagree: " + ", ".join(f"{len(obj[f])} {f}" for f in _LAYER_FIELDS))
+    return _VALUES(obj)
 
 
-def read_trace(source) -> list[TraceRecord]:
-    """Parse a JSONL trace from a path, file object, or iterable of lines.
+def read_trace(source) -> TraceColumns:
+    """Parse a JSONL trace from a path, file object, or iterable of lines
+    into one block; a trace with no records gives an empty block.
 
-    Malformed lines, including a field that is repeated or not one the
-    writer emits, raise TraceError naming the 1-based line number.
+    A refused line raises TraceError naming its 1-based line number.
+    Each line is checked for what its JSON types decide as it is read,
+    and the block is checked against the writer's value rules once all
+    lines are read, so a trace with several bad lines is refused naming
+    one of them, not always the first.
     """
     if hasattr(source, "read") or isinstance(source, (list, tuple)):
         lines = source if isinstance(source, (list, tuple)) else source.read().splitlines()
-        return _parse_lines(lines, "<stream>")
+        return _read_lines(lines, "<stream>")
     text = Path(source).read_text(encoding="utf-8")
-    return _parse_lines(text.splitlines(), str(source))
+    return _read_lines(text.splitlines(), str(source))
 
 
-def _parse_lines(lines: Iterable[str], origin: str) -> list[TraceRecord]:
-    records = []
+def _read_lines(lines: Iterable[str], origin: str) -> TraceColumns:
+    rows, numbers = [], []  # each record's values, and its 1-based line number
     for i, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
         try:
-            records.append(parse_record(_DECODER.decode(line)))
+            values = _values(_DECODER.decode(line))
         except json.JSONDecodeError as exc:
             raise TraceError(f"{origin}: line {i}: not valid JSON: {exc}") from exc
         except TraceError as exc:
             raise TraceError(f"{origin}: line {i}: {exc}") from exc
-    return records
+        if rows and len(values[4]) != len(rows[0][4]):  # values[4] is layer_flags
+            raise TraceError(f"{origin}: line {i}: {len(values[4])} layers, but line {numbers[0]} has "
+                             f"{len(rows[0][4])}")
+        rows.append(values)
+        numbers.append(i)
+    if not rows:
+        return TraceColumns.empty(0)
+    try:
+        block = TraceColumns(*(_column(name, values) for name, values in zip(_REQUIRED_FIELDS, zip(*rows))))
+        _check(block)
+    except _RowError as exc:
+        raise TraceError(f"{origin}: line {numbers[exc.row]}: {exc}") from exc
+    return block
 
 
 def render_bitmap(records: TraceColumns | list[TraceRecord], phase: str | None = None) -> str:

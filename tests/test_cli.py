@@ -366,6 +366,16 @@ class TestReport:
         assert "sequence 'seq000' has more than one record for token_index 0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_token_index_beyond_int64_exits_1(self, tmp_path, capsys):
+        trace = tmp_path / "trace.jsonl"
+        write_trace([make_record(token_index=i) for i in range(2)], trace)
+        trace.write_text(trace.read_text(encoding="utf-8").replace('"token_index":0', f'"token_index":{2**63}'),
+                         encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["report", "--trace", str(trace), "--out", str(out)]) == 1
+        assert f"line 1: token_index must fit in int64, got {2**63}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_interleaved_sequences_give_the_grouped_bitmaps(self, tmp_path):
         pf = tmp_path / "prompts.txt"
         pf.write_text(RAGGED_PROMPTS, encoding="utf-8")

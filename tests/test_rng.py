@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from lacvoid import ModelConfig, build_model
 from lacvoid.rng import Xoshiro256StarStar, _draw_streams, _to_uniform, splitmix64, stream_for
+from lacvoid.suites import build_suite
 
 # sizes at and next to powers of two, where the lane length and the lane count step
 BOUNDARY_SIZES = [0, 1, 2, 15, 16, 17, 255, 256, 257, 4095, 4096, 4097, 65537]
@@ -122,3 +123,16 @@ def test_integers_equals_scalar_loop(seed, name, n, lo, span):
     fast, slow = stream_for(seed, name), stream_for(seed, name)
     assert fast.integers(n, lo, lo + span) == [lo + (slow.next_u64() >> 40) % span for _ in range(n)]
     assert fast.next_u64() == slow.next_u64()
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", ["copy", "sorted"])
+def test_build_suite_equals_scalar_loop(name, seed):
+    # every case draws its bytes from its own named stream, one next_u64 per byte
+    cases = build_suite(name, seed)
+    assert len(cases) == 6
+    for i, case in enumerate(cases):
+        gen = stream_for(seed, f"suite:{name}:{i}")
+        prompt = tuple(33 + (gen.next_u64() >> 40) % 94 for _ in range(8))
+        assert case.sequence_id == f"{name}{i:03d}" and case.prompt_ids == prompt
+        assert case.expected_ids == (tuple(sorted(prompt)) if name == "sorted" else prompt)

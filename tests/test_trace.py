@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import json
+import math
 import re
 
 import numpy as np
@@ -132,8 +133,8 @@ class TestWriteRead:
 
 def reference_line(r):
     """The record-at-a-time encoding that the template writer replaced, as an independent oracle."""
-    def fmt(x):
-        return "%.9g" % float(x)
+    def fmt(x):  # a NaN or infinity as Python's json spells it, so a refused value still decodes
+        return "%.9g" % float(x) if math.isfinite(x) else json.dumps(float(x))
     return ("{"
             f'"sequence_id":{json.dumps(r.sequence_id)},"token_index":{int(r.token_index)},'
             f'"phase":"{r.phase}","token_id":{int(r.token_id)},'
@@ -171,7 +172,11 @@ REFUSED = {
     "formula": {"formula": "bogus"}, "skip_mode": {"skip_mode": "MASK_ZERO"}, "phase": {"phase": "XX"},
     "norm-nan": {"norms": (1.0, float("nan"))}, "delta-inf": {"deltas": (float("-inf"), 1.0)},
     "short-norms": {"norms": (1.0,)},
+    "token_index-2**63": {"token_index": 2**63}, "token_id-2**64": {"token_id": 2**64},
 }
+# The field each refusal names.
+REFUSED_FIELD = {key: {"norms": "layer_norms", "deltas": "layer_deltas"}.get(field, field)
+                 for key, fields in REFUSED.items() for field in fields}
 
 
 class TestTraceColumns:
@@ -214,6 +219,40 @@ class TestTraceColumns:
         with pytest.raises(TraceError):
             write_trace(records, path)
         assert not path.exists()
+
+    @pytest.mark.parametrize("position", [0, 3, 6])
+    @pytest.mark.parametrize("key", list(REFUSED))
+    def test_reader_refuses_what_the_writer_refuses(self, key, position):
+        # the bad line is encoded without the writer, so only the reader's checks stand between it and a block
+        lines = [record_to_line(r) for r in random_records(6, layers=2, seed=3)]
+        lines.insert(position, reference_line(make_record(**REFUSED[key])))
+        with pytest.raises(TraceError, match=rf"^<stream>: line {position + 1}: .*{REFUSED_FIELD[key]}"):
+            read_trace(lines)
+
+    @given(records=record_lists())
+    @settings(max_examples=200, deadline=None)
+    def test_every_block_the_writer_accepts_reads_back_column_for_column(self, records):
+        block = TraceColumns.from_records(records)
+        buf = io.StringIO()
+        try:
+            write_trace(block, buf)
+        except TraceError:
+            return
+        back = read_trace(io.StringIO(buf.getvalue()))
+        assert isinstance(back, TraceColumns)
+        for name in (f.name for f in dataclasses.fields(TraceColumns)):
+            want, got = getattr(block, name), getattr(back, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            if want.dtype == np.float64:  # 9 digits hold float32 exactly, so compare there (-0 reads back as 0)
+                got, want = got.astype(np.float32), want.astype(np.float32)
+            assert np.array_equal(got, want) if want.dtype != object else got.tolist() == want.tolist(), name
+
+    def test_mixed_layer_counts_refused_at_the_first_line_of_the_other_count(self):
+        two = [record_to_line(r) for r in random_records(3, layers=2, seed=8)]
+        three = [record_to_line(r) for r in random_records(2, layers=3, seed=9)]
+        # blank lines count toward the line number, as everywhere in the reader
+        with pytest.raises(TraceError, match=r"^<stream>: line 5: 3 layers, but line 1 has 2$"):
+            read_trace([two[0], "", two[1], two[2], three[0], two[0], three[1]])
 
     def test_zero_layer_block_refused(self):
         block = TraceColumns.from_records([make_record(flags=(), norms=(), deltas=())])
@@ -316,6 +355,14 @@ class TestStrictReader:
         with pytest.raises(TraceError, match=f"line 1: {field}"):
             read_trace([with_field(field, raw)])
 
+    @pytest.mark.parametrize("field", ["token_index", "token_id"])
+    @pytest.mark.parametrize("raw", [str(2**63), str(2**64), str(-2**63 - 1), "1" + "0" * 40])
+    def test_index_beyond_int64(self, field, raw):
+        lines = [record_to_line(make_record(token_index=i)) for i in range(3)]
+        lines[1] = with_field(field, raw, lines[1])
+        with pytest.raises(TraceError, match=f"^<stream>: line 2: {field} must fit in int64, got {raw}$"):
+            read_trace(lines)
+
     @pytest.mark.parametrize("raw", ["5", "null", '["s0"]'])
     def test_sequence_id_not_a_string(self, raw):
         with pytest.raises(TraceError, match="line 1: sequence_id"):
@@ -398,6 +445,13 @@ class TestFromRecords:
     def test_no_records_rejected(self):
         with pytest.raises(ValueError, match="no records"):
             TraceColumns.from_records([])
+
+    @pytest.mark.parametrize("field", ["token_index", "token_id"])
+    def test_integer_beyond_int64_names_the_field(self, field):
+        records = [make_record(), make_record(**{"token_index": 1, field: 2**63})]
+        with pytest.raises(TraceError, match=f"^{field} must fit in int64, got {2**63}$"):
+            TraceColumns.from_records(records)
+
 
 class TestBitmap:
     def test_single_column_top_to_bottom(self):
