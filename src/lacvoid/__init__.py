@@ -1,6 +1,6 @@
 """L2 adaptive computation over sequential layer stacks.
 
-Detects unactivated layers ("voids") per batch, example, or token by
+Detects unactivated layers ("voids") per example or per token by
 thresholding the change each layer makes to the activation L2 norm,
 optionally skips or masks them, records per-token traces, and
 aggregates usage and norm statistics.

@@ -35,6 +35,7 @@ __all__ = [
 
 CSV_HEADER = ["layer_index", "pp_frequency", "rg_frequency",
               "pp_mean_norm", "rg_mean_norm", "pp_mean_delta", "rg_mean_delta"]
+REPORT_STEM = "report"  # export_reports' file stem
 
 
 @dataclass
@@ -134,7 +135,7 @@ def _fmt(x: float) -> str:
     return "%.9g" % float(x)
 
 
-def export_reports(usage: LayerUsageReport, profile: NormProfile, out_dir, stem: str = "report",
+def export_reports(usage: LayerUsageReport, profile: NormProfile, out_dir,
                    formula: str | None = None) -> tuple[Path, Path]:
     """Write the combined per-layer CSV and the JSON summary.
 
@@ -146,8 +147,8 @@ def export_reports(usage: LayerUsageReport, profile: NormProfile, out_dir, stem:
         raise ValueError(f"usage has {usage.layer_count} layers but profile has {profile.layer_count}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / f"{stem}.csv"
-    json_path = out_dir / f"{stem}_summary.json"
+    csv_path = out_dir / f"{REPORT_STEM}.csv"
+    json_path = out_dir / f"{REPORT_STEM}_summary.json"
 
     def cell(mapping, phase, layer):
         return _fmt(mapping[phase][layer]) if phase in mapping else ""

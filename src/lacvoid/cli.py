@@ -136,12 +136,14 @@ def _run_jobs(model: ToyTransformer, jobs: list[SuiteCase], policy: HaltPolicy, 
 
 def _parse_seed_model(text: str, seed: int) -> ModelConfig:
     """Compact model string: comma-separated d<depth>,h<heads>,l<layers>
-    with optional f<ffn>, m<max_seq>. Example: d16,h2,l4."""
+    with optional f<ffn>, m<max_seq>, each at most once. Example: d16,h2,l4."""
     fields = {"d": None, "h": None, "l": None, "f": None, "m": None}
     for part in text.split(","):
         part = part.strip()
         if not part or part[0] not in fields or not part[1:].isdigit():
             raise ValueError(f"bad --seed-model component {part!r}")
+        if fields[part[0]] is not None:
+            raise ValueError(f"repeated --seed-model component {part[0]!r} in {text!r}")
         fields[part[0]] = int(part[1:])
     if fields["d"] is None or fields["h"] is None or fields["l"] is None:
         raise ValueError("--seed-model needs at least d<depth>,h<heads>,l<layers>")
@@ -157,8 +159,8 @@ def _parse_seed_model(text: str, seed: int) -> ModelConfig:
 
 def _add_policy_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=float, default=0.8, help="threshold knob in (0, 1]")
-    p.add_argument("--granularity", choices=[g.value for g in NormGranularity], default="token",
-                   help="norm unit; each prompt is its own batch, so batch gives the same trace as example")
+    p.add_argument("--granularity", choices=["example", "token"], default="token",
+                   help="halting unit: each prompt, or each token")
     p.add_argument("--mode", choices=[m.value for m in SkipMode], default="detect")
     p.add_argument("--min-layers", type=int, default=1, help="layers 1..N are never voids")
 
@@ -200,16 +202,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _policy_from_args(args, parser, skip_mode: str | None = None) -> HaltPolicy:
-    if not 0.0 < args.alpha <= 1.0:
-        parser.error(f"--alpha must be in (0, 1], got {args.alpha}")
-    if args.min_layers < 1:
-        parser.error(f"--min-layers must be >= 1, got {args.min_layers}")
-    return HaltPolicy(
-        granularity=NormGranularity(args.granularity),
-        alpha=args.alpha,
-        skip_mode=SkipMode(skip_mode if skip_mode is not None else args.mode),
-        min_layers=args.min_layers,
-    )
+    try:
+        return HaltPolicy(
+            granularity=NormGranularity(args.granularity),
+            alpha=args.alpha,
+            skip_mode=SkipMode(skip_mode if skip_mode is not None else args.mode),
+            min_layers=args.min_layers,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def _model_from_args(args, parser) -> ToyTransformer:
@@ -381,12 +382,12 @@ def cmd_compare(args, parser) -> int:
     if not args.suite:
         parser.error("compare requires --suite")
     skip_mode = args.mode if args.mode != "off" else "skip-identity"
+    skipped = _policy_from_args(args, parser, skip_mode=skip_mode)
     model = _model_from_args(args, parser)
     jobs, max_new = _jobs_from_args(args, parser)
 
     columns = {}
-    for label, mode in (("not_skipped", "off"), ("skipped", skip_mode)):
-        policy = _policy_from_args(args, parser, skip_mode=mode)
+    for label, policy in (("not_skipped", dataclasses.replace(skipped, skip_mode=SkipMode.OFF)), ("skipped", skipped)):
         results = list(_run_jobs(model, jobs, policy, max_new))
         scores = [score_case(gen_ids, job.expected_ids) for job, (_, gen_ids) in zip(jobs, results)]
         _, usage = _summarize(TraceColumns.concat(trace for trace, _ in results))

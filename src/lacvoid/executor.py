@@ -44,28 +44,28 @@ class ExecutionOutcome:
 
 
 def _measure(h: np.ndarray, granularity: NormGranularity) -> tuple[np.ndarray, np.ndarray]:
-    """Unit norms on the token grid ((1, 1), (B, 1) or (B, L)) and (B, L)
-    token norms of h; one reduction at TOKEN granularity."""
+    """Unit norms on the token grid ((B, 1) per example or (B, L) per
+    token) and (B, L) token norms of h; one reduction at TOKEN granularity."""
     tok = l2_norm(h, NormGranularity.TOKEN)[..., 0]
     if granularity is NormGranularity.TOKEN:
         return tok, tok
-    return l2_norm(h, granularity).reshape(-1, 1), tok
+    return l2_norm(h, granularity), tok
 
 
 def run_stack(layers: Sequence[StepFn], h0, policy: HaltPolicy, forced_voids=None) -> ExecutionOutcome:
     """Execute the step functions in order, deciding and applying voids per unit.
 
     Unit arrays (norms, progress, its running max and min, void flags
-    and the halt-frozen latch) live on the (B, L) token grid: (1, 1) per
-    batch, (B, 1) per example, (B, L) per token, so they broadcast over
-    the tokens of each unit. Each layer's void flags come from the void
-    rule (halting._void_rule) over the progress so far, the current
-    layer's included; under HALT_FROZEN a unit's first void latches it
-    void for every later layer.
+    and the halt-frozen latch) live on the (B, L) token grid: (B, 1) per
+    example, (B, L) per token, so they broadcast over the tokens of each
+    unit. Each layer's void flags come from the void rule
+    (halting._void_rule) over the progress so far, the current layer's
+    included; under HALT_FROZEN a unit's first void latches it void for
+    every later layer.
 
     forced_voids bypasses the live controller entirely: a boolean array
     of shape (layers,) (one flag per layer, all units) or (layers,) +
-    unit, unit being () per batch, (B,) per example or (B, L) per token.
+    unit, unit being (B,) per example or (B, L) per token.
     The skip mode still determines how a forced void is applied.
     Progress is recorded either way.
 
@@ -89,7 +89,7 @@ def run_stack(layers: Sequence[StepFn], h0, policy: HaltPolicy, forced_voids=Non
     forced = None
     if forced_voids is not None:
         forced = np.asarray(forced_voids, dtype=bool)
-        unit = () if g is NormGranularity.BATCH else grid if g is NormGranularity.TOKEN else grid[:1]
+        unit = grid if g is NormGranularity.TOKEN else grid[:1]
         if forced.shape not in ((t_total,), (t_total,) + unit):
             raise ShapeError(f"forced_voids shape {forced.shape} does not match (layers,)+unit {(t_total,) + unit}")
         forced = forced.reshape((t_total,) + (grid if forced.ndim > 1 else (1, 1)))

@@ -1,10 +1,10 @@
 """Dynamic thresholds and per-unit void decisions over layer progress.
 
-A unit (whole batch, one example, or one token, per the norm
-granularity) makes "progress" at each layer: the change in its
-activation L2 norm. The running range of observed progress values sets
-a dynamic threshold, lambda = alpha * (max(deltas) - min(deltas)); a
-layer whose progress falls below the threshold is a void for that unit.
+A unit (one example or one token, per the policy's granularity) makes
+"progress" at each layer: the change in its activation L2 norm. The
+running range of observed progress values sets a dynamic threshold,
+lambda = alpha * (max(deltas) - min(deltas)); a layer whose progress
+falls below the threshold is a void for that unit.
 
 The rule itself lives in _void_rule alone, called by the executor
 layer by layer with running extrema and by the offline replay of
@@ -64,6 +64,8 @@ class HaltPolicy:
     min_layers: int = 1
 
     def __post_init__(self) -> None:
+        if self.granularity not in (NormGranularity.EXAMPLE, NormGranularity.TOKEN):
+            raise ValueError(f"halting granularity must be EXAMPLE or TOKEN, got {self.granularity}")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
         if self.min_layers < 1:

@@ -24,7 +24,7 @@ from .errors import ContainerError, ShapeError
 from .executor import StepFn, run_stack
 from .halting import HaltPolicy
 from .rng import _draw_streams, _to_uniform, stream_for
-from .tensors import DTYPE, NormGranularity, layer_norm_pre, matmul
+from .tensors import DTYPE, layer_norm_pre, matmul
 from .trace import PHASE_PP, PHASE_RG, TraceColumns
 
 __all__ = [
@@ -382,11 +382,7 @@ def _forward(model: ToyTransformer, cache: KVCache, rows, starts, ids, phase: st
              policy: HaltPolicy, forced_voids) -> tuple[TraceColumns, np.ndarray]:
     """One run_stack over B rows of n tokens: row b is tokens ids[b] at
     positions starts[b].. in cache row rows[b]. Returns the trace of the
-    B * n tokens, row by row, and each row's last token's logits, (B, vocab).
-    BATCH granularity is taken per row (the EXAMPLE reduction), its
-    meaning for one sequence."""
-    if policy.granularity is NormGranularity.BATCH:
-        policy = dataclasses.replace(policy, granularity=NormGranularity.EXAMPLE)
+    B * n tokens, row by row, and each row's last token's logits, (B, vocab)."""
     ids = np.asarray(ids, dtype=np.int64)
     b, n = ids.shape
     positions = np.add.outer(np.asarray(starts, dtype=np.int64), np.arange(n))
@@ -431,9 +427,8 @@ def run_prompt(model: ToyTransformer, prompt_tokens, policy: HaltPolicy, sequenc
     and records equal those of running it alone. Returns the states and
     one trace block, the prompts' records in list order.
 
-    BATCH granularity is applied per prompt (the EXAMPLE reduction), as
-    generate does. forced_voids is one flag per layer, or per layer and
-    unit of the batch's token grid.
+    forced_voids is one flag per layer, or per layer and unit of the
+    batch's token grid.
     """
     single = isinstance(sequence_id, str)
     prompts, sequence_ids, rows = ([prompt_tokens], [sequence_id], [row]) if single else (
@@ -467,9 +462,7 @@ def generate(states: list[GenerationState], model: ToyTransformer, policy: HaltP
     The rows decode as one batch: each position is one (B, 1, D)
     run_stack over the rows still decoding, and every op in it works
     row by row, so a row's tokens, records and logits equal those of
-    decoding it alone. BATCH granularity is applied per row (the EXAMPLE
-    reduction), as for one sequence. forced_voids is per sequence: one
-    flag per layer.
+    decoding it alone. forced_voids is per sequence: one flag per layer.
 
     Returns (ids per state, trace per state), in the order of states;
     a state's trace holds one record per emitted token.

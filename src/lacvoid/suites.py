@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from .rng import _draw_streams, _to_integers, stream_for
 
 SUITE_NAMES = ("copy", "sorted")
+SUITE_CASES, SUITE_LENGTH = 6, 8  # cases per suite, prompt bytes per case
 
 
 @dataclass(frozen=True)
@@ -24,7 +25,7 @@ class SuiteCase:
     expected_ids: tuple[int, ...] | None = None
 
 
-def build_suite(name: str, seed: int, cases: int = 6, length: int = 8) -> list[SuiteCase]:
+def build_suite(name: str, seed: int) -> list[SuiteCase]:
     """Deterministic cases for a named suite.
 
     copy: the expected continuation repeats the prompt bytes.
@@ -33,9 +34,9 @@ def build_suite(name: str, seed: int, cases: int = 6, length: int = 8) -> list[S
     """
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}, expected one of {SUITE_NAMES}")
-    gens = [stream_for(seed, f"suite:{name}:{i}") for i in range(cases)]
+    gens = [stream_for(seed, f"suite:{name}:{i}") for i in range(SUITE_CASES)]
     out = []
-    for i, draws in enumerate(_draw_streams(gens, [length] * len(gens))):  # one batch for every case
+    for i, draws in enumerate(_draw_streams(gens, [SUITE_LENGTH] * len(gens))):  # one batch for every case
         prompt = tuple(_to_integers(draws, 33, 127))  # printable ASCII
         expected = tuple(sorted(prompt)) if name == "sorted" else prompt
         out.append(SuiteCase(sequence_id=f"{name}{i:03d}", prompt_ids=prompt, expected_ids=expected))

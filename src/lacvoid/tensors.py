@@ -14,10 +14,11 @@ import numpy as np
 from .errors import NonFiniteError, ShapeError
 
 DTYPE = np.float32
+LAYER_NORM_EPS = 1e-5
 
 
 class NormGranularity(Enum):
-    """Unit at which the activation norm (and halting) is computed.
+    """Unit of an activation norm; halting (HaltPolicy) takes EXAMPLE or TOKEN.
 
     BATCH reduces the whole tensor to one scalar, EXAMPLE reduces each
     batch row, TOKEN reduces each (example, position) vector.
@@ -81,12 +82,12 @@ def matmul(a, b) -> np.ndarray:
     return np.matmul(a, b)
 
 
-def layer_norm_pre(h, gain, eps: float = 1e-5) -> np.ndarray:
+def layer_norm_pre(h, gain) -> np.ndarray:
     """RMS-style normalization over the last axis, then elementwise gain.
 
-    out = h / sqrt(mean(h^2) + eps) * gain. The mean accumulates in
-    float64; eps keeps an all-zero vector at zero instead of blowing up.
-    The steps run in place on two buffers: the mean is the float64 sum
+    out = h / sqrt(mean(h^2) + LAYER_NORM_EPS) * gain. The mean accumulates
+    in float64; the epsilon keeps an all-zero vector at zero instead of
+    blowing up. The steps run in place on two buffers: the mean is the float64 sum
     of the contiguous squares divided by the depth, as np.mean computes it.
     """
     arr = as_f32(h)
@@ -96,7 +97,7 @@ def layer_norm_pre(h, gain, eps: float = 1e-5) -> np.ndarray:
     sq = np.square(arr, dtype=np.float64)
     inv = sq.sum(axis=-1, keepdims=True)
     inv /= arr.shape[-1]
-    inv += float(eps)
+    inv += LAYER_NORM_EPS
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
     out = np.multiply(arr, inv, out=sq).astype(DTYPE)

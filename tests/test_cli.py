@@ -20,19 +20,14 @@ MODEL = ["--seed-model", "d16,h2,l4", "--seed", "3"]
 # from the sequence-at-a-time decoder that batched decoding replaced.
 RAGGED_PROMPTS = "abcdef\nghijkl\nmnopqr\nxy\nstuvwx\n"
 RAGGED_DIGESTS = {
-    ("off", "batch"): "590f5d37a8231e7e29300b061464717888c1c47a44cce9700800883edc2836f7",
     ("off", "example"): "590f5d37a8231e7e29300b061464717888c1c47a44cce9700800883edc2836f7",
     ("off", "token"): "590f5d37a8231e7e29300b061464717888c1c47a44cce9700800883edc2836f7",
-    ("detect", "batch"): "bd9daf5419753f97c82c10aef2c195daaaed38cb218494169ac7f3b61787b136",
     ("detect", "example"): "bd9daf5419753f97c82c10aef2c195daaaed38cb218494169ac7f3b61787b136",
     ("detect", "token"): "2f5beeb2edf528e426a345213945412a579a78caf1ecf9ac769acebcbc460b7c",
-    ("mask-zero", "batch"): "ddd459232e61d73f1990d412e17eafb91c8045abdd67d8935cb7c0a31d244a28",
     ("mask-zero", "example"): "ddd459232e61d73f1990d412e17eafb91c8045abdd67d8935cb7c0a31d244a28",
     ("mask-zero", "token"): "ddd459232e61d73f1990d412e17eafb91c8045abdd67d8935cb7c0a31d244a28",
-    ("skip-identity", "batch"): "c57b3ee97ea7ef2f0b3f8f9351023f3caafb591499c42eb2a3e673eff3eb2daa",
     ("skip-identity", "example"): "c57b3ee97ea7ef2f0b3f8f9351023f3caafb591499c42eb2a3e673eff3eb2daa",
     ("skip-identity", "token"): "771f82300e65a2d55e963f975299a073a4bf74d25bd46a6561a09ee23cfdb442",
-    ("halt-frozen", "batch"): "0d25b4be9c048d3293f5bbbea1fef000f466f45b3b346e51fa0c4bd6b47aed02",
     ("halt-frozen", "example"): "0d25b4be9c048d3293f5bbbea1fef000f466f45b3b346e51fa0c4bd6b47aed02",
     ("halt-frozen", "token"): "0d25b4be9c048d3293f5bbbea1fef000f466f45b3b346e51fa0c4bd6b47aed02",
 }
@@ -93,6 +88,17 @@ class TestTrace:
                     "--mode", mode, "--granularity", granularity, "--out", str(tmp_path)]) == 0
         digest = hashlib.sha256((tmp_path / "trace.jsonl").read_bytes()).hexdigest()
         assert digest == RAGGED_DIGESTS[mode, granularity]
+
+    @pytest.mark.parametrize("mode", sorted({mode for mode, _ in RAGGED_DIGESTS}))
+    def test_batch_granularity_is_a_usage_error(self, tmp_path, capsys, mode):
+        # halting runs per example or per token; batch used to write example's trace byte for byte
+        pf = tmp_path / "prompts.txt"
+        pf.write_text(RAGGED_PROMPTS, encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["trace", *MODEL, "--prompt-file", str(pf), "--max-new", "12", "--alpha", "0.6",
+                    "--mode", mode, "--granularity", "batch", "--out", str(out)]) == 2
+        assert "invalid choice: 'batch'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_first_failing_job_in_input_order_is_reported(self, tmp_path, capsys):
         # seq000 overflows max_seq 8 while decoding; seq001 is too long to prompt at all
@@ -202,6 +208,27 @@ class TestTrace:
         assert "--max-new must be >= 0, got -5" in capsys.readouterr().err
         assert not (tmp_path / "trace.jsonl").exists()
 
+    @pytest.mark.parametrize("command", [["trace", "--prompt", "hi"], ["sweep", "--prompt", "hi", "--alphas", "0.5"],
+                                         ["compare", "--suite", "copy"]])
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--alpha", "0", "alpha must be in (0, 1], got 0.0"),
+        ("--min-layers", "0", "min_layers must be >= 1, got 0"),
+        ("--granularity", "batch", "invalid choice: 'batch'"),  # halting runs per example or per token
+    ])
+    def test_refused_policy_flag_exits_2(self, tmp_path, capsys, command, flag, value, message):
+        out = tmp_path / "out"
+        assert run([*command, *MODEL, flag, value, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec, component", [("d16,h2,l4,d32", "d"), ("d16,h2,l4,l1", "l"),
+                                                  ("m64,d16,h2,l4,m32", "m")])
+    def test_repeated_seed_model_component_exits_2(self, tmp_path, capsys, spec, component):
+        out = tmp_path / "out"
+        assert run(["trace", "--seed-model", spec, "--prompt", "hi", "--out", str(out)]) == 2
+        assert f"repeated --seed-model component {component!r} in {spec!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_formula_flag_is_a_usage_error(self, tmp_path, capsys):
         assert run(["trace", *MODEL, "--prompt", "hi", "--formula", "original", "--out", str(tmp_path)]) == 2
         assert "--formula" in capsys.readouterr().err
@@ -286,9 +313,8 @@ class TestSweep:
         assert float(row["pp_usage"]) == pytest.approx(summary["average_usage"]["PP"], abs=1e-9)
         assert float(row["rg_usage"]) == pytest.approx(summary["average_usage"]["RG"], abs=1e-9)
 
-    @pytest.mark.parametrize("granularity", ["example", "batch"])
-    def test_granularity_other_than_token_is_a_usage_error(self, tmp_path, capsys, granularity):
-        assert run(["sweep", *MODEL, "--prompt", "x", "--alphas", "0.6", "--granularity", granularity,
+    def test_granularity_other_than_token_is_a_usage_error(self, tmp_path, capsys):
+        assert run(["sweep", *MODEL, "--prompt", "x", "--alphas", "0.6", "--granularity", "example",
                     "--out", str(tmp_path)]) == 2
         assert "the replay re-thresholds per-token deltas" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
@@ -428,3 +454,8 @@ class TestCompare:
 
     def test_requires_suite(self, tmp_path):
         assert run(["compare", *MODEL, "--out", str(tmp_path)]) == 2
+
+    def test_refused_policy_exits_2_before_the_model_loads(self, tmp_path, capsys):
+        missing = tmp_path / "missing.lactnsr"
+        assert run(["compare", "--weights", str(missing), "--suite", "copy", "--alpha", "0"]) == 2
+        assert "alpha must be in (0, 1], got 0.0" in capsys.readouterr().err

@@ -3,6 +3,9 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import lacvoid.executor as executor
 from lacvoid import (
@@ -15,7 +18,7 @@ from lacvoid import (
 )
 from conftest import add_constant_stack, compose_stack, random_affine_stack
 
-TOKEN = NormGranularity.TOKEN
+EXAMPLE, TOKEN = NormGranularity.EXAMPLE, NormGranularity.TOKEN
 
 
 def policy(mode, alpha=0.8, granularity=TOKEN, min_layers=1):
@@ -111,7 +114,6 @@ class TestRunStackModes:
                       forced_voids=[True, False, False])
 
     @pytest.mark.parametrize("g, bad, unit", [
-        (NormGranularity.BATCH, (2, 2), "(2,)"),
         (NormGranularity.EXAMPLE, (3,), "(2, 2)"),
         (NormGranularity.EXAMPLE, (2, 2, 3), "(2, 2)"),
         (NormGranularity.TOKEN, (2, 2), "(2, 2, 3)"),
@@ -148,7 +150,6 @@ class TestGranularities:
         h0 = np.random.default_rng(1).normal(size=(2, 5, 4)).astype(np.float32)
         # forced_voids stays unit-shaped; the outcome repeats each unit's flag over its tokens
         forced = {
-            NormGranularity.BATCH: (np.array([False, True, False]), (3, 1, 1)),
             NormGranularity.EXAMPLE: (np.array([[False, False], [True, False], [False, True]]), (3, 2, 1)),
             NormGranularity.TOKEN: (np.random.default_rng(2).random((3, 2, 5)) < 0.5, (3, 2, 5)),
         }
@@ -178,7 +179,7 @@ class TestSingleMeasurement:
             return step
         return [spy(layer) for layer in random_affine_stack(seed, layer_count, depth)]
 
-    @pytest.mark.parametrize("g", list(NormGranularity))
+    @pytest.mark.parametrize("g", [EXAMPLE, TOKEN])
     @pytest.mark.parametrize("mode", list(SkipMode))
     @pytest.mark.parametrize("forced", [False, True])
     def test_token_norms_are_norms_of_accepted_states(self, mode, g, forced):
@@ -187,7 +188,7 @@ class TestSingleMeasurement:
         h0 = np.random.default_rng(22).normal(size=(2, 3, 4)).astype(np.float32)
         forced_voids = None
         if forced:
-            unit = {NormGranularity.BATCH: (), NormGranularity.EXAMPLE: (2,), NormGranularity.TOKEN: (2, 3)}[g]
+            unit = {NormGranularity.EXAMPLE: (2,), NormGranularity.TOKEN: (2, 3)}[g]
             forced_voids = np.random.default_rng(23).random((5,) + unit) < 0.5
             forced_voids[2] = True  # at least one void layer whatever the draw
         out = run_stack(stack, h0, policy(mode, alpha=1.0, granularity=g), forced_voids=forced_voids)
@@ -212,3 +213,110 @@ class TestSingleMeasurement:
         if mode in (SkipMode.MASK_ZERO, SkipMode.SKIP_IDENTITY, SkipMode.HALT_FROZEN):
             assert out.void_flags.any()
         assert calls == [TOKEN] * 7
+
+
+def spec_run_stack(layers, h0, policy, forced_voids=None):
+    """run_stack from the paper's definitions: a plain loop per layer and per
+    unit over float32 scalars, with norms from l2_norm and no _void_rule.
+
+    A unit is one example (b,) or one token (b, j). Its progress at layer t
+    is the candidate's norm minus the norm of the state it accepted before;
+    lambda = alpha * (max - min) over its progress so far, layer t's
+    included. Layer t is void when the progress is strictly below lambda
+    and t is past both 1 and min_layers, unless forced_voids gives the flag.
+    Each mode then acts as the SkipMode docstring says; the halt-frozen
+    latch is the live controller's, so forced voids do not latch.
+    Returns (final_hidden, void_flags, token_norms, token_deltas).
+    """
+    mode, g = policy.skip_mode, policy.granularity
+    h = np.array(h0, dtype=np.float32)
+    batch, length = h.shape[:2]
+    units = [(b,) for b in range(batch)] if g is EXAMPLE else list(itertools.product(range(batch), range(length)))
+    forced = None if forced_voids is None else np.asarray(forced_voids, dtype=bool)
+    progress = {u: [] for u in units}
+    latched = set()
+    flags = np.zeros((len(layers), batch, length), dtype=bool)
+    token_norms = np.zeros((len(layers), batch, length), dtype=np.float32)
+    token_deltas = np.zeros((len(layers), batch, length), dtype=np.float32)
+    for t, layer in enumerate(layers, start=1):
+        candidate = np.asarray(layer(h), dtype=np.float32)
+        prior_norms, cand_norms = l2_norm(h, g)[..., 0], l2_norm(candidate, g)[..., 0]
+        accepted = candidate.copy()
+        for u in units:
+            delta = cand_norms[u] - prior_norms[u]
+            progress[u].append(delta)
+            if forced is not None:
+                void = bool(forced[t - 1] if forced.ndim == 1 else forced[t - 1][u])
+            elif mode is SkipMode.OFF:
+                void = False
+            else:
+                lam = np.float32(policy.alpha) * (max(progress[u]) - min(progress[u]))
+                void = bool(delta < lam) and t >= 2 and t > policy.min_layers
+                if mode is SkipMode.HALT_FROZEN:
+                    if void:
+                        latched.add(u)
+                    void = u in latched
+            flags[t - 1][u] = void
+            if void and mode is SkipMode.MASK_ZERO:
+                accepted[u] = 0.0
+            elif void and mode in (SkipMode.SKIP_IDENTITY, SkipMode.HALT_FROZEN):
+                accepted[u] = h[u]
+        token_deltas[t - 1] = l2_norm(candidate, TOKEN)[..., 0] - l2_norm(h, TOKEN)[..., 0]
+        h = accepted
+        token_norms[t - 1] = l2_norm(h, TOKEN)[..., 0]
+    return h, flags, token_norms, token_deltas
+
+
+def spec_step(kind: str, seed: int, scale: float, depth: int):
+    """One step function: a seeded affine map, the identity, zero output or a scaled copy."""
+    if kind == "affine":
+        rng = np.random.default_rng(seed)
+        w = rng.uniform(-1.0, 1.0, size=(depth, depth)).astype(np.float32)
+        b = rng.uniform(-0.5, 0.5, size=depth).astype(np.float32)
+        return lambda h: h @ w + b
+    if kind == "identity":
+        return lambda h: h
+    if kind == "zero":
+        return np.zeros_like
+    return lambda h, c=np.float32(scale): h * c
+
+
+@st.composite
+def stack_cases(draw):
+    """(steps, h0, policy, forced_voids) for run_stack and spec_run_stack; steps are spec_step arguments."""
+    batch, length, depth = (draw(st.integers(1, n)) for n in (3, 4, 4))
+    steps = draw(st.lists(st.tuples(st.sampled_from(["affine", "identity", "zero", "scaled"]),
+                                    st.integers(0, 2 ** 16), st.sampled_from([-1.0, 0.5, 2.0])),
+                          min_size=1, max_size=6))
+    g = draw(st.sampled_from([EXAMPLE, TOKEN]))
+    pol = HaltPolicy(granularity=g, skip_mode=draw(st.sampled_from(list(SkipMode))),
+                     alpha=draw(st.sampled_from([0.3, 0.5, 0.8, 1.0]) | st.floats(0.01, 1.0)),
+                     min_layers=draw(st.just(1) | st.integers(1, len(steps))))
+    h0 = np.random.default_rng(draw(st.integers(0, 2 ** 16))).normal(size=(batch, length, depth)).astype(np.float32)
+    unit = (batch,) if g is EXAMPLE else (batch, length)
+    forced = draw(st.none() | hnp.arrays(bool, (len(steps),)) | hnp.arrays(bool, (len(steps),) + unit))
+    return steps, h0, pol, forced
+
+
+ONE = np.ones((1, 1, 1), np.float32)
+DOUBLE, ZERO = ("scaled", 0, 2.0), ("zero", 0, 2.0)
+
+
+class TestSpecOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(case=stack_cases())
+    # progress +1, -2, +2: layer 2 is void and latches the unit, though layer 3 is above lambda
+    @example(case=([DOUBLE, ZERO, DOUBLE], ONE, HaltPolicy(alpha=0.3, skip_mode=SkipMode.HALT_FROZEN), None))
+    # layer 2 would be void, but min_layers=2 protects it
+    @example(case=([DOUBLE, ZERO], ONE, HaltPolicy(alpha=0.5, min_layers=2), None))
+    # progress 0, 0: range 0, so lambda is 0 and the strict comparison flags nothing
+    @example(case=([("identity", 0, 1.0)] * 2, ONE, HaltPolicy(alpha=0.5), None))
+    def test_run_stack_equals_the_spec_oracle(self, case):
+        steps, h0, pol, forced = case
+        layers = [spec_step(kind, seed, scale, h0.shape[2]) for kind, seed, scale in steps]
+        out = run_stack(layers, h0, pol, forced_voids=forced)
+        want = spec_run_stack(layers, h0, pol, forced_voids=forced)
+        for field, expect in zip(("final_hidden", "void_flags", "token_norms", "token_deltas"), want):
+            got = getattr(out, field)
+            assert (got.dtype, got.shape) == (expect.dtype, expect.shape), field
+            assert got.tobytes() == expect.tobytes(), field

@@ -484,7 +484,7 @@ class TestBatchedGenerate:
         assert str(states[4].error) == "position 24 overflows max_seq 24"
 
     @pytest.mark.parametrize("mode", list(SkipMode))
-    @pytest.mark.parametrize("granularity", list(NormGranularity))
+    @pytest.mark.parametrize("granularity", [NormGranularity.EXAMPLE, NormGranularity.TOKEN])
     @settings(max_examples=6, deadline=None)
     @given(
         prompts=st.lists(st.lists(st.integers(1, 255), min_size=1, max_size=16), min_size=1, max_size=5),
@@ -550,7 +550,7 @@ class TestBatchedGenerate:
 
 class TestBatchedRunPrompt:
     @pytest.mark.parametrize("mode", list(SkipMode))
-    @pytest.mark.parametrize("granularity", list(NormGranularity))
+    @pytest.mark.parametrize("granularity", [NormGranularity.EXAMPLE, NormGranularity.TOKEN])
     @settings(max_examples=5, deadline=None)
     @given(
         length=st.integers(1, 12),
