@@ -212,6 +212,8 @@ class TestTrace:
                                          ["compare", "--suite", "copy"]])
     @pytest.mark.parametrize("flag, value, message", [
         ("--alpha", "0", "alpha must be in (0, 1], got 0.0"),
+        ("--alpha", "1.5", "alpha must be in (0, 1], got 1.5"),
+        ("--alpha", "nan", "alpha must be in (0, 1], got nan"),  # a NaN threshold would flag no layer
         ("--min-layers", "0", "min_layers must be >= 1, got 0"),
         ("--granularity", "batch", "invalid choice: 'batch'"),  # halting runs per example or per token
     ])
@@ -221,7 +223,8 @@ class TestTrace:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("spec, component", [("d16,h2,l4,d32", "d"), ("d16,h2,l4,l1", "l"),
+    @pytest.mark.parametrize("spec, component", [("d16,h2,l4,d32", "d"), ("d16,h2,h4,l4", "h"),
+                                                  ("d16,h2,l4,l1", "l"), ("f32,d16,h2,l4,f64", "f"),
                                                   ("m64,d16,h2,l4,m32", "m")])
     def test_repeated_seed_model_component_exits_2(self, tmp_path, capsys, spec, component):
         out = tmp_path / "out"
@@ -313,10 +316,14 @@ class TestSweep:
         assert float(row["pp_usage"]) == pytest.approx(summary["average_usage"]["PP"], abs=1e-9)
         assert float(row["rg_usage"]) == pytest.approx(summary["average_usage"]["RG"], abs=1e-9)
 
-    def test_granularity_other_than_token_is_a_usage_error(self, tmp_path, capsys):
-        assert run(["sweep", *MODEL, "--prompt", "x", "--alphas", "0.6", "--granularity", "example",
+    @pytest.mark.parametrize("granularity, message", [
+        ("example", "the replay re-thresholds per-token deltas"),
+        ("batch", "invalid choice: 'batch'"),  # halting runs per example or per token
+    ], ids=["example", "batch"])
+    def test_granularity_other_than_token_is_a_usage_error(self, tmp_path, capsys, granularity, message):
+        assert run(["sweep", *MODEL, "--prompt", "x", "--alphas", "0.6", "--granularity", granularity,
                     "--out", str(tmp_path)]) == 2
-        assert "the replay re-thresholds per-token deltas" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("alpha", ["0.6", "0.8"])
@@ -455,7 +462,11 @@ class TestCompare:
     def test_requires_suite(self, tmp_path):
         assert run(["compare", *MODEL, "--out", str(tmp_path)]) == 2
 
-    def test_refused_policy_exits_2_before_the_model_loads(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--alpha", "0", "alpha must be in (0, 1], got 0.0"),
+        ("--min-layers", "0", "min_layers must be >= 1, got 0"),
+    ])
+    def test_refused_policy_exits_2_before_the_model_loads(self, tmp_path, capsys, flag, value, message):
         missing = tmp_path / "missing.lactnsr"
-        assert run(["compare", "--weights", str(missing), "--suite", "copy", "--alpha", "0"]) == 2
-        assert "alpha must be in (0, 1], got 0.0" in capsys.readouterr().err
+        assert run(["compare", "--weights", str(missing), "--suite", "copy", flag, value]) == 2
+        assert message in capsys.readouterr().err

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -116,7 +116,9 @@ class TestRunStackModes:
     @pytest.mark.parametrize("g, bad, unit", [
         (NormGranularity.EXAMPLE, (3,), "(2, 2)"),
         (NormGranularity.EXAMPLE, (2, 2, 3), "(2, 2)"),
+        (NormGranularity.EXAMPLE, (2, 3), "(2, 2)"),  # token-shaped flags under EXAMPLE
         (NormGranularity.TOKEN, (2, 2), "(2, 2, 3)"),
+        (NormGranularity.TOKEN, (3, 2, 3), "(2, 2, 3)"),  # one layer too many
     ])
     def test_forced_voids_bad_shape_message_names_the_unit_shape(self, g, bad, unit):
         message = f"forced_voids shape {bad} does not match (layers,)+unit {unit}"
@@ -282,14 +284,13 @@ def spec_step(kind: str, seed: int, scale: float, depth: int):
 
 
 @st.composite
-def stack_cases(draw):
+def stack_cases(draw, mode, g):
     """(steps, h0, policy, forced_voids) for run_stack and spec_run_stack; steps are spec_step arguments."""
     batch, length, depth = (draw(st.integers(1, n)) for n in (3, 4, 4))
     steps = draw(st.lists(st.tuples(st.sampled_from(["affine", "identity", "zero", "scaled"]),
                                     st.integers(0, 2 ** 16), st.sampled_from([-1.0, 0.5, 2.0])),
                           min_size=1, max_size=6))
-    g = draw(st.sampled_from([EXAMPLE, TOKEN]))
-    pol = HaltPolicy(granularity=g, skip_mode=draw(st.sampled_from(list(SkipMode))),
+    pol = HaltPolicy(granularity=g, skip_mode=mode,
                      alpha=draw(st.sampled_from([0.3, 0.5, 0.8, 1.0]) | st.floats(0.01, 1.0)),
                      min_layers=draw(st.just(1) | st.integers(1, len(steps))))
     h0 = np.random.default_rng(draw(st.integers(0, 2 ** 16))).normal(size=(batch, length, depth)).astype(np.float32)
@@ -303,16 +304,8 @@ DOUBLE, ZERO = ("scaled", 0, 2.0), ("zero", 0, 2.0)
 
 
 class TestSpecOracle:
-    @settings(max_examples=400, deadline=None)
-    @given(case=stack_cases())
-    # progress +1, -2, +2: layer 2 is void and latches the unit, though layer 3 is above lambda
-    @example(case=([DOUBLE, ZERO, DOUBLE], ONE, HaltPolicy(alpha=0.3, skip_mode=SkipMode.HALT_FROZEN), None))
-    # layer 2 would be void, but min_layers=2 protects it
-    @example(case=([DOUBLE, ZERO], ONE, HaltPolicy(alpha=0.5, min_layers=2), None))
-    # progress 0, 0: range 0, so lambda is 0 and the strict comparison flags nothing
-    @example(case=([("identity", 0, 1.0)] * 2, ONE, HaltPolicy(alpha=0.5), None))
-    def test_run_stack_equals_the_spec_oracle(self, case):
-        steps, h0, pol, forced = case
+    @staticmethod
+    def check(steps, h0, pol, forced):
         layers = [spec_step(kind, seed, scale, h0.shape[2]) for kind, seed, scale in steps]
         out = run_stack(layers, h0, pol, forced_voids=forced)
         want = spec_run_stack(layers, h0, pol, forced_voids=forced)
@@ -320,3 +313,21 @@ class TestSpecOracle:
             got = getattr(out, field)
             assert (got.dtype, got.shape) == (expect.dtype, expect.shape), field
             assert got.tobytes() == expect.tobytes(), field
+
+    @pytest.mark.parametrize("g", [EXAMPLE, TOKEN], ids=lambda g: g.value)
+    @pytest.mark.parametrize("mode", list(SkipMode), ids=lambda m: m.value)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_run_stack_equals_the_spec_oracle(self, mode, g, data):
+        self.check(*data.draw(stack_cases(mode, g)))
+
+    @pytest.mark.parametrize("steps, pol", [
+        # progress +1, -2, +2: layer 2 is void and latches the unit, though layer 3 is above lambda
+        ([DOUBLE, ZERO, DOUBLE], HaltPolicy(alpha=0.3, skip_mode=SkipMode.HALT_FROZEN)),
+        # layer 2 would be void, but min_layers=2 protects it
+        ([DOUBLE, ZERO], HaltPolicy(alpha=0.5, min_layers=2)),
+        # progress 0, 0: range 0, so lambda is 0 and the strict comparison flags nothing
+        ([("identity", 0, 1.0)] * 2, HaltPolicy(alpha=0.5)),
+    ], ids=["latch", "min-layers", "zero-range"])
+    def test_hand_cases_equal_the_spec_oracle(self, steps, pol):
+        self.check(steps, ONE, pol, None)

@@ -251,13 +251,15 @@ class TestHaltPolicy:
         with pytest.raises(ValueError):
             HaltPolicy(min_layers=0)
 
-    def test_batch_granularity_refused(self):
+    @pytest.mark.parametrize("build", [
+        lambda: HaltPolicy(granularity=NormGranularity.BATCH),
+        lambda: dataclasses.replace(HaltPolicy(), granularity=NormGranularity.BATCH),
+    ], ids=["constructor", "replace"])
+    def test_batch_granularity_refused(self, build):
         # halting runs per example or per token; the whole-batch unit has no run_stack shape
         message = "halting granularity must be EXAMPLE or TOKEN, got NormGranularity.BATCH"
         with pytest.raises(ValueError, match=message):
-            HaltPolicy(granularity=NormGranularity.BATCH)
-        with pytest.raises(ValueError, match=message):
-            dataclasses.replace(HaltPolicy(), granularity=NormGranularity.BATCH)
+            build()
 
     def test_fields(self):
         assert [f.name for f in dataclasses.fields(HaltPolicy)] == ["granularity", "alpha", "skip_mode", "min_layers"]
