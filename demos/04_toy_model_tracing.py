@@ -25,9 +25,10 @@ model = build_model(config)
 policy = HaltPolicy(alpha=0.8, skip_mode=SkipMode.DETECT)
 
 prompt = "void hunting"
-state, pp_records = run_prompt(model, prompt, policy, sequence_id="demo")
+# run_prompt and generate take and return lists, one entry per sequence
+(state,), pp_records = run_prompt(model, [prompt], policy, ["demo"])
 (generated,), (rg_records,) = generate([state], model, policy, max_new=12)
-records = pp_records + rg_records
+records = pp_records + rg_records  # + joins two TraceColumns blocks
 
 print(f"prompt tokens: {len(pp_records)}  generated tokens: {len(rg_records)}")
 print(f"continuation bytes: {generated}")

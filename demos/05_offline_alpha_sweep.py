@@ -12,6 +12,7 @@ from lacvoid import (
     HaltPolicy,
     ModelConfig,
     SkipMode,
+    TraceColumns,
     alpha_sweep,
     build_model,
     generate,
@@ -23,14 +24,15 @@ from lacvoid.rng import stream_for
 model = build_model(ModelConfig(layer_count=8, depth=32, head_count=4, ffn_dim=64, max_seq=48, seed=0))
 off = HaltPolicy(skip_mode=SkipMode.OFF)
 
-# record 20 sequences once, in off mode
-records = []
+# record 20 sequences once, in off mode, and join their blocks into one
+blocks = []
 gen = stream_for(7, "sweep-demo")
 for i in range(20):
     prompt = gen.integers(8, 33, 127)
-    state, pp = run_prompt(model, prompt, off, sequence_id=f"d{i}")
+    (state,), pp = run_prompt(model, [prompt], off, [f"d{i}"])
     _, (rg,) = generate([state], model, off, 8)
-    records += pp + rg
+    blocks += [pp, rg]
+records = TraceColumns.concat(blocks)
 
 print("alpha   pp_usage  rg_usage")
 for alpha, report in alpha_sweep(records, [round(0.1 * k, 1) for k in range(1, 11)]):

@@ -1,7 +1,7 @@
 """Aggregate trace records into usage and norm statistics.
 
-Every aggregator takes a TraceColumns block or a list of records, which
-it turns into one block (TraceColumns.from_records) and reads as arrays.
+Every aggregator takes one TraceColumns block and reads its columns as
+arrays; an empty block gives a report with no phases.
 
 Usage is a per-token micro-average: the mean over tokens of (active
 layers / layer count). Per-layer frequencies are the fraction of
@@ -21,7 +21,7 @@ import numpy as np
 
 from .halting import offline_void_mask
 from .tensors import DTYPE
-from .trace import PHASES, TraceColumns, TraceRecord
+from .trace import PHASES, TraceColumns
 
 __all__ = [
     "LayerUsageReport",
@@ -98,23 +98,20 @@ def _usage_from_columns(flags: np.ndarray, phases: np.ndarray, alpha) -> LayerUs
     )
 
 
-def usage_report(records: TraceColumns | list[TraceRecord]) -> LayerUsageReport:
+def usage_report(trace: TraceColumns) -> LayerUsageReport:
     """Aggregate activation flags. alpha is the records' own alpha when
     that is uniform, else None."""
-    trace = TraceColumns.from_records(records)
     return _usage_from_columns(trace.layer_flags, trace.phase, _uniform_or_none(trace.alpha.tolist()))
 
 
-def norm_profile(records: TraceColumns | list[TraceRecord]) -> NormProfile:
+def norm_profile(trace: TraceColumns) -> NormProfile:
     """Arithmetic means of per-layer norms and progress, by phase."""
-    trace = TraceColumns.from_records(records)
     return NormProfile(layer_count=trace.layer_count,
                        mean_norms={p: sub.mean(axis=0) for p, sub in _by_phase(trace.layer_norms, trace.phase)},
                        mean_deltas={p: sub.mean(axis=0) for p, sub in _by_phase(trace.layer_deltas, trace.phase)})
 
 
-def alpha_sweep(records: TraceColumns | list[TraceRecord], alphas,
-                min_layers: int = 1) -> list[tuple[float, LayerUsageReport]]:
+def alpha_sweep(trace: TraceColumns, alphas, min_layers: int = 1) -> list[tuple[float, LayerUsageReport]]:
     """Re-threshold recorded progress at each alpha, without re-running.
 
     Records must carry per-layer deltas from a run that did not alter
@@ -124,7 +121,6 @@ def alpha_sweep(records: TraceColumns | list[TraceRecord], alphas,
     granularity only. Each alpha is one offline_void_mask call over the
     (N, T) delta matrix.
     """
-    trace = TraceColumns.from_records(records)
     deltas = trace.layer_deltas.astype(DTYPE)
     return [(float(alpha), _usage_from_columns(~offline_void_mask(deltas, alpha, min_layers), trace.phase,
                                                float(alpha)))

@@ -102,7 +102,7 @@ def _run_group(model: ToyTransformer, group: list[SuiteCase], capacity: int, pol
     def prompts(rows: tuple[int, int]):
         batch = by_length[rows[0]:rows[1]]
         return run_prompt(model, [group[i].prompt_ids for i in batch], policy,
-                          sequence_id=[group[i].sequence_id for i in batch], cache=cache, row=list(range(*rows)))
+                          [group[i].sequence_id for i in batch], cache=cache, rows=list(range(*rows)))
 
     batches = list(_pp_batches(lengths, model.config.max_seq, workers))
     pp = {}  # job index -> (state, PP trace)
@@ -198,6 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_policy_flags(p_cmp)
     _add_run_flags(p_cmp, with_prompt=False)
     p_cmp.set_defaults(mode="skip-identity")  # the skipped column skips unless told otherwise
+    for p in sub.choices.values():
+        p.set_defaults(parser=p)  # so a usage error raised inside a command names that command
     return parser
 
 
@@ -418,7 +420,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return _COMMANDS[args.command](args, parser)
+        return _COMMANDS[args.command](args, args.parser)
     except SystemExit as exc:  # parser.error inside a command
         return int(exc.code) if exc.code is not None else 0
     except (ValueError, OSError) as exc:

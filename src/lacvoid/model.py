@@ -411,28 +411,26 @@ def _forward(model: ToyTransformer, cache: KVCache, rows, starts, ids, phase: st
     return trace, logits
 
 
-def run_prompt(model: ToyTransformer, prompt_tokens, policy: HaltPolicy, sequence_id: str | list[str] = "seq0",
-               forced_voids=None, cache: KVCache | None = None, row: int | list[int] = 0):
-    """Forward whole prompt grids at once (prompt-processing phase).
+def run_prompt(model: ToyTransformer, prompts, policy: HaltPolicy, sequence_ids, forced_voids=None,
+               cache: KVCache | None = None, rows=None) -> tuple[list[GenerationState], TraceColumns]:
+    """Forward equal-length prompts as one batch (prompt-processing phase).
 
-    One prompt: writes its keys and values into one row of `cache` (a
-    new one-row cache of max_seq positions by default) and returns the
-    decoding state (next-token logits pending) and the prompt's trace,
-    one record per prompt token.
+    prompts, sequence_ids and rows are equal-length lists: prompt b is
+    written into cache row rows[b] (default b). The batch is one
+    run_stack, and every op in it works row by row, so each prompt's
+    state, KV row and records equal those of running it alone. Returns
+    the decoding states (next-token logits pending) and one trace block,
+    the prompts' records in list order.
 
-    A batch: prompt_tokens, sequence_id and row are equal-length lists,
-    the prompts of one length, each written into its own cache row (the
-    default cache has max(row) + 1 rows). The batch is one run_stack,
-    and every op in it works row by row, so each prompt's state, KV row
-    and records equal those of running it alone. Returns the states and
-    one trace block, the prompts' records in list order.
+    The default cache has max(rows) + 1 rows of max_seq positions, so it
+    costs 2 * layers * rows * max_seq * depth * 4 bytes: 128 MiB for one
+    row of d16/h2/l1 at max_seq 2^20. The CLI sizes its own caches to
+    each group's prompts plus --max-new.
 
     forced_voids is one flag per layer, or per layer and unit of the
     batch's token grid.
     """
-    single = isinstance(sequence_id, str)
-    prompts, sequence_ids, rows = ([prompt_tokens], [sequence_id], [row]) if single else (
-        prompt_tokens, list(sequence_id), list(row))
+    rows = list(range(len(prompts))) if rows is None else list(rows)
     if not 0 < len(prompts) == len(sequence_ids) == len(rows):
         raise ValueError(f"a batch needs as many prompts, sequence ids and rows, at least one: "
                          f"got {len(prompts)}, {len(sequence_ids)} and {len(rows)}")
@@ -445,7 +443,7 @@ def run_prompt(model: ToyTransformer, prompt_tokens, policy: HaltPolicy, sequenc
         cache = model.new_cache(max(rows) + 1)
     trace, logits = _forward(model, cache, rows, [0] * len(rows), ids, PHASE_PP, sequence_ids, policy, forced_voids)
     states = [GenerationState(s, cache, len(ids[0]), logits[b], r) for b, (s, r) in enumerate(zip(sequence_ids, rows))]
-    return (states[0] if single else states), trace
+    return states, trace
 
 
 def generate(states: list[GenerationState], model: ToyTransformer, policy: HaltPolicy, max_new: int,

@@ -68,7 +68,7 @@ class TraceColumns(Sequence):
     Every other field is an (N,) array. A Sequence of TraceRecord views:
     an integer index builds one record, and iteration builds them all;
     a slice, an index array or a boolean mask takes a block of the
-    chosen rows. Equal to any block, list or tuple of the same records.
+    chosen rows. Equal to a block of the same layer count and values.
     """
 
     sequence_id: np.ndarray
@@ -113,9 +113,9 @@ class TraceColumns(Sequence):
         return TraceColumns.concat([self, other]) if isinstance(other, TraceColumns) else NotImplemented
 
     def __eq__(self, other):
-        if not isinstance(other, (TraceColumns, list, tuple)):
+        if not isinstance(other, TraceColumns):
             return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return all(np.array_equal(a, b) for a, b in zip(self._columns(), other._columns()))
 
     @classmethod
     def concat(cls, blocks: Iterable[TraceColumns]) -> TraceColumns:
@@ -128,19 +128,17 @@ class TraceColumns(Sequence):
                      for name, dtype in _COLUMN_DTYPES.items()))
 
     @classmethod
-    def from_records(cls, records: Iterable[TraceRecord] | TraceColumns) -> TraceColumns:
-        """The one place records become columns; a block is returned as it is.
+    def from_records(cls, records: Iterable[TraceRecord]) -> TraceColumns:
+        """The one place records become columns.
 
         Raises ValueError for no records, and TraceError naming the field
         when a per-layer field's length is not the one layer count that
         every record shares, or when a value does not fit its column's
         dtype (such as a token_index of 2^63).
         """
-        records = records if isinstance(records, TraceColumns) else list(records)
-        if not len(records):
+        records = list(records)
+        if not records:
             raise ValueError("no records to aggregate")
-        if isinstance(records, TraceColumns):
-            return records
         columns = []
         for name in _REQUIRED_FIELDS:  # one list of N values alive at a time
             values = [getattr(r, name) for r in records]
@@ -238,7 +236,9 @@ def _chunks(block: TraceColumns) -> Iterator[str]:
 
 def record_to_line(r: TraceRecord) -> str:
     """One JSONL line, fixed field order, no trailing newline: the
-    writer's output for a one-record block.
+    writer's output for a one-record block. Its last caller outside the
+    tests is perfbench/checks.py's round trip, which ROADMAP item A
+    moves onto write_trace.
 
     Raises TraceError for what the writer refuses.
     """
@@ -247,16 +247,13 @@ def record_to_line(r: TraceRecord) -> str:
     return next(_chunks(block))[:-1]
 
 
-def write_trace(records: TraceColumns | Iterable[TraceRecord], sink) -> int:
-    """Append a block, or records taken as one block, to a path or text
-    file object. Returns bytes written.
+def write_trace(block: TraceColumns, sink) -> int:
+    """Append a block to a path or text file object. Returns bytes written.
 
     The whole block is checked first, so a block that holds one refused
     record writes nothing.
     """
-    block = records if isinstance(records, TraceColumns) else list(records)
     if len(block):
-        block = TraceColumns.from_records(block)
         _check(block)
     if hasattr(sink, "write"):
         return _write_chunks(block, sink)
@@ -264,7 +261,7 @@ def write_trace(records: TraceColumns | Iterable[TraceRecord], sink) -> int:
         return _write_chunks(block, fh)
 
 
-def _write_chunks(block: TraceColumns | list, fh: IO[str]) -> int:
+def _write_chunks(block: TraceColumns, fh: IO[str]) -> int:
     count = 0
     for text in _chunks(block):
         fh.write(text)
@@ -362,7 +359,7 @@ def _read_lines(lines: Iterable[str], origin: str) -> TraceColumns:
     return block
 
 
-def render_bitmap(records: TraceColumns | list[TraceRecord], phase: str | None = None) -> str:
+def render_bitmap(block: TraceColumns, phase: str | None = None) -> str:
     """Token-by-layer activation bitmap for one sequence as PGM (P2) text.
 
     Columns are tokens in token_index order, rows are layers with the
@@ -371,9 +368,6 @@ def render_bitmap(records: TraceColumns | list[TraceRecord], phase: str | None =
     """
     if phase is not None and phase not in PHASES:
         raise ValueError(f"phase filter must be one of {PHASES} or None, got {phase!r}")
-    if not len(records):
-        raise ValueError("no records to render (empty selection)")
-    block = TraceColumns.from_records(records)
     if phase is not None:
         block = block[block.phase == phase]
     if not len(block):

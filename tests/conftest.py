@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -44,6 +47,25 @@ def make_record(seq="s0", token_index=0, phase="PP", token_id=65,
         layer_flags=list(flags), layer_norms=[float(x) for x in norms],
         layer_deltas=[float(x) for x in deltas], alpha=alpha, formula=formula, skip_mode=skip_mode,
     )
+
+
+def reference_line(r) -> str:
+    """The record-at-a-time encoding that the template writer replaced, as an independent oracle."""
+    def fmt(x):  # a NaN or infinity as Python's json spells it, so a refused value still decodes
+        return "%.9g" % float(x) if math.isfinite(x) else json.dumps(float(x))
+    return ("{"
+            f'"sequence_id":{json.dumps(r.sequence_id)},"token_index":{int(r.token_index)},'
+            f'"phase":"{r.phase}","token_id":{int(r.token_id)},'
+            f'"layer_flags":[{",".join("1" if f else "0" for f in r.layer_flags)}],'
+            f'"layer_norms":[{",".join(fmt(x) for x in r.layer_norms)}],'
+            f'"layer_deltas":[{",".join(fmt(x) for x in r.layer_deltas)}],'
+            f'"alpha":{fmt(r.alpha)},"formula":{json.dumps(r.formula)},"skip_mode":{json.dumps(r.skip_mode)}'
+            "}")
+
+
+def reference_lines(block) -> list[str]:
+    """reference_line of each record of a block, in order."""
+    return [reference_line(r) for r in block]
 
 
 def white_pixel_count(pgm_text: str) -> int:

@@ -16,6 +16,7 @@ from lacvoid import (
     ModelConfig,
     NormGranularity,
     SkipMode,
+    TraceColumns,
     build_model,
     detect_voids_offline,
     export_reports,
@@ -154,8 +155,8 @@ def test_detect_mode_non_interference(toy8):
     off = HaltPolicy(skip_mode=SkipMode.OFF)
     detect = HaltPolicy(skip_mode=SkipMode.DETECT)
     for i, ids in enumerate(acceptance_prompts(50)):
-        s_off, _ = run_prompt(toy8, ids, off, sequence_id=f"p{i}")
-        s_det, _ = run_prompt(toy8, ids, detect, sequence_id=f"p{i}")
+        (s_off,), _ = run_prompt(toy8, [ids], off, [f"p{i}"])
+        (s_det,), _ = run_prompt(toy8, [ids], detect, [f"p{i}"])
         assert s_off.last_logits.tobytes() == s_det.last_logits.tobytes()
     ok("detect-mode non-interference (50 prompts, bitwise)")
 
@@ -163,10 +164,8 @@ def test_detect_mode_non_interference(toy8):
 def test_preln_norm_growth(toy8):
     """Mean per-layer norm non-decreasing for >= 90% of adjacent pairs."""
     policy = HaltPolicy(skip_mode=SkipMode.DETECT)
-    records = []
-    for i, ids in enumerate(acceptance_prompts(100)):
-        _, recs = run_prompt(toy8, ids, policy, sequence_id=f"g{i}")
-        records.extend(recs)
+    records = TraceColumns.concat(run_prompt(toy8, [ids], policy, [f"g{i}"])[1]
+                                  for i, ids in enumerate(acceptance_prompts(100)))
     means = norm_profile(records).mean_norms["PP"]
     pairs = list(zip(means, means[1:]))
     fraction = sum(1 for a, b in pairs if b >= a) / len(pairs)
@@ -177,10 +176,8 @@ def test_preln_norm_growth(toy8):
 def test_round_trips(toy8, tmp_path):
     """JSONL, PGM, and CSV all re-parse to structurally equal data."""
     policy = HaltPolicy(skip_mode=SkipMode.DETECT)
-    records = []
-    for i, ids in enumerate(acceptance_prompts(10)):
-        _, recs = run_prompt(toy8, ids, policy, sequence_id=f"r{i}")
-        records.extend(recs)
+    records = TraceColumns.concat(run_prompt(toy8, [ids], policy, [f"r{i}"])[1]
+                                  for i, ids in enumerate(acceptance_prompts(10)))
 
     trace_path = tmp_path / "trace.jsonl"
     write_trace(records, trace_path)
@@ -192,7 +189,7 @@ def test_round_trips(toy8, tmp_path):
         assert np.abs(np.array(a.layer_norms) - np.array(b.layer_norms)).max() < 1e-6
         assert np.abs(np.array(a.layer_deltas) - np.array(b.layer_deltas)).max() < 1e-6
 
-    seq0 = [r for r in back if r.sequence_id == "r0"]
+    seq0 = back[back.sequence_id == "r0"]
     pgm = render_bitmap(seq0, phase="PP")
     assert white_pixel_count(pgm) == sum(sum(r.layer_flags) for r in seq0)
 

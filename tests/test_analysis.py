@@ -7,6 +7,7 @@ import pytest
 from lacvoid import (
     HaltPolicy,
     SkipMode,
+    TraceColumns,
     TraceError,
     alpha_sweep,
     export_reports,
@@ -18,10 +19,10 @@ from lacvoid.analysis import CSV_HEADER
 from conftest import add_constant_stack, make_record
 
 
-def flag_records(flag_lists, phase="PP", **kw):
-    return [make_record(token_index=i, phase=phase,
-                        flags=f, norms=[1.0] * len(f), deltas=[0.5] * len(f), **kw)
-            for i, f in enumerate(flag_lists)]
+def flag_records(flag_lists, phase="PP", **kw) -> TraceColumns:
+    return TraceColumns.from_records(make_record(token_index=i, phase=phase,
+                                                 flags=f, norms=[1.0] * len(f), deltas=[0.5] * len(f), **kw)
+                                     for i, f in enumerate(flag_lists))
 
 
 class TestUsageReport:
@@ -44,7 +45,7 @@ class TestUsageReport:
                 token_index=i, phase="PP" if i % 3 else "RG",
                 flags=[bool(b) for b in rng.integers(0, 2, layers)],
                 norms=[1.0] * layers, deltas=[0.1] * layers))
-        report = usage_report(records)
+        report = usage_report(TraceColumns.from_records(records))
         for phase in ("PP", "RG"):
             sub = [r for r in records if r.phase == phase]
             counts = [0] * layers
@@ -68,30 +69,33 @@ class TestUsageReport:
         assert max(v.max() for v in report.normalized.values()) == 1.0
 
     def test_mixed_layer_counts_rejected(self):
-        records = flag_records([[True, True]]) + [
-            make_record(token_index=9, flags=[True] * 3, norms=[1] * 3, deltas=[0] * 3)]
+        records = [*flag_records([[True, True]]),
+                   make_record(token_index=9, flags=[True] * 3, norms=[1] * 3, deltas=[0] * 3)]
         with pytest.raises(TraceError):
-            usage_report(records)
+            usage_report(TraceColumns.from_records(records))
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            usage_report([])
+    def test_empty_block_gives_no_phases(self):
+        report = usage_report(TraceColumns.empty(3))
+        assert (report.layer_count, report.alpha) == (3, None)
+        assert report.frequencies == report.normalized == report.average_usage == report.token_counts == {}
+        profile = norm_profile(TraceColumns.empty(3))
+        assert profile.layer_count == 3 and profile.mean_norms == profile.mean_deltas == {}
 
 
 class TestNormProfile:
     def test_single_record_is_identity(self):
         r = make_record(norms=[1.0, 2.5], deltas=[1.0, 1.5])
-        profile = norm_profile([r])
+        profile = norm_profile(TraceColumns.from_records([r]))
         assert np.array_equal(profile.mean_norms["PP"], [1.0, 2.5])
         assert np.array_equal(profile.mean_deltas["PP"], [1.0, 1.5])
 
     def test_symmetric_pair_averages_to_center(self):
         c = 3.0
         n = np.array([1.0, -2.0, 4.0])
-        records = [
+        records = TraceColumns.from_records([
             make_record(token_index=0, flags=[True] * 3, norms=n, deltas=n),
             make_record(token_index=1, flags=[True] * 3, norms=-n + 2 * c, deltas=-n + 2 * c),
-        ]
+        ])
         profile = norm_profile(records)
         assert np.allclose(profile.mean_norms["PP"], c)
         assert np.allclose(profile.mean_deltas["PP"], c)
@@ -102,7 +106,7 @@ class TestNormProfile:
         records = [make_record(token_index=i, phase="RG", flags=[True] * layers,
                                norms=rng.uniform(0, 9, layers), deltas=rng.uniform(-2, 2, layers))
                    for i in range(40)]
-        profile = norm_profile(records)
+        profile = norm_profile(TraceColumns.from_records(records))
         for t in range(layers):
             expect = sum(r.layer_norms[t] for r in records) / len(records)
             assert profile.mean_norms["RG"][t] == pytest.approx(expect, abs=1e-6)
@@ -111,12 +115,12 @@ class TestNormProfile:
 
 
 class TestAlphaSweep:
-    def sweep_records(self, seed=3, n=60, layers=6):
+    def sweep_records(self, seed=3, n=60, layers=6) -> TraceColumns:
         rng = np.random.default_rng(seed)
-        return [make_record(token_index=i, phase="PP" if i % 2 else "RG",
-                            flags=[True] * layers, norms=[1.0] * layers,
-                            deltas=[float(x) for x in rng.uniform(-2, 6, layers)])
-                for i in range(n)]
+        return TraceColumns.from_records(make_record(token_index=i, phase="PP" if i % 2 else "RG",
+                                                     flags=[True] * layers, norms=[1.0] * layers,
+                                                     deltas=[float(x) for x in rng.uniform(-2, 6, layers)])
+                                         for i in range(n))
 
     def test_usage_non_increasing_in_alpha(self):
         records = self.sweep_records()
@@ -127,14 +131,15 @@ class TestAlphaSweep:
             assert all(a >= b - 1e-12 for a, b in zip(usages, usages[1:]))
 
     def test_permissive_limit_when_all_deltas_positive(self):
-        records = [make_record(token_index=i, flags=[True] * 4, norms=[1] * 4,
-                               deltas=[5.0, 4.0, 3.0, 4.5]) for i in range(5)]
+        records = TraceColumns.from_records(make_record(token_index=i, flags=[True] * 4, norms=[1] * 4,
+                                                        deltas=[5.0, 4.0, 3.0, 4.5]) for i in range(5))
         # smallest delta 3.0 far above alpha*(range)=1e-6*2: nothing voids
         (_, report), = alpha_sweep(records, [1e-6])
         assert report.average_usage["PP"] == 1.0
 
     def test_single_layer_always_full_usage(self):
-        records = [make_record(token_index=i, flags=[True], norms=[1.0], deltas=[-1.0]) for i in range(4)]
+        records = TraceColumns.from_records(make_record(token_index=i, flags=[True], norms=[1.0], deltas=[-1.0])
+                                            for i in range(4))
         for alpha, report in alpha_sweep(records, [0.1, 0.5, 1.0]):
             assert report.average_usage["PP"] == 1.0
 
@@ -163,7 +168,7 @@ class TestAlphaSweep:
                                norms=[float(x) for x in out.token_norms[:, 0, j]],
                                deltas=[float(x) for x in out.token_deltas[:, 0, j]])
                    for j in range(2)]
-        (_, report), = alpha_sweep(records, [0.7])
+        (_, report), = alpha_sweep(TraceColumns.from_records(records), [0.7])
         recomputed = [r for r in records]
         for j, rec in enumerate(recomputed):
             from lacvoid import offline_void_mask
@@ -181,8 +186,9 @@ class TestCorrespondence:
                                norms=[float(x) for x in out.token_norms[:, 0, j]],
                                deltas=[float(x) for x in out.token_deltas[:, 0, j]])
                    for j in range(4)]
-        usage = usage_report(records).frequencies["PP"]
-        mean_delta = norm_profile(records).mean_deltas["PP"]
+        block = TraceColumns.from_records(records)
+        usage = usage_report(block).frequencies["PP"]
+        mean_delta = norm_profile(block).mean_deltas["PP"]
         order = np.argsort(mean_delta)
         quartile = len(order) // 4
         bottom, top = order[:quartile], order[-quartile:]
@@ -221,8 +227,9 @@ class TestExport:
                           norms=[1.0] * layers, deltas=[0.0] * layers) for i in range(3)]
         rg = [make_record(token_index=i + 3, phase="RG", flags=[True] * 30 + [False] * 70,
                           norms=[1.0] * layers, deltas=[0.0] * layers) for i in range(3)]
-        usage = usage_report(pp + rg)
-        profile = norm_profile(pp + rg)
+        block = TraceColumns.from_records(pp + rg)
+        usage = usage_report(block)
+        profile = norm_profile(block)
         _, json_path = export_reports(usage, profile, tmp_path)
         summary = json.loads(json_path.read_text())
         assert summary["average_usage_2dp"] == {"PP": 0.29, "RG": 0.3}
@@ -239,4 +246,4 @@ class TestExport:
         bad = make_record()
         bad.layer_deltas = []
         with pytest.raises(TraceError, match="deltas"):
-            alpha_sweep([bad], [0.5])
+            alpha_sweep(TraceColumns.from_records([bad]), [0.5])

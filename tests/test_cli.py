@@ -9,8 +9,8 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from conftest import make_record
-from lacvoid import (HaltPolicy, ModelConfig, build_model, cli, generate, load_weights, read_trace, run_prompt,
-                     save_weights, write_trace)
+from lacvoid import (HaltPolicy, ModelConfig, TraceColumns, build_model, cli, generate, load_weights, read_trace,
+                     run_prompt, save_weights, write_trace)
 from lacvoid.cli import main
 from lacvoid.suites import SuiteCase
 
@@ -35,6 +35,14 @@ RAGGED_DIGESTS = {
 
 def run(args):
     return main(args)
+
+
+def usage_error_line(err: str, command: str) -> str:
+    """The error line of a usage error's stderr, after checking that it names the subcommand."""
+    assert err.startswith(f"usage: lacvoid {command} "), err
+    line = err.splitlines()[-1]
+    assert line.startswith(f"lacvoid {command}: error: "), err
+    return line
 
 
 class TestTrace:
@@ -130,7 +138,7 @@ class TestTrace:
         assert [str(r) for r in results[1::2]] == ["token id 126 outside vocabulary [0, 100)",
                                                    "token id 125 outside vocabulary [0, 100)"]
         for job, (trace, ids) in zip(jobs[::2], results[::2]):
-            state, pp = run_prompt(model, job.prompt_ids, HaltPolicy(), sequence_id=job.sequence_id)
+            (state,), pp = run_prompt(model, [job.prompt_ids], HaltPolicy(), [job.sequence_id])
             (ref_ids,), (rg,) = generate([state], model, HaltPolicy(), 3)
             assert ids == ref_ids and trace == pp + rg
 
@@ -220,7 +228,7 @@ class TestTrace:
     def test_refused_policy_flag_exits_2(self, tmp_path, capsys, command, flag, value, message):
         out = tmp_path / "out"
         assert run([*command, *MODEL, flag, value, "--out", str(out)]) == 2
-        assert message in capsys.readouterr().err
+        assert message in usage_error_line(capsys.readouterr().err, command[0])
         assert not out.exists()
 
     @pytest.mark.parametrize("spec, component", [("d16,h2,l4,d32", "d"), ("d16,h2,h4,l4", "h"),
@@ -229,7 +237,8 @@ class TestTrace:
     def test_repeated_seed_model_component_exits_2(self, tmp_path, capsys, spec, component):
         out = tmp_path / "out"
         assert run(["trace", "--seed-model", spec, "--prompt", "hi", "--out", str(out)]) == 2
-        assert f"repeated --seed-model component {component!r} in {spec!r}" in capsys.readouterr().err
+        assert f"repeated --seed-model component {component!r} in {spec!r}" in usage_error_line(
+            capsys.readouterr().err, "trace")
         assert not out.exists()
 
     def test_formula_flag_is_a_usage_error(self, tmp_path, capsys):
@@ -323,7 +332,7 @@ class TestSweep:
     def test_granularity_other_than_token_is_a_usage_error(self, tmp_path, capsys, granularity, message):
         assert run(["sweep", *MODEL, "--prompt", "x", "--alphas", "0.6", "--granularity", granularity,
                     "--out", str(tmp_path)]) == 2
-        assert message in capsys.readouterr().err
+        assert message in usage_error_line(capsys.readouterr().err, "sweep")
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("alpha", ["0.6", "0.8"])
@@ -366,7 +375,8 @@ class TestReport:
                                                 (["original", "modified"], None)])
     def test_summary_formula_is_the_records_formula_when_uniform(self, tmp_path, formulas, want):
         trace = tmp_path / "trace.jsonl"
-        write_trace([make_record(token_index=i, formula=f) for i, f in enumerate(formulas)], trace)
+        write_trace(TraceColumns.from_records(make_record(token_index=i, formula=f) for i, f in enumerate(formulas)),
+                    trace)
         assert run(["report", "--trace", str(trace), "--out", str(tmp_path / "r")]) == 0
         assert json.loads((tmp_path / "r" / "report_summary.json").read_text())["formula"] == want
 
@@ -382,7 +392,7 @@ class TestReport:
     @pytest.mark.parametrize("seq_id", ["x/../../escaped", "x\0y"])
     def test_sequence_id_that_is_not_one_path_component_exits_1(self, tmp_path, capsys, seq_id):
         trace = tmp_path / "trace.jsonl"
-        write_trace([make_record(seq="ok"), make_record(seq=seq_id)], trace)
+        write_trace(TraceColumns.from_records([make_record(seq="ok"), make_record(seq=seq_id)]), trace)
         out = tmp_path / "a" / "out"
         (out / "bitmap_x").mkdir(parents=True)
         assert run(["report", "--trace", str(trace), "--out", str(out)]) == 1
@@ -401,7 +411,7 @@ class TestReport:
 
     def test_token_index_beyond_int64_exits_1(self, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"
-        write_trace([make_record(token_index=i) for i in range(2)], trace)
+        write_trace(TraceColumns.from_records(make_record(token_index=i) for i in range(2)), trace)
         trace.write_text(trace.read_text(encoding="utf-8").replace('"token_index":0', f'"token_index":{2**63}'),
                          encoding="utf-8")
         out = tmp_path / "out"
@@ -469,4 +479,4 @@ class TestCompare:
     def test_refused_policy_exits_2_before_the_model_loads(self, tmp_path, capsys, flag, value, message):
         missing = tmp_path / "missing.lactnsr"
         assert run(["compare", "--weights", str(missing), "--suite", "copy", flag, value]) == 2
-        assert message in capsys.readouterr().err
+        assert message in usage_error_line(capsys.readouterr().err, "compare")

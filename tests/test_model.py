@@ -27,8 +27,9 @@ from lacvoid import (
     save_weights,
 )
 from lacvoid.model import KVCache, TransformerBlock, gelu, sinusoidal_positions
-from lacvoid.trace import TraceColumns, TraceRecord, record_to_line
+from lacvoid.trace import TraceColumns, TraceRecord
 from lacvoid.rng import Xoshiro256StarStar
+from conftest import reference_lines
 
 OFF = HaltPolicy(skip_mode=SkipMode.OFF)
 DETECT = HaltPolicy(skip_mode=SkipMode.DETECT)
@@ -85,8 +86,8 @@ class TestContainer:
         save_weights(model, path)
         loaded = load_weights(path)
         prompt = encode_text("hello")
-        s1, _ = run_prompt(model, prompt, OFF)
-        s2, _ = run_prompt(loaded, prompt, OFF)
+        (s1,), _ = run_prompt(model, [prompt], OFF, ["s0"])
+        (s2,), _ = run_prompt(loaded, [prompt], OFF, ["s0"])
         assert s1.last_logits.tobytes() == s2.last_logits.tobytes()
 
     def test_truncated_payload(self, tmp_path):
@@ -230,7 +231,7 @@ class TestHandComputedForward:
         path = tmp_path / "tiny.lactnsr"
         save_container(tensors, path)
         model = load_weights(path)
-        state, _ = run_prompt(model, [65], OFF)
+        (state,), _ = run_prompt(model, [[65]], OFF, ["s0"])
         assert np.abs(state.last_logits - self.oracle_logits(tensors)).max() < 1e-5
 
 
@@ -254,7 +255,7 @@ class TestTraceBlocks:
     def test_run_prompt_block_holds_the_outcome_records(self, policy):
         model = build_model(CFG)
         prompt = encode_text("columns")
-        _, block = run_prompt(model, prompt, policy, sequence_id="p7")
+        _, block = run_prompt(model, [prompt], policy, ["p7"])
         out = run_stack(model.stack_for(model.new_cache(), [0], [0]), embed_at(model, prompt, 0), policy)
         assert isinstance(block, TraceColumns)
         assert list(block) == records_from_outcome(out, [prompt], [0], ["p7"], "PP", policy)
@@ -263,10 +264,10 @@ class TestTraceBlocks:
     def test_generate_block_holds_each_steps_outcome_records(self, policy):
         model = build_model(CFG)
         prompt = encode_text("rows")
-        state, _ = run_prompt(model, prompt, policy, sequence_id="g")
+        (state,), _ = run_prompt(model, [prompt], policy, ["g"])
         (ids,), (block,) = generate([state], model, policy, 6)
         assert isinstance(block, TraceColumns) and len(ids) == 6
-        ref, _ = run_prompt(model, prompt, policy)
+        (ref,), _ = run_prompt(model, [prompt], policy, ["g"])
         expected, pos = [], len(prompt)
         for tok in ids:
             out = run_stack(model.stack_for(ref.cache, [0], [pos]), embed_at(model, [tok], pos), policy)
@@ -278,44 +279,44 @@ class TestTraceBlocks:
 class TestRunPrompt:
     def test_single_token_off(self):
         model = build_model(CFG)
-        state, records = run_prompt(model, [65], OFF)
+        _, records = run_prompt(model, [[65]], OFF, ["s0"])
         assert len(records) == 1
         assert records[0].phase == "PP"
         assert records[0].layer_flags == [True] * 4
 
     def test_five_tokens_per_token_records(self):
         model = build_model(CFG)
-        _, records = run_prompt(model, encode_text("abcde"), DETECT)
+        _, records = run_prompt(model, [encode_text("abcde")], DETECT, ["s0"])
         assert len(records) == 5
         assert all(len(r.layer_flags) == 4 for r in records)
         assert [r.token_index for r in records] == list(range(5))
 
     def test_detect_vs_off_identical_logits(self):
         model = build_model(CFG)
-        s_off, _ = run_prompt(model, encode_text("hi there"), OFF)
-        s_det, _ = run_prompt(model, encode_text("hi there"), DETECT)
+        (s_off,), _ = run_prompt(model, [encode_text("hi there")], OFF, ["s0"])
+        (s_det,), _ = run_prompt(model, [encode_text("hi there")], DETECT, ["s0"])
         assert s_off.last_logits.tobytes() == s_det.last_logits.tobytes()
 
     def test_record_delta_consistency(self):
         # recorded per-layer deltas are successive norm differences
         model = build_model(CFG)
-        _, records = run_prompt(model, encode_text("xyz"), DETECT)
+        _, records = run_prompt(model, [encode_text("xyz")], DETECT, ["s0"])
         for r in records:
             for t in range(1, len(r.layer_norms)):
                 assert r.layer_deltas[t] == pytest.approx(r.layer_norms[t] - r.layer_norms[t - 1], abs=1e-5)
 
     def test_empty_prompt_rejected(self):
         with pytest.raises(ValueError):
-            run_prompt(build_model(CFG), [], OFF)
+            run_prompt(build_model(CFG), [[]], OFF, ["s0"])
 
     def test_overlong_prompt_rejected(self):
         cfg = ModelConfig(layer_count=1, depth=8, head_count=1, ffn_dim=8, max_seq=3, seed=0)
         with pytest.raises(ValueError, match="max_seq"):
-            run_prompt(build_model(cfg), [1, 2, 3, 4], OFF)
+            run_prompt(build_model(cfg), [[1, 2, 3, 4]], OFF, ["s0"])
 
     def test_bad_token_id_rejected(self):
         with pytest.raises(ValueError, match="vocabulary"):
-            run_prompt(build_model(CFG), [300], OFF)
+            run_prompt(build_model(CFG), [[300]], OFF, ["s0"])
 
 
 def zero_block(depth: int) -> TransformerBlock:
@@ -331,15 +332,15 @@ def zero_block(depth: int) -> TransformerBlock:
 class TestGenerate:
     def test_max_new_zero(self):
         model = build_model(CFG)
-        state, _ = run_prompt(model, [65], OFF)
+        (state,), _ = run_prompt(model, [[65]], OFF, ["s0"])
         ids, records = generate([state], model, OFF, 0)
-        assert ids == [[]] and records == [[]]
+        assert ids == [[]] and records == [TraceColumns.empty(model.layer_count)]
 
     def test_deterministic(self):
         model = build_model(CFG)
         runs = []
         for _ in range(2):
-            state, _ = run_prompt(model, encode_text("abc"), OFF)
+            (state,), _ = run_prompt(model, [encode_text("abc")], OFF, ["s0"])
             ids, _ = generate([state], model, OFF, 8)
             runs.append(ids)
         assert runs[0] == runs[1]
@@ -351,14 +352,14 @@ class TestGenerate:
         embed = np.zeros((256, 2), dtype=np.float32)
         embed[0] = [1.0, 1.0]
         model = ToyTransformer(cfg, embed, [zero_block(2)], np.ones(2, np.float32))
-        state, _ = run_prompt(model, [7], OFF)
+        (state,), _ = run_prompt(model, [[7]], OFF, ["s0"])
         ids, records = generate([state], model, OFF, 3)
-        assert ids == [[]] and records == [[]]
+        assert ids == [[]] and records == [TraceColumns.empty(1)]
 
     def test_phase_partition(self):
         model = build_model(CFG)
         prompt = encode_text("partition")
-        state, pp_records = run_prompt(model, prompt, DETECT)
+        (state,), pp_records = run_prompt(model, [prompt], DETECT, ["s0"])
         (ids,), (rg_records,) = generate([state], model, DETECT, 6)
         assert len(pp_records) == len(prompt)
         assert len(rg_records) == len(ids)
@@ -369,16 +370,16 @@ class TestGenerate:
     def test_position_overflow(self):
         cfg = ModelConfig(layer_count=1, depth=8, head_count=1, ffn_dim=8, max_seq=3, seed=1)
         model = build_model(cfg)
-        state, _ = run_prompt(model, [65, 66, 67], OFF)
+        (state,), _ = run_prompt(model, [[65, 66, 67]], OFF, ["s0"])
         ids, records = generate([state], model, OFF, 2)
-        assert ids == [[]] and records == [[]]
+        assert ids == [[]] and records == [TraceColumns.empty(1)]
         assert isinstance(state.error, ValueError) and "overflow" in str(state.error)
 
     def test_kv_cache_matches_full_reforward(self):
         model = build_model(CFG)
         prompt = encode_text("kv check")
         continuation = encode_text("abcd")
-        state, _ = run_prompt(model, prompt, OFF)
+        (state,), _ = run_prompt(model, [prompt], OFF, ["s0"])
         inc = [np.asarray(state.last_logits)]
         pos = state.position
         for tok in continuation:
@@ -398,9 +399,9 @@ class TestGenerate:
         skip = HaltPolicy(skip_mode=SkipMode.SKIP_IDENTITY)
         forced = [False, True, False, False]
         prompt = encode_text("remove me")
-        s1, _ = run_prompt(model, prompt, skip, forced_voids=forced)
+        (s1,), _ = run_prompt(model, [prompt], skip, ["s0"], forced_voids=forced)
         ids1, _ = generate([s1], model, skip, 6, forced_voids=forced)
-        s2, _ = run_prompt(reduced, prompt, OFF)
+        (s2,), _ = run_prompt(reduced, [prompt], OFF, ["s0"])
         ids2, _ = generate([s2], reduced, OFF, 6)
         assert ids1 == ids2
         assert np.abs(np.asarray(s1.last_logits) - np.asarray(s2.last_logits)).max() < 1e-5
@@ -441,11 +442,11 @@ class TestKVCache:
         monkeypatch.setattr(np, "zeros", zeros)
         model = build_model(ModelConfig(layer_count=1, depth=16, head_count=2, ffn_dim=32, max_seq=4_000_000_000))
         with pytest.raises(ValueError, match=r"capacity 4000000000 .* 512000000000 bytes"):
-            run_prompt(model, [65], OFF)
+            run_prompt(model, [[65]], OFF, ["s0"])
 
     def test_decoding_keeps_the_buffers(self):
         model = build_model(CFG)
-        state, _ = run_prompt(model, encode_text("buffers"), OFF)
+        (state,), _ = run_prompt(model, [encode_text("buffers")], OFF, ["s0"])
         before = list(state.cache.k)
         generate([state], model, OFF, 4)
         assert all(a is b for a, b in zip(before, state.cache.k))
@@ -467,17 +468,18 @@ STAGGERED = [encode_text(p) for p in ("hello", "k", "zz top", "0123", "abcdefghi
 
 
 def decode_alone(model, prompt, policy, max_new, forced):
-    """Batch-of-one reference: (state, PP lines, ids, RG lines, error text)."""
-    state, pp = run_prompt(model, prompt, policy, forced_voids=forced)
+    """Batch-of-one reference: (state, PP block, ids, RG lines, error text)."""
+    (state,), pp = run_prompt(model, [prompt], policy, ["seq0"], forced_voids=forced)
     (ids,), (rg,) = generate([state], model, policy, max_new, forced_voids=forced)
-    return state, pp, ids, [record_to_line(r) for r in rg], None if state.error is None else str(state.error)
+    return state, pp, ids, reference_lines(rg), None if state.error is None else str(state.error)
 
 
 class TestBatchedGenerate:
     def test_rows_stop_at_different_steps_and_overflow(self):
         model = eot_model(9, 0.3)
         cache = model.new_cache(len(STAGGERED))
-        states = [run_prompt(model, p, DETECT, cache=cache, row=i)[0] for i, p in enumerate(STAGGERED)]
+        states = [run_prompt(model, [p], DETECT, ["seq0"], cache=cache, rows=[i])[0][0]
+                  for i, p in enumerate(STAGGERED)]
         ids, _ = generate(states, model, DETECT, 12)
         assert [len(x) for x in ids] == [5, 9, 4, 6, 4, 4]
         assert [s.error is not None for s in states] == [False] * 4 + [True] * 2
@@ -511,14 +513,14 @@ class TestBatchedGenerate:
         cache = model.new_cache(len(prompts))
         states = []
         for p, row, (_, pp, _, _, _) in zip(prompts, rows, alone):
-            state, records = run_prompt(model, p, policy, forced_voids=forced, cache=cache, row=row)
-            assert [record_to_line(r) for r in records] == [record_to_line(r) for r in pp]
+            (state,), records = run_prompt(model, [p], policy, ["seq0"], forced_voids=forced, cache=cache, rows=[row])
+            assert reference_lines(records) == reference_lines(pp)
             states.append(state)
         ids, rg = generate(states, model, policy, max_new, forced_voids=forced)
 
         for i, (ref, pp, ref_ids, ref_rg, err) in enumerate(alone):
             assert ids[i] == ref_ids
-            assert [record_to_line(r) for r in rg[i]] == ref_rg
+            assert reference_lines(rg[i]) == ref_rg
             assert states[i].last_logits.tobytes() == ref.last_logits.tobytes()
             assert states[i].position == ref.position
             assert (None if states[i].error is None else str(states[i].error)) == err
@@ -527,23 +529,23 @@ class TestBatchedGenerate:
         model = build_model(ModelConfig(layer_count=1, depth=8, head_count=1, ffn_dim=32, max_seq=64, seed=1))
         prompts = [encode_text("abcd"), encode_text("ab")]
         cache = model.new_cache(2, capacity=6)
-        states = [run_prompt(model, p, DETECT, cache=cache, row=i)[0] for i, p in enumerate(prompts)]
+        states = [run_prompt(model, [p], DETECT, ["seq0"], cache=cache, rows=[i])[0][0] for i, p in enumerate(prompts)]
         ids, rg = generate(states, model, DETECT, 10)
         assert [s.position for s in states] == [6, 6] and [len(x) for x in ids] == [2, 4]
         for i, p in enumerate(prompts):
-            alone, _ = run_prompt(model, p, DETECT, cache=model.new_cache(1, capacity=6))
+            (alone,), _ = run_prompt(model, [p], DETECT, ["seq0"], cache=model.new_cache(1, capacity=6))
             (ref_ids,), (ref_rg,) = generate([alone], model, DETECT, 10)
             assert ids[i] == ref_ids
-            assert [record_to_line(r) for r in rg[i]] == [record_to_line(r) for r in ref_rg]
+            assert reference_lines(rg[i]) == reference_lines(ref_rg)
             assert str(states[i].error) == str(alone.error) == "position 6 overflows max_seq 6"
 
     def test_states_must_share_a_cache_in_distinct_rows(self):
         model = build_model(CFG)
-        a, _ = run_prompt(model, [65], OFF)
-        b, _ = run_prompt(model, [66], OFF)
+        (a,), _ = run_prompt(model, [[65]], OFF, ["a"])
+        (b,), _ = run_prompt(model, [[66]], OFF, ["b"])
         with pytest.raises(ValueError, match="share one KVCache"):
             generate([a, b], model, OFF, 2)
-        c, _ = run_prompt(model, [67], OFF, cache=a.cache)
+        (c,), _ = run_prompt(model, [[67]], OFF, ["c"], cache=a.cache)
         with pytest.raises(ValueError, match="distinct cache rows"):
             generate([a, c], model, OFF, 2)
 
@@ -568,12 +570,11 @@ class TestBatchedRunPrompt:
         policy = HaltPolicy(granularity=granularity, alpha=alpha, skip_mode=mode)
         cache = model.new_cache(count + spare)
         seqs = [f"s{b}" for b in range(count)]
-        states, block = run_prompt(model, prompts, policy, sequence_id=seqs, forced_voids=forced,
-                                   cache=cache, row=rows)
+        states, block = run_prompt(model, prompts, policy, seqs, forced_voids=forced, cache=cache, rows=rows)
 
         assert isinstance(block, TraceColumns) and len(block) == count * length
         for b, (prompt, row) in enumerate(zip(prompts, rows)):
-            ref, ref_block = run_prompt(model, prompt, policy, sequence_id=seqs[b], forced_voids=forced)
+            (ref,), ref_block = run_prompt(model, [prompt], policy, [seqs[b]], forced_voids=forced)
             state = states[b]
             assert (state.sequence_id, state.row, state.position, state.cache) == (seqs[b], row, length, cache)
             assert state.last_logits.tobytes() == ref.last_logits.tobytes()
@@ -581,7 +582,7 @@ class TestBatchedRunPrompt:
                 assert cache.k[layer][row].tobytes() == ref.cache.k[layer][0].tobytes()
                 assert cache.v[layer][row].tobytes() == ref.cache.v[layer][0].tobytes()
             got = block[b * length:(b + 1) * length]
-            assert [record_to_line(r) for r in got] == [record_to_line(r) for r in ref_block]
+            assert reference_lines(got) == reference_lines(ref_block)
         untouched = sorted(set(range(count + spare)) - set(rows))
         assert not any(cache.k[layer][untouched].any() for layer in range(model.layer_count))
 
@@ -595,13 +596,21 @@ class TestBatchedRunPrompt:
     def test_refused_batches(self, prompts, rows, match):
         model = build_model(CFG)
         with pytest.raises(ValueError, match=match):
-            run_prompt(model, prompts, OFF, sequence_id=[f"s{i}" for i in range(len(prompts))],
-                       cache=model.new_cache(2), row=rows)
+            run_prompt(model, prompts, OFF, [f"s{i}" for i in range(len(prompts))], cache=model.new_cache(2), rows=rows)
 
     def test_default_cache_covers_the_highest_row(self):
-        states, block = run_prompt(build_model(CFG), ["ab", "cd"], OFF, sequence_id=["x", "y"], row=[3, 1])
+        states, block = run_prompt(build_model(CFG), ["ab", "cd"], OFF, ["x", "y"], rows=[3, 1])
         assert [s.row for s in states] == [3, 1] and states[0].cache.k[0].shape[0] == 4
         assert [r.sequence_id for r in block] == ["x", "x", "y", "y"]
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_default_rows_are_the_list_positions(self, count):
+        seqs = ["x", "y", "z"][:count]
+        states, block = run_prompt(build_model(CFG), ["ab", "cd", "ef"][:count], OFF, seqs)
+        assert isinstance(states, list) and [s.sequence_id for s in states] == seqs
+        assert [s.row for s in states] == list(range(count)) and states[0].cache.k[0].shape[0] == count
+        assert all(s.cache is states[0].cache for s in states)
+        assert isinstance(block, TraceColumns) and block.sequence_id.tolist() == [s for s in seqs for _ in "ab"]
 
 
 def gelu_oracle(x):

@@ -1,7 +1,6 @@
 import dataclasses
+import functools
 import io
-import json
-import math
 import re
 
 import numpy as np
@@ -22,7 +21,7 @@ from lacvoid import (
     write_trace,
 )
 from lacvoid.trace import PHASES, TraceColumns, record_to_line
-from conftest import make_record, white_pixel_count
+from conftest import make_record, reference_line, reference_lines, white_pixel_count
 
 
 def random_records(n, layers=4, seed=0):
@@ -44,12 +43,12 @@ def random_records(n, layers=4, seed=0):
 class TestWriteRead:
     def test_empty_writes_zero_bytes(self):
         buf = io.StringIO()
-        assert write_trace([], buf) == 0
+        assert write_trace(read_trace([]), buf) == 0
         assert buf.getvalue() == ""
 
     def test_one_record_one_line(self):
         buf = io.StringIO()
-        count = write_trace([make_record()], buf)
+        count = write_trace(TraceColumns.from_records([make_record()]), buf)
         text = buf.getvalue()
         assert text.endswith("\n") and text.count("\n") == 1
         assert count == len(text.encode("utf-8"))
@@ -64,7 +63,7 @@ class TestWriteRead:
     def test_round_trip_100_records(self, tmp_path):
         records = random_records(100, seed=1)
         path = tmp_path / "t.jsonl"
-        write_trace(records, path)
+        write_trace(TraceColumns.from_records(records), path)
         back = read_trace(path)
         assert len(back) == 100
         for a, b in zip(records, back):
@@ -79,18 +78,18 @@ class TestWriteRead:
         # 9 significant digits are enough to reproduce float32 bit patterns
         records = random_records(20, seed=2)
         path = tmp_path / "t.jsonl"
-        write_trace(records, path)
+        write_trace(TraceColumns.from_records(records), path)
         for a, b in zip(records, read_trace(path)):
             assert np.float32(a.layer_norms).tobytes() == np.float32(b.layer_norms).tobytes()
 
     def test_malformed_line_names_line_number(self, tmp_path):
         path = tmp_path / "t.jsonl"
-        path.write_text(record_to_line(make_record()) + "\n{not json\n", encoding="utf-8")
+        path.write_text(reference_line(make_record()) + "\n{not json\n", encoding="utf-8")
         with pytest.raises(TraceError, match="line 2"):
             read_trace(path)
 
     def test_flag_length_mismatch_rejected(self, tmp_path):
-        bad = record_to_line(make_record()).replace('"layer_norms":[1,2]', '"layer_norms":[1,2,3]')
+        bad = reference_line(make_record()).replace('"layer_norms":[1,2]', '"layer_norms":[1,2,3]')
         with pytest.raises(TraceError, match="line 1"):
             read_trace([bad])
 
@@ -99,7 +98,7 @@ class TestWriteRead:
             read_trace(['{"sequence_id":"s0"}'])
 
     def test_bad_phase_rejected(self):
-        line = record_to_line(make_record()).replace('"phase":"PP"', '"phase":"XX"')
+        line = reference_line(make_record()).replace('"phase":"PP"', '"phase":"XX"')
         with pytest.raises(TraceError):
             read_trace([line])
 
@@ -112,7 +111,7 @@ class TestWriteRead:
             record_to_line(record)
         buf = io.StringIO()
         with pytest.raises(TraceError):
-            write_trace([record], buf)
+            write_trace(TraceColumns.from_records([record]), buf)
         assert buf.getvalue() == ""
 
     @pytest.mark.parametrize("fields", [
@@ -126,31 +125,16 @@ class TestWriteRead:
 
     def test_append_only(self, tmp_path):
         path = tmp_path / "t.jsonl"
-        write_trace([make_record(token_index=0)], path)
-        write_trace([make_record(token_index=1)], path)
+        write_trace(TraceColumns.from_records([make_record(token_index=0)]), path)
+        write_trace(TraceColumns.from_records([make_record(token_index=1)]), path)
         assert len(read_trace(path)) == 2
 
 
-def reference_line(r):
-    """The record-at-a-time encoding that the template writer replaced, as an independent oracle."""
-    def fmt(x):  # a NaN or infinity as Python's json spells it, so a refused value still decodes
-        return "%.9g" % float(x) if math.isfinite(x) else json.dumps(float(x))
-    return ("{"
-            f'"sequence_id":{json.dumps(r.sequence_id)},"token_index":{int(r.token_index)},'
-            f'"phase":"{r.phase}","token_id":{int(r.token_id)},'
-            f'"layer_flags":[{",".join("1" if f else "0" for f in r.layer_flags)}],'
-            f'"layer_norms":[{",".join(fmt(x) for x in r.layer_norms)}],'
-            f'"layer_deltas":[{",".join(fmt(x) for x in r.layer_deltas)}],'
-            f'"alpha":{fmt(r.alpha)},"formula":{json.dumps(r.formula)},"skip_mode":{json.dumps(r.skip_mode)}'
-            "}")
-
-
-@st.composite
-def record_lists(draw):
-    """1-6 records sharing 1-8 layers, with any float32 norms and deltas (NaN and infinities too)."""
-    layers = draw(st.integers(1, 8))
+@functools.cache
+def records_of(layers):
+    """1-6 records of `layers` layers: one strategy per layer count, built once."""
     per_layer = st.lists(st.floats(width=32), min_size=layers, max_size=layers)
-    return draw(st.lists(st.builds(
+    return st.lists(st.builds(
         make_record,
         seq=st.text(st.sampled_from('"\\%sd\u00e9\u65e5\x01\n a'), max_size=6) | st.text(max_size=6),
         token_index=st.integers(0, 2**40),
@@ -162,7 +146,13 @@ def record_lists(draw):
         alpha=st.floats(0.0, 1.0, exclude_min=True, width=32),
         formula=st.sampled_from(["original", "modified"]),
         skip_mode=st.sampled_from([m.value for m in SkipMode]),
-    ), min_size=1, max_size=6))
+    ), min_size=1, max_size=6)
+
+
+@st.composite
+def record_lists(draw):
+    """1-6 records sharing 1-8 layers, with any float32 norms and deltas (NaN and infinities too)."""
+    return draw(records_of(draw(st.integers(1, 8))))
 
 
 # Records the writer refuses, each with two layers like random_records(..., layers=2).
@@ -196,7 +186,7 @@ class TestTraceColumns:
 
     def test_block_longer_than_a_chunk(self, tmp_path):
         records = random_records(1300, layers=3, seed=7)
-        lines = "".join(record_to_line(r) + "\n" for r in records)
+        lines = "".join(reference_line(r) + "\n" for r in records)
         path = tmp_path / "t.jsonl"
         assert write_trace(TraceColumns.from_records(records), path) == len(lines)
         assert path.read_text(encoding="utf-8") == lines
@@ -210,21 +200,19 @@ class TestTraceColumns:
         records = random_records(6, layers=2, seed=3)
         records.insert(position, bad)
         buf = io.StringIO()
-        with pytest.raises(TraceError):
-            write_trace(records, buf)
-        with pytest.raises(TraceError):
-            write_trace(TraceColumns.from_records(records), buf)
-        assert buf.getvalue() == ""
         path = tmp_path / "t.jsonl"
         with pytest.raises(TraceError):
-            write_trace(records, path)
+            write_trace(TraceColumns.from_records(records), buf)
+        with pytest.raises(TraceError):
+            write_trace(TraceColumns.from_records(records), path)
+        assert buf.getvalue() == ""
         assert not path.exists()
 
     @pytest.mark.parametrize("position", [0, 3, 6])
     @pytest.mark.parametrize("key", list(REFUSED))
     def test_reader_refuses_what_the_writer_refuses(self, key, position):
         # the bad line is encoded without the writer, so only the reader's checks stand between it and a block
-        lines = [record_to_line(r) for r in random_records(6, layers=2, seed=3)]
+        lines = [reference_line(r) for r in random_records(6, layers=2, seed=3)]
         lines.insert(position, reference_line(make_record(**REFUSED[key])))
         with pytest.raises(TraceError, match=rf"^<stream>: line {position + 1}: .*{REFUSED_FIELD[key]}"):
             read_trace(lines)
@@ -248,8 +236,8 @@ class TestTraceColumns:
             assert np.array_equal(got, want) if want.dtype != object else got.tolist() == want.tolist(), name
 
     def test_mixed_layer_counts_refused_at_the_first_line_of_the_other_count(self):
-        two = [record_to_line(r) for r in random_records(3, layers=2, seed=8)]
-        three = [record_to_line(r) for r in random_records(2, layers=3, seed=9)]
+        two = [reference_line(r) for r in random_records(3, layers=2, seed=8)]
+        three = [reference_line(r) for r in random_records(2, layers=3, seed=9)]
         # blank lines count toward the line number, as everywhere in the reader
         with pytest.raises(TraceError, match=r"^<stream>: line 5: 3 layers, but line 1 has 2$"):
             read_trace([two[0], "", two[1], two[2], three[0], two[0], three[1]])
@@ -265,17 +253,28 @@ class TestTraceColumns:
         records = random_records(5, layers=3, seed=5)
         block = TraceColumns.from_records(records)
         assert len(block) == 5 and block.layer_count == 3
-        assert list(block) == records and block == records and records == block and block == tuple(records)
+        assert list(block) == records
         assert block[1] == records[1] and block[-1] == records[-1]
         with pytest.raises(IndexError):
             block[5]
-        assert isinstance(block[1:4], TraceColumns) and block[1:4] == records[1:4]
-        assert block[block.phase == "RG"] == [r for r in records if r.phase == "RG"]
-        assert block[[4, 0]] == [records[4], records[0]]
-        assert block != records[:4] and block != records[::-1] and block != "records"
-        assert block[:2] + block[2:] == records
+        assert isinstance(block[1:4], TraceColumns) and list(block[1:4]) == records[1:4]
+        assert list(block[block.phase == "RG"]) == [r for r in records if r.phase == "RG"]
+        assert list(block[[4, 0]]) == [records[4], records[0]]
+        assert block[:2] + block[2:] == block
         assert TraceColumns.concat([block[:1], block[1:3], block[3:]]) == block
-        assert TraceColumns.from_records(block) is block
+        assert TraceColumns.from_records(block) == block
+
+    def test_blocks_equal_only_blocks_of_the_same_values(self):
+        records = random_records(5, layers=3, seed=5)
+        block = TraceColumns.from_records(records)
+        assert block == TraceColumns.from_records(records) and not block != TraceColumns.from_records(records)
+        assert block != block[:4] and block != block[::-1] and block != block[[0, 1, 2, 3, 3]]
+        assert block != dataclasses.replace(block, alpha=np.where(np.arange(5) == 2, 0.5, block.alpha))
+        assert block != dataclasses.replace(block, layer_flags=~block.layer_flags)
+        assert block != TraceColumns.from_records(random_records(5, layers=4, seed=5))
+        assert TraceColumns.empty(3) == TraceColumns.empty(3) != TraceColumns.empty(2)
+        # a list or tuple of the same records is not a block
+        assert block != records and records != block and block != tuple(records) and block != "records"
 
     def test_columns_hold_the_records_values_exactly(self):
         records = random_records(4, layers=3, seed=6)
@@ -287,7 +286,7 @@ class TestTraceColumns:
 
     def test_empty_block(self):
         empty = TraceColumns.empty(3)
-        assert len(empty) == 0 and empty.layer_count == 3 and list(empty) == [] and empty == []
+        assert len(empty) == 0 and empty.layer_count == 3 and list(empty) == []
         assert write_trace(empty, io.StringIO()) == 0
         with pytest.raises(ValueError, match="no records"):
             TraceColumns.from_records(empty)
@@ -302,13 +301,13 @@ class TestTraceColumns:
 
 def with_field(field, raw, line=None):
     """A valid trace line (by default make_record's) with one field's JSON text replaced by raw."""
-    line = line if line is not None else record_to_line(make_record())
+    line = line if line is not None else reference_line(make_record())
     out, n = re.subn(rf'"{field}":(\[[^\]]*\]|"[^"]*"|[^,}}]*)', lambda m: f'"{field}":{raw}', line, count=1)
     assert n == 1
     return out
 
 
-ONE_LAYER = record_to_line(make_record(flags=[True], norms=[1.0], deltas=[1.0]))
+ONE_LAYER = reference_line(make_record(flags=[True], norms=[1.0], deltas=[1.0]))
 
 
 class TestStrictReader:
@@ -358,7 +357,7 @@ class TestStrictReader:
     @pytest.mark.parametrize("field", ["token_index", "token_id"])
     @pytest.mark.parametrize("raw", [str(2**63), str(2**64), str(-2**63 - 1), "1" + "0" * 40])
     def test_index_beyond_int64(self, field, raw):
-        lines = [record_to_line(make_record(token_index=i)) for i in range(3)]
+        lines = [reference_line(make_record(token_index=i)) for i in range(3)]
         lines[1] = with_field(field, raw, lines[1])
         with pytest.raises(TraceError, match=f"^<stream>: line 2: {field} must fit in int64, got {raw}$"):
             read_trace(lines)
@@ -376,13 +375,13 @@ class TestStrictReader:
 
     @pytest.mark.parametrize("extra", [',"bogus":[1,2]', ',"Alpha":0.5', ',"":null'])
     def test_unknown_field(self, extra):
-        line = record_to_line(make_record())
+        line = reference_line(make_record())
         with pytest.raises(TraceError, match="line 1: unknown field"):
             read_trace([line[:-1] + extra + "}"])
 
     @pytest.mark.parametrize("field", ["token_index", "sequence_id", "alpha"])
     def test_repeated_field(self, field):
-        line = record_to_line(make_record())
+        line = reference_line(make_record())
         value = re.search(rf'"{field}":[^,]*,', line).group(0)
         with pytest.raises(TraceError, match=f"line 1: field '{field}' is repeated"):
             read_trace([line.replace(value, value + value)])
@@ -399,14 +398,14 @@ class TestStrictReader:
             for mode in ("off", "detect", "mask-zero", "skip-identity", "halt-frozen"):
                 record = make_record(token_index=0, token_id=0, alpha=1.0, formula=formula, skip_mode=mode,
                                      flags=[False, True], norms=[0.0, -2.5e-45], deltas=[3.4e38, -1])
-                back = read_trace([record_to_line(record)])[0]
+                back = read_trace([reference_line(record)])[0]
                 assert back == record
 
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_one_character_mutation_raises_or_round_trips(self, data):
         record = data.draw(st.sampled_from(random_records(6, layers=3, seed=4)))
-        line = record_to_line(record)
+        line = reference_line(record)
         pos = data.draw(st.integers(0, len(line) - 1))
         char = data.draw(st.one_of(st.sampled_from('0123456789-+.eE,:[]{}" aflnrstuINy'), st.characters()))
         kind = data.draw(st.sampled_from(["replace", "insert", "delete"]))
@@ -420,8 +419,7 @@ class TestStrictReader:
             back = read_trace([mutated])
         except TraceError:
             return
-        for r in back:
-            record_to_line(r)
+        write_trace(back, io.StringIO())
 
 
 class TestFromRecords:
@@ -456,24 +454,24 @@ class TestFromRecords:
 class TestBitmap:
     def test_single_column_top_to_bottom(self):
         r = make_record(flags=[True, False, True], norms=[1, 2, 3], deltas=[1, 1, 1])
-        pgm = render_bitmap([r])
+        pgm = render_bitmap(TraceColumns.from_records([r]))
         # one token, three layers; last layer is the top row
         assert pgm == "P2\n1 3\n255\n255\n0\n255\n"
 
     def test_all_active(self):
-        records = [make_record(token_index=i, flags=[True, True]) for i in range(2)]
+        records = TraceColumns.from_records(make_record(token_index=i, flags=[True, True]) for i in range(2))
         assert render_bitmap(records) == "P2\n2 2\n255\n255 255\n255 255\n"
 
     def test_detect_run_dimensions_and_pixel_count(self):
         model = build_model(ModelConfig(layer_count=4, depth=16, head_count=2, ffn_dim=32, max_seq=16, seed=5))
-        _, records = run_prompt(model, [72, 101, 108, 108, 111], HaltPolicy(skip_mode=SkipMode.DETECT))
+        _, records = run_prompt(model, [[72, 101, 108, 108, 111]], HaltPolicy(skip_mode=SkipMode.DETECT), ["s0"])
         pgm = render_bitmap(records, phase="PP")
         header = pgm.split("\n")[1]
         assert header == "5 4"
         assert white_pixel_count(pgm) == sum(sum(r.layer_flags) for r in records)
 
     def test_phase_filter_partition(self):
-        records = [make_record(token_index=i, phase="PP" if i < 3 else "RG") for i in range(7)]
+        records = TraceColumns.from_records(make_record(token_index=i, phase="PP" if i < 3 else "RG") for i in range(7))
         pp = render_bitmap(records, phase="PP")
         rg = render_bitmap(records, phase="RG")
         pp_cols = int(pp.split("\n")[1].split()[0])
@@ -481,23 +479,26 @@ class TestBitmap:
         assert pp_cols + rg_cols == len(records)
 
     def test_columns_sorted_by_token_index(self):
-        records = [
+        records = TraceColumns.from_records([
             make_record(token_index=1, flags=[False], norms=[1.0], deltas=[1.0]),
             make_record(token_index=0, flags=[True], norms=[1.0], deltas=[1.0]),
-        ]
+        ])
         assert render_bitmap(records) == "P2\n2 1\n255\n255 0\n"
 
     def test_mixed_layer_counts_rejected(self):
         records = [make_record(flags=[True, True]),
                    make_record(token_index=1, flags=[True, True, True], norms=[1, 2, 3], deltas=[0, 0, 0])]
         with pytest.raises(TraceError, match="layer counts"):
-            render_bitmap(records)
+            render_bitmap(TraceColumns.from_records(records))
 
     def test_mixed_sequences_rejected(self):
-        records = [make_record(seq="a"), make_record(seq="b", token_index=1)]
+        records = TraceColumns.from_records([make_record(seq="a"), make_record(seq="b", token_index=1)])
         with pytest.raises(ValueError, match="sequences"):
             render_bitmap(records)
 
-    def test_empty_selection_rejected(self):
+    @pytest.mark.parametrize("block, phase", [(TraceColumns.from_records([make_record(phase="PP")]), "RG"),
+                                              (TraceColumns.empty(2), None), (TraceColumns.empty(2), "PP")],
+                             ids=["filtered-out", "empty", "empty-filtered"])
+    def test_empty_selection_rejected(self, block, phase):
         with pytest.raises(ValueError, match="empty"):
-            render_bitmap([make_record(phase="PP")], phase="RG")
+            render_bitmap(block, phase=phase)
