@@ -131,16 +131,15 @@ def _fmt(x: float) -> str:
     return "%.9g" % float(x)
 
 
-def export_reports(usage: LayerUsageReport, profile: NormProfile, out_dir,
-                   formula: str | None = None) -> tuple[Path, Path]:
-    """Write the combined per-layer CSV and the JSON summary.
+def export_reports(trace: TraceColumns, out_dir) -> tuple[Path, Path]:
+    """Write the block's combined per-layer CSV and JSON summary.
 
-    The CSV has one row per layer (1-based indices); columns for a
-    phase with no tokens are left empty. The summary records formula,
-    the records' threshold formula, as given. Returns (csv_path, json_path).
+    The CSV has one row per layer (1-based indices) of usage_report's
+    frequencies and norm_profile's means; columns for a phase with no
+    tokens are left empty. The summary's alpha and formula are the
+    records' own when uniform, else None. Returns (csv_path, json_path).
     """
-    if usage.layer_count != profile.layer_count:
-        raise ValueError(f"usage has {usage.layer_count} layers but profile has {profile.layer_count}")
+    usage, profile = usage_report(trace), norm_profile(trace)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{REPORT_STEM}.csv"
@@ -166,7 +165,7 @@ def export_reports(usage: LayerUsageReport, profile: NormProfile, out_dir,
     summary = {
         "layer_count": usage.layer_count,
         "alpha": usage.alpha,
-        "formula": formula,
+        "formula": _uniform_or_none(trace.formula.tolist()),
         "token_counts": usage.token_counts,
         "average_usage": {p: usage.average_usage[p] for p in usage.average_usage},
         "average_usage_2dp": {p: round(usage.average_usage[p], 2) for p in usage.average_usage},

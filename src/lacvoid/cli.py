@@ -10,13 +10,14 @@ Response generation (RG) then decodes the group's rows as one batch on
 the main thread, which takes results in input order, so runs are
 byte-deterministic. `trace` writes each group's
 records as soon as the group finishes, so it holds one group's records at
-a time, to a temporary file that replaces trace.jsonl only once every
-group has succeeded.
+a time. `trace` and `sweep` write trace.jsonl all or nothing, through
+_trace_file.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import itertools
 import os
@@ -26,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import alpha_sweep, export_reports, norm_profile, usage_report
+from .analysis import alpha_sweep, export_reports, usage_report
 from .halting import HaltPolicy, SkipMode
 from .model import ModelConfig, ToyTransformer, _prompt_ids, build_model, generate, load_weights, run_prompt
 from .suites import SUITE_NAMES, SuiteCase, build_suite, score_case
@@ -254,29 +255,37 @@ def _summarize(trace: TraceColumns) -> tuple[dict[str, int], dict[str, float | N
     return {p: report.token_counts.get(p, 0) for p in phases}, {p: report.average_usage.get(p) for p in phases}
 
 
-def cmd_trace(args, parser) -> int:
-    """Stream each group's records to trace.jsonl.partial in --out, which
-    replaces trace.jsonl after the last group succeeds and is deleted on
-    any failure. Summary lines are printed once the run has succeeded."""
-    policy = _policy_from_args(args, parser)
-    model = _model_from_args(args, parser)
-    jobs, max_new = _jobs_from_args(args, parser)
-
-    out_dir = Path(args.out)
+@contextlib.contextmanager
+def _trace_file(out_dir: Path):
+    """The one writer of trace.jsonl: makes out_dir and yields a text file
+    open on trace.jsonl.partial there, which replaces trace.jsonl when the
+    body succeeds and is deleted when it raises, so a failed run leaves
+    an earlier trace.jsonl as it was."""
     out_dir.mkdir(parents=True, exist_ok=True)
     partial = out_dir / "trace.jsonl.partial"
-    summaries = []
     try:
         with open(partial, "w", encoding="utf-8", newline="\n") as fh:
-            for (trace, _), job in zip(_run_jobs(model, jobs, policy, max_new), jobs, strict=True):
-                write_trace(trace, fh)
-                tokens, usage = _summarize(trace)
-                summaries.append(f"{job.sequence_id}: pp_tokens={tokens[PHASE_PP]} rg_tokens={tokens[PHASE_RG]} "
-                                 f"pp_usage={_fmt_usage(usage[PHASE_PP])} rg_usage={_fmt_usage(usage[PHASE_RG])}")
+            yield fh
         os.replace(partial, out_dir / "trace.jsonl")
     except BaseException:
         partial.unlink(missing_ok=True)
         raise
+
+
+def cmd_trace(args, parser) -> int:
+    """Write each group's records to trace.jsonl in --out as the group
+    finishes. Summary lines are printed once the run has succeeded."""
+    policy = _policy_from_args(args, parser)
+    model = _model_from_args(args, parser)
+    jobs, max_new = _jobs_from_args(args, parser)
+
+    summaries = []
+    with _trace_file(Path(args.out)) as fh:
+        for (trace, _), job in zip(_run_jobs(model, jobs, policy, max_new), jobs, strict=True):
+            write_trace(trace, fh)
+            tokens, usage = _summarize(trace)
+            summaries.append(f"{job.sequence_id}: pp_tokens={tokens[PHASE_PP]} rg_tokens={tokens[PHASE_RG]} "
+                             f"pp_usage={_fmt_usage(usage[PHASE_PP])} rg_usage={_fmt_usage(usage[PHASE_RG])}")
     for line in summaries:
         print(line)
     return 0
@@ -317,10 +326,8 @@ def cmd_sweep(args, parser) -> int:
     trace = TraceColumns.concat(t for t, _ in _run_jobs(model, jobs, base_policy, max_new))
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    trace_path = out_dir / "trace.jsonl"
-    trace_path.unlink(missing_ok=True)
-    write_trace(trace, trace_path)
+    with _trace_file(out_dir) as fh:
+        write_trace(trace, fh)
 
     score_mode = args.mode if args.mode in ("mask-zero", "skip-identity", "halt-frozen") else "skip-identity"
     sweep = alpha_sweep(trace, alphas, args.min_layers)
@@ -365,11 +372,7 @@ def cmd_report(args, parser) -> int:
         if "/" in seq_id or "\0" in seq_id:
             raise ValueError(f"sequence_id {seq_id!r} cannot name a bitmap file: it holds '/' or NUL")
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    usage = usage_report(trace)
-    profile = norm_profile(trace)
-    formulas = set(trace.formula.tolist())
-    written = list(export_reports(usage, profile, out_dir, formula=formulas.pop() if len(formulas) == 1 else None))
+    written = list(export_reports(trace, out_dir))  # makes out_dir
     # PP sorts before RG, so each sequence's bitmaps come in phase order
     for (seq_id, phase), rows in sorted(groups.items()):
         pgm_path = out_dir / f"bitmap_{seq_id}_{phase.lower()}.pgm"

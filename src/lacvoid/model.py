@@ -136,6 +136,11 @@ class KVCache:
         return self.k[layer][rows, :, :end], self.v[layer][rows, :, :end]
 
 
+# Each block tensor's container name (after "block<i>.") -> its TransformerBlock attribute, in container order.
+_BLOCK_TENSORS = {"ln1.gain": "ln1_gain", "attn.wq": "wq", "attn.wk": "wk", "attn.wv": "wv", "attn.wo": "wo",
+                  "ln2.gain": "ln2_gain", "ffn.w1": "w1", "ffn.w2": "w2"}
+
+
 class TransformerBlock:
     """One pre-LN block: h += attn(norm(h)); h += ffn(norm(h))."""
 
@@ -147,16 +152,7 @@ class TransformerBlock:
         self.head_count = head_count
 
     def named_tensors(self, prefix: str) -> dict[str, np.ndarray]:
-        return {
-            f"{prefix}.ln1.gain": self.ln1_gain,
-            f"{prefix}.attn.wq": self.wq,
-            f"{prefix}.attn.wk": self.wk,
-            f"{prefix}.attn.wv": self.wv,
-            f"{prefix}.attn.wo": self.wo,
-            f"{prefix}.ln2.gain": self.ln2_gain,
-            f"{prefix}.ffn.w1": self.w1,
-            f"{prefix}.ffn.w2": self.w2,
-        }
+        return {f"{prefix}.{name}": getattr(self, attr) for name, attr in _BLOCK_TENSORS.items()}
 
     def _split_heads(self, x: np.ndarray) -> np.ndarray:
         b, n, d = x.shape
@@ -256,31 +252,18 @@ def _tensor_shapes(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], int 
     norm gain, initialised to ones; the rest are drawn from their named
     stream, uniform in (-1/sqrt(fan_in), 1/sqrt(fan_in))."""
     d, f = config.depth, config.ffn_dim
+    block = {"ln1_gain": ((d,), None), "wq": ((d, d), d), "wk": ((d, d), d), "wv": ((d, d), d),
+             "wo": ((d, d), d), "ln2_gain": ((d,), None), "w1": ((d, f), d), "w2": ((f, d), f)}
     shapes = {"embed": ((config.vocab_size, d), d), "ln_f.gain": ((d,), None)}
     for i in range(config.layer_count):
-        p = f"block{i}"
-        shapes.update({
-            f"{p}.ln1.gain": ((d,), None),
-            f"{p}.attn.wq": ((d, d), d),
-            f"{p}.attn.wk": ((d, d), d),
-            f"{p}.attn.wv": ((d, d), d),
-            f"{p}.attn.wo": ((d, d), d),
-            f"{p}.ln2.gain": ((d,), None),
-            f"{p}.ffn.w1": ((d, f), d),
-            f"{p}.ffn.w2": ((f, d), f),
-        })
+        shapes.update({f"block{i}.{name}": block[attr] for name, attr in _BLOCK_TENSORS.items()})
     return shapes
 
 
 def _from_tensors(config: ModelConfig, tensors: dict[str, np.ndarray]) -> ToyTransformer:
-    blocks = []
-    for i in range(config.layer_count):
-        p = f"block{i}"
-        blocks.append(TransformerBlock(
-            ln1_gain=tensors[f"{p}.ln1.gain"], wq=tensors[f"{p}.attn.wq"], wk=tensors[f"{p}.attn.wk"],
-            wv=tensors[f"{p}.attn.wv"], wo=tensors[f"{p}.attn.wo"], ln2_gain=tensors[f"{p}.ln2.gain"],
-            w1=tensors[f"{p}.ffn.w1"], w2=tensors[f"{p}.ffn.w2"], head_count=config.head_count,
-        ))
+    blocks = [TransformerBlock(**{attr: tensors[f"block{i}.{name}"] for name, attr in _BLOCK_TENSORS.items()},
+                               head_count=config.head_count)
+              for i in range(config.layer_count)]
     return ToyTransformer(config, tensors["embed"], blocks, tensors["ln_f.gain"])
 
 
@@ -325,9 +308,9 @@ def load_weights(path) -> ToyTransformer:
     if raw.shape != (len(_CONFIG_FIELDS),) or not np.all(raw == np.round(raw)):
         raise ContainerError(f"{path}: malformed 'config' tensor")
     config = ModelConfig(**{f: int(x) for f, x in zip(_CONFIG_FIELDS, raw)}, seed=0)
-    # embed, ln_f.gain and eight per block, checked before _tensor_shapes grows with the claim;
+    # embed, ln_f.gain and each block's, checked before _tensor_shapes grows with the claim;
     # once it holds, a file without unknown names has every expected one
-    needed, held = 2 + 8 * config.layer_count, len(tensors) - 1
+    needed, held = 2 + len(_BLOCK_TENSORS) * config.layer_count, len(tensors) - 1
     if needed > held:
         raise ContainerError(f"{path}: missing tensor(s): config claims {config.layer_count} layers, "
                              f"which need {needed} tensors, but the file holds {held}")
@@ -428,8 +411,12 @@ def run_prompt(model: ToyTransformer, prompts, policy: HaltPolicy, sequence_ids,
     each group's prompts plus --max-new.
 
     forced_voids is one flag per layer, or per layer and unit of the
-    batch's token grid.
+    batch's token grid. A str for prompts or sequence_ids raises
+    TypeError before anything runs: it would be taken as one prompt per character.
     """
+    for name, value in (("prompts", prompts), ("sequence_ids", sequence_ids)):
+        if isinstance(value, str):
+            raise TypeError(f"{name} must be a list, one entry per prompt, not the str {value!r}: pass [{value!r}]")
     rows = list(range(len(prompts))) if rows is None else list(rows)
     if not 0 < len(prompts) == len(sequence_ids) == len(rows):
         raise ValueError(f"a batch needs as many prompts, sequence ids and rows, at least one: "

@@ -247,21 +247,14 @@ def record_to_line(r: TraceRecord) -> str:
     return next(_chunks(block))[:-1]
 
 
-def write_trace(block: TraceColumns, sink) -> int:
-    """Append a block to a path or text file object. Returns bytes written.
+def write_trace(block: TraceColumns, fh: IO[str]) -> int:
+    """Write a block to an open text file. Returns bytes written.
 
     The whole block is checked first, so a block that holds one refused
     record writes nothing.
     """
     if len(block):
         _check(block)
-    if hasattr(sink, "write"):
-        return _write_chunks(block, sink)
-    with open(sink, "a", encoding="utf-8", newline="\n") as fh:
-        return _write_chunks(block, fh)
-
-
-def _write_chunks(block: TraceColumns, fh: IO[str]) -> int:
     count = 0
     for text in _chunks(block):
         fh.write(text)

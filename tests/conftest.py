@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from lacvoid import TraceRecord
+from lacvoid import TraceRecord, write_trace
 
 
 def add_constant_stack(increments) -> list:
@@ -61,6 +61,12 @@ def reference_line(r) -> str:
             f'"layer_deltas":[{",".join(fmt(x) for x in r.layer_deltas)}],'
             f'"alpha":{fmt(r.alpha)},"formula":{json.dumps(r.formula)},"skip_mode":{json.dumps(r.skip_mode)}'
             "}")
+
+
+def write_trace_file(block, path) -> int:
+    """Write a block as the whole of the file at path, replacing what it held. Returns bytes written."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        return write_trace(block, fh)
 
 
 def reference_lines(block) -> list[str]:

@@ -29,12 +29,11 @@ from lacvoid import (
     run_stack,
     save_weights,
     usage_report,
-    write_trace,
 )
 from lacvoid.cli import main as cli_main
 from lacvoid.model import ToyTransformer, TransformerBlock
 from lacvoid.rng import stream_for
-from conftest import add_constant_stack, compose_stack, random_affine_stack, white_pixel_count
+from conftest import add_constant_stack, compose_stack, random_affine_stack, white_pixel_count, write_trace_file
 
 
 def ok(name: str) -> None:
@@ -180,7 +179,7 @@ def test_round_trips(toy8, tmp_path):
                                   for i, ids in enumerate(acceptance_prompts(10)))
 
     trace_path = tmp_path / "trace.jsonl"
-    write_trace(records, trace_path)
+    write_trace_file(records, trace_path)
     back = read_trace(trace_path)
     assert len(back) == len(records)
     for a, b in zip(records, back):
@@ -195,7 +194,7 @@ def test_round_trips(toy8, tmp_path):
 
     usage = usage_report(back)
     profile = norm_profile(back)
-    csv_path, json_path = export_reports(usage, profile, tmp_path)
+    csv_path, json_path = export_reports(back, tmp_path)
     rows = list(csv.DictReader(csv_path.read_text().splitlines()))
     assert len(rows) == usage.layer_count
     for t, row in enumerate(rows):

@@ -196,21 +196,20 @@ class TestCorrespondence:
 
 
 class TestExport:
-    def report_pair(self):
+    def block(self):
         records = flag_records([[True, True, False, False], [True, False, False, True]])
-        records += flag_records([[True, True, True, False]], phase="RG")
-        return usage_report(records), norm_profile(records)
+        return records + flag_records([[True, True, True, False]], phase="RG")
 
     def test_csv_shape(self, tmp_path):
-        usage, profile = self.report_pair()
-        csv_path, _ = export_reports(usage, profile, tmp_path)
+        csv_path, _ = export_reports(self.block(), tmp_path)
         rows = list(csv.reader(csv_path.read_text().splitlines()))
         assert rows[0] == CSV_HEADER
         assert len(rows) == 1 + 4
 
     def test_csv_round_trip(self, tmp_path):
-        usage, profile = self.report_pair()
-        csv_path, _ = export_reports(usage, profile, tmp_path)
+        block = self.block()
+        usage, profile = usage_report(block), norm_profile(block)
+        csv_path, _ = export_reports(block, tmp_path)
         rows = list(csv.DictReader(csv_path.read_text().splitlines()))
         for t, row in enumerate(rows):
             assert int(row["layer_index"]) == t + 1
@@ -227,16 +226,25 @@ class TestExport:
                           norms=[1.0] * layers, deltas=[0.0] * layers) for i in range(3)]
         rg = [make_record(token_index=i + 3, phase="RG", flags=[True] * 30 + [False] * 70,
                           norms=[1.0] * layers, deltas=[0.0] * layers) for i in range(3)]
-        block = TraceColumns.from_records(pp + rg)
-        usage = usage_report(block)
-        profile = norm_profile(block)
-        _, json_path = export_reports(usage, profile, tmp_path)
+        _, json_path = export_reports(TraceColumns.from_records(pp + rg), tmp_path)
         summary = json.loads(json_path.read_text())
         assert summary["average_usage_2dp"] == {"PP": 0.29, "RG": 0.3}
 
+    @pytest.mark.parametrize("alphas, formulas, want", [
+        ([0.8, 0.8], ["original", "original"], (0.8, "original")),
+        ([0.8, 0.6], ["modified", "modified"], (None, "modified")),
+        ([0.8, 0.8], ["original", "modified"], (0.8, None)),
+    ], ids=["uniform", "mixed-alpha", "mixed-formula"])
+    def test_summary_alpha_and_formula_are_the_records_own_when_uniform(self, tmp_path, alphas, formulas, want):
+        block = TraceColumns.from_records(make_record(token_index=i, alpha=a, formula=f)
+                                          for i, (a, f) in enumerate(zip(alphas, formulas)))
+        _, json_path = export_reports(block, tmp_path)
+        summary = json.loads(json_path.read_text())
+        assert (summary["alpha"], summary["formula"]) == want
+
     def test_absent_phase_yields_empty_cells(self, tmp_path):
         records = flag_records([[True, False]])
-        csv_path, json_path = export_reports(usage_report(records), norm_profile(records), tmp_path)
+        csv_path, json_path = export_reports(records, tmp_path)
         rows = list(csv.DictReader(csv_path.read_text().splitlines()))
         assert rows[0]["rg_frequency"] == ""
         summary = json.loads(json_path.read_text())

@@ -8,9 +8,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from conftest import make_record
+from conftest import make_record, write_trace_file
 from lacvoid import (HaltPolicy, ModelConfig, TraceColumns, build_model, cli, generate, load_weights, read_trace,
-                     run_prompt, save_weights, write_trace)
+                     run_prompt, save_weights)
 from lacvoid.cli import main
 from lacvoid.suites import SuiteCase
 
@@ -347,6 +347,19 @@ class TestSweep:
         usage = json.loads((tmp_path / "rep" / "report_summary.json").read_text())["average_usage"]
         assert (row["pp_usage"], row["rg_usage"]) == ("%.9g" % usage["PP"], "%.9g" % usage["RG"])
 
+    def test_failed_trace_write_leaves_the_earlier_trace(self, tmp_path, monkeypatch, capsys):
+        earlier = b"an earlier run's trace\n"
+        (tmp_path / "trace.jsonl").write_bytes(earlier)
+
+        def refuse(block, fh):
+            raise OSError("disk full")
+        monkeypatch.setattr(cli, "write_trace", refuse)
+        assert run(["sweep", *MODEL, "--prompt", "x", "--alphas", "0.6", "--max-new", "2",
+                    "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: disk full\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["trace.jsonl"]
+        assert (tmp_path / "trace.jsonl").read_bytes() == earlier
+
     def test_empty_alpha_list_exits_2(self, tmp_path):
         assert run(["sweep", *MODEL, "--prompt", "x", "--alphas", "", "--out", str(tmp_path)]) == 2
 
@@ -375,8 +388,8 @@ class TestReport:
                                                 (["original", "modified"], None)])
     def test_summary_formula_is_the_records_formula_when_uniform(self, tmp_path, formulas, want):
         trace = tmp_path / "trace.jsonl"
-        write_trace(TraceColumns.from_records(make_record(token_index=i, formula=f) for i, f in enumerate(formulas)),
-                    trace)
+        write_trace_file(TraceColumns.from_records(make_record(token_index=i, formula=f)
+                                                   for i, f in enumerate(formulas)), trace)
         assert run(["report", "--trace", str(trace), "--out", str(tmp_path / "r")]) == 0
         assert json.loads((tmp_path / "r" / "report_summary.json").read_text())["formula"] == want
 
@@ -392,7 +405,7 @@ class TestReport:
     @pytest.mark.parametrize("seq_id", ["x/../../escaped", "x\0y"])
     def test_sequence_id_that_is_not_one_path_component_exits_1(self, tmp_path, capsys, seq_id):
         trace = tmp_path / "trace.jsonl"
-        write_trace(TraceColumns.from_records([make_record(seq="ok"), make_record(seq=seq_id)]), trace)
+        write_trace_file(TraceColumns.from_records([make_record(seq="ok"), make_record(seq=seq_id)]), trace)
         out = tmp_path / "a" / "out"
         (out / "bitmap_x").mkdir(parents=True)
         assert run(["report", "--trace", str(trace), "--out", str(out)]) == 1
@@ -411,7 +424,7 @@ class TestReport:
 
     def test_token_index_beyond_int64_exits_1(self, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"
-        write_trace(TraceColumns.from_records(make_record(token_index=i) for i in range(2)), trace)
+        write_trace_file(TraceColumns.from_records(make_record(token_index=i) for i in range(2)), trace)
         trace.write_text(trace.read_text(encoding="utf-8").replace('"token_index":0', f'"token_index":{2**63}'),
                          encoding="utf-8")
         out = tmp_path / "out"

@@ -598,6 +598,18 @@ class TestBatchedRunPrompt:
         with pytest.raises(ValueError, match=match):
             run_prompt(model, prompts, OFF, [f"s{i}" for i in range(len(prompts))], cache=model.new_cache(2), rows=rows)
 
+    @pytest.mark.parametrize("prompts, seqs, name", [
+        ("hi", "s0", "prompts"),  # an old single-prompt call
+        ("hi", ["a", "b"], "prompts"),  # would trace "h" and "i" as two prompts
+        (["hi"], "s0", "sequence_ids"),
+    ], ids=["both-str", "str-prompts", "str-sequence-ids"])
+    def test_str_for_a_list_is_refused_before_the_forward_pass(self, prompts, seqs, name):
+        model = build_model(CFG)
+        cache = model.new_cache(2)
+        with pytest.raises(TypeError, match=f"^{name} must be a list, one entry per prompt, not the str"):
+            run_prompt(model, prompts, OFF, seqs, cache=cache)
+        assert not any(buf.any() for buf in cache.k + cache.v)
+
     def test_default_cache_covers_the_highest_row(self):
         states, block = run_prompt(build_model(CFG), ["ab", "cd"], OFF, ["x", "y"], rows=[3, 1])
         assert [s.row for s in states] == [3, 1] and states[0].cache.k[0].shape[0] == 4

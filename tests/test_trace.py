@@ -21,7 +21,7 @@ from lacvoid import (
     write_trace,
 )
 from lacvoid.trace import PHASES, TraceColumns, record_to_line
-from conftest import make_record, reference_line, reference_lines, white_pixel_count
+from conftest import make_record, reference_line, reference_lines, white_pixel_count, write_trace_file
 
 
 def random_records(n, layers=4, seed=0):
@@ -63,7 +63,7 @@ class TestWriteRead:
     def test_round_trip_100_records(self, tmp_path):
         records = random_records(100, seed=1)
         path = tmp_path / "t.jsonl"
-        write_trace(TraceColumns.from_records(records), path)
+        write_trace_file(TraceColumns.from_records(records), path)
         back = read_trace(path)
         assert len(back) == 100
         for a, b in zip(records, back):
@@ -78,7 +78,7 @@ class TestWriteRead:
         # 9 significant digits are enough to reproduce float32 bit patterns
         records = random_records(20, seed=2)
         path = tmp_path / "t.jsonl"
-        write_trace(TraceColumns.from_records(records), path)
+        write_trace_file(TraceColumns.from_records(records), path)
         for a, b in zip(records, read_trace(path)):
             assert np.float32(a.layer_norms).tobytes() == np.float32(b.layer_norms).tobytes()
 
@@ -123,11 +123,14 @@ class TestWriteRead:
         with pytest.raises(TraceError):
             record_to_line(record)
 
-    def test_append_only(self, tmp_path):
+    def test_two_blocks_to_one_open_file_read_back_as_both(self, tmp_path):
+        first = TraceColumns.from_records([make_record(token_index=0)])
+        second = TraceColumns.from_records([make_record(token_index=1, phase="RG")])
         path = tmp_path / "t.jsonl"
-        write_trace(TraceColumns.from_records([make_record(token_index=0)]), path)
-        write_trace(TraceColumns.from_records([make_record(token_index=1)]), path)
-        assert len(read_trace(path)) == 2
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            count = write_trace(first, fh) + write_trace(second, fh)
+        assert count == path.stat().st_size
+        assert read_trace(path) == first + second
 
 
 @functools.cache
@@ -188,7 +191,7 @@ class TestTraceColumns:
         records = random_records(1300, layers=3, seed=7)
         lines = "".join(reference_line(r) + "\n" for r in records)
         path = tmp_path / "t.jsonl"
-        assert write_trace(TraceColumns.from_records(records), path) == len(lines)
+        assert write_trace_file(TraceColumns.from_records(records), path) == len(lines)
         assert path.read_text(encoding="utf-8") == lines
 
     @pytest.mark.parametrize("position", [0, 3, 6])
