@@ -21,7 +21,7 @@ import numpy as np
 
 from .halting import offline_void_mask
 from .tensors import DTYPE
-from .trace import PHASES, TraceColumns
+from .trace import PHASES, TraceColumns, _require_block
 
 __all__ = [
     "LayerUsageReport",
@@ -101,11 +101,13 @@ def _usage_from_columns(flags: np.ndarray, phases: np.ndarray, alpha) -> LayerUs
 def usage_report(trace: TraceColumns) -> LayerUsageReport:
     """Aggregate activation flags. alpha is the records' own alpha when
     that is uniform, else None."""
+    _require_block(trace, "usage_report")
     return _usage_from_columns(trace.layer_flags, trace.phase, _uniform_or_none(trace.alpha.tolist()))
 
 
 def norm_profile(trace: TraceColumns) -> NormProfile:
     """Arithmetic means of per-layer norms and progress, by phase."""
+    _require_block(trace, "norm_profile")
     return NormProfile(layer_count=trace.layer_count,
                        mean_norms={p: sub.mean(axis=0) for p, sub in _by_phase(trace.layer_norms, trace.phase)},
                        mean_deltas={p: sub.mean(axis=0) for p, sub in _by_phase(trace.layer_deltas, trace.phase)})
@@ -121,6 +123,7 @@ def alpha_sweep(trace: TraceColumns, alphas, min_layers: int = 1) -> list[tuple[
     granularity only. Each alpha is one offline_void_mask call over the
     (N, T) delta matrix.
     """
+    _require_block(trace, "alpha_sweep")
     deltas = trace.layer_deltas.astype(DTYPE)
     return [(float(alpha), _usage_from_columns(~offline_void_mask(deltas, alpha, min_layers), trace.phase,
                                                float(alpha)))
@@ -139,6 +142,7 @@ def export_reports(trace: TraceColumns, out_dir) -> tuple[Path, Path]:
     tokens are left empty. The summary's alpha and formula are the
     records' own when uniform, else None. Returns (csv_path, json_path).
     """
+    _require_block(trace, "export_reports")
     usage, profile = usage_report(trace), norm_profile(trace)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

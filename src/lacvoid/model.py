@@ -376,8 +376,8 @@ def _forward(model: ToyTransformer, cache: KVCache, rows, starts, ids, phase: st
     def per_token(layers_first: np.ndarray, dtype) -> np.ndarray:  # (T, B, n) -> (B * n, T)
         return layers_first.transpose(1, 2, 0).reshape(b * n, -1).astype(dtype, copy=False)
 
-    def repeated(value) -> np.ndarray:
-        return np.full(b * n, value, dtype=object)
+    def repeated(value) -> np.ndarray:  # np.full(dtype=object) would store a copy of a str per record
+        return np.repeat(np.array([value], dtype=object), b * n)
 
     trace = TraceColumns(
         sequence_id=np.repeat(np.array(sequence_ids, dtype=object), n),

@@ -20,7 +20,6 @@ import json
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-from pathlib import Path
 from typing import IO, Iterable, Iterator
 
 import numpy as np
@@ -150,6 +149,13 @@ class TraceColumns(Sequence):
         return cls(*columns)
 
 
+def _require_block(block, caller: str) -> None:
+    """Refuse anything but a TraceColumns block, such as a list of records, naming the caller."""
+    if not isinstance(block, TraceColumns):
+        raise TypeError(f"{caller} takes a TraceColumns block, got {type(block).__name__}: "
+                        "wrap a list of TraceRecord with TraceColumns.from_records")
+
+
 class _RowError(TraceError):
     """A TraceError about one row of a block; the reader names that row's line."""
 
@@ -220,7 +226,7 @@ def _quoted(column: np.ndarray) -> list[str]:
     return [literal[v] for v in values]
 
 
-# Rows formatted at a time: bounds the Python lists and text the writer holds at once.
+# Rows formatted or parsed at a time: bounds the Python lists and text the writer and the reader hold at once.
 _CHUNK_ROWS = 512
 
 
@@ -253,6 +259,7 @@ def write_trace(block: TraceColumns, fh: IO[str]) -> int:
     The whole block is checked first, so a block that holds one refused
     record writes nothing.
     """
+    _require_block(block, "write_trace")
     if len(block):
         _check(block)
     count = 0
@@ -312,21 +319,65 @@ def read_trace(source) -> TraceColumns:
     """Parse a JSONL trace from a path, file object, or iterable of lines
     into one block; a trace with no records gives an empty block.
 
-    A refused line raises TraceError naming its 1-based line number.
-    Each line is checked for what its JSON types decide as it is read,
-    and the block is checked against the writer's value rules once all
-    lines are read, so a trace with several bad lines is refused naming
-    one of them, not always the first.
+    A path or file object is read a line at a time, never whole, and its
+    lines are split as str.splitlines splits the text. A refused line
+    raises TraceError naming its 1-based line number. Each line is
+    checked for what its JSON types decide as it is read, and the block
+    is checked against the writer's value rules once all lines are read,
+    so a trace with several bad lines is refused naming one of them, not
+    always the first.
     """
-    if hasattr(source, "read") or isinstance(source, (list, tuple)):
-        lines = source if isinstance(source, (list, tuple)) else source.read().splitlines()
-        return _read_lines(lines, "<stream>")
-    text = Path(source).read_text(encoding="utf-8")
-    return _read_lines(text.splitlines(), str(source))
+    if isinstance(source, (list, tuple)):
+        return _read_lines(source, "<stream>")
+    if hasattr(source, "read"):
+        return _read_lines(_split(source), "<stream>")
+    with open(source, encoding="utf-8") as fh:
+        return _read_lines(_split(fh), str(source))
+
+
+def _split(pieces: Iterable[str]) -> Iterator[str]:
+    r"""The lines of a text read piece by piece, each piece ending at a line end.
+
+    A file opened with newline="\r" ends its pieces at the "\r" of a
+    "\r\n", so the next piece's leading "\n" belongs to that line end."""
+    after_cr = False
+    for piece in pieces:
+        if after_cr and piece.startswith("\n"):
+            piece = piece[1:]
+        after_cr = piece.endswith("\r")
+        yield from piece.splitlines()
+
+
+def _chunk(rows: list[tuple], strings: dict[str, str]) -> list[np.ndarray]:
+    """The columns of a chunk of _values rows. Object columns take each
+    string from strings, which maps a value to the first equal one met,
+    so a block holds one str object per distinct value."""
+    columns = []
+    for name, values in zip(_REQUIRED_FIELDS, zip(*rows)):
+        if _COLUMN_DTYPES[name] is object:
+            values = [strings.setdefault(v, v) for v in values]
+        columns.append(_column(name, values))
+    return columns
 
 
 def _read_lines(lines: Iterable[str], origin: str) -> TraceColumns:
-    rows, numbers = [], []  # each record's values, and its 1-based line number
+    blocks, block_lines = [], []  # each closed chunk's block, and its records' 1-based line numbers
+    rows, numbers = [], []  # the open chunk's values and line numbers
+    strings: dict[str, str] = {}
+    first = None  # line number and layer count of the first record
+    overflow = None  # the first value a column's dtype could not hold, raised once every line is read
+
+    def close_chunk() -> None:
+        nonlocal overflow
+        if overflow is None:
+            try:
+                blocks.append(TraceColumns(*_chunk(rows, strings)))
+                block_lines.append(np.array(numbers, dtype=np.int64))
+            except _RowError as exc:
+                overflow = TraceError(f"{origin}: line {numbers[exc.row]}: {exc}")
+        rows.clear()
+        numbers.clear()
+
     for i, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
@@ -337,18 +388,26 @@ def _read_lines(lines: Iterable[str], origin: str) -> TraceColumns:
             raise TraceError(f"{origin}: line {i}: not valid JSON: {exc}") from exc
         except TraceError as exc:
             raise TraceError(f"{origin}: line {i}: {exc}") from exc
-        if rows and len(values[4]) != len(rows[0][4]):  # values[4] is layer_flags
-            raise TraceError(f"{origin}: line {i}: {len(values[4])} layers, but line {numbers[0]} has "
-                             f"{len(rows[0][4])}")
+        layers = len(values[4])  # values[4] is layer_flags
+        if first is None:
+            first = (i, layers)
+        elif layers != first[1]:
+            raise TraceError(f"{origin}: line {i}: {layers} layers, but line {first[0]} has {first[1]}")
         rows.append(values)
         numbers.append(i)
-    if not rows:
+        if len(rows) == _CHUNK_ROWS:
+            close_chunk()
+    if rows:
+        close_chunk()
+    if overflow is not None:
+        raise overflow
+    if not blocks:
         return TraceColumns.empty(0)
+    block = TraceColumns.concat(blocks)
     try:
-        block = TraceColumns(*(_column(name, values) for name, values in zip(_REQUIRED_FIELDS, zip(*rows))))
         _check(block)
     except _RowError as exc:
-        raise TraceError(f"{origin}: line {numbers[exc.row]}: {exc}") from exc
+        raise TraceError(f"{origin}: line {np.concatenate(block_lines)[exc.row]}: {exc}") from exc
     return block
 
 
@@ -359,6 +418,7 @@ def render_bitmap(block: TraceColumns, phase: str | None = None) -> str:
     last layer rendered as the top row (layer 1 at the bottom).
     Activated pixels are 255, voids 0.
     """
+    _require_block(block, "render_bitmap")
     if phase is not None and phase not in PHASES:
         raise ValueError(f"phase filter must be one of {PHASES} or None, got {phase!r}")
     if phase is not None:

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import io
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from lacvoid import (
     run_prompt,
     write_trace,
 )
-from lacvoid.trace import PHASES, TraceColumns, record_to_line
+from lacvoid.analysis import alpha_sweep, export_reports, norm_profile, usage_report
+from lacvoid.trace import _CHUNK_ROWS, PHASES, TraceColumns, record_to_line
 from conftest import make_record, reference_line, reference_lines, white_pixel_count, write_trace_file
 
 
@@ -423,6 +425,107 @@ class TestStrictReader:
         except TraceError:
             return
         write_trace(back, io.StringIO())
+
+
+def read_every_way(text, tmp_path):
+    r"""read_trace of text from a path, from a StringIO, from text.splitlines() and from a file opened
+    with newline="\r" (which splits a "\r\n" between two lines): each a block, or the TraceError
+    message without its origin prefix."""
+    path = tmp_path / "t.jsonl"
+    path.write_text(text, encoding="utf-8", newline="")
+    results = []
+    with open(path, encoding="utf-8", newline="\r") as split_at_cr:
+        for source in (path, io.StringIO(text), text.splitlines(), split_at_cr):
+            try:
+                results.append(read_trace(source))
+            except TraceError as exc:
+                results.append(str(exc).split(": ", 1)[1])
+    return results
+
+
+TWO_LAYER_LINES = [reference_line(r) for r in random_records(3, layers=2, seed=11)]
+SEPARATORS = ["\n", "\r\n", "\r", "\x0c", "\x85", "\u2028"]
+
+
+class TestStreamingReader:
+    """The reader takes a path or file object a line at a time and builds the block _CHUNK_ROWS records at a time."""
+
+    def test_a_trace_of_more_than_two_chunks_reads_back_from_every_source(self, tmp_path):
+        block = TraceColumns.from_records(random_records(2 * _CHUNK_ROWS + 1, layers=3, seed=12))
+        # values of at most 9 significant digits, so the float64 columns read back exactly
+        block = dataclasses.replace(block, layer_norms=block.layer_norms.round(3),
+                                    layer_deltas=block.layer_deltas.round(3))
+        path = tmp_path / "t.jsonl"
+        write_trace_file(block, path)
+        text = path.read_text(encoding="utf-8")
+        assert read_trace(path) == block
+        assert read_trace(io.StringIO(text)) == block
+        assert read_trace(text.splitlines()) == block
+
+    def test_a_value_beyond_int64_in_the_second_chunk_names_its_line(self):
+        lines = [reference_line(r) for r in random_records(2 * _CHUNK_ROWS, layers=2, seed=13)]
+        row = _CHUNK_ROWS + 10
+        lines[row] = with_field("token_index", str(2**63), lines[row])
+        with pytest.raises(TraceError, match=rf"^<stream>: line {row + 1}: token_index must fit in int64, "
+                                             rf"got {2**63}$"):
+            read_trace(lines)
+
+    def test_a_line_refused_by_its_json_types_wins_over_an_earlier_value_beyond_int64(self):
+        lines = [reference_line(r) for r in random_records(2 * _CHUNK_ROWS, layers=2, seed=14)]
+        lines[3] = with_field("token_index", str(2**63), lines[3])
+        lines[_CHUNK_ROWS + 5] = '{"sequence_id":"s0"}'
+        with pytest.raises(TraceError, match=rf"^<stream>: line {_CHUNK_ROWS + 6}: missing field\(s\): token_index"):
+            read_trace(lines)
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_lines_are_split_as_str_splitlines_splits_them(self, tmp_path_factory, data):
+        # a line of another layer count or a refused value makes the error name a line number
+        pool = TWO_LAYER_LINES + ["", "  ", ONE_LAYER, reference_line(make_record(alpha=5.0))]
+        lines = data.draw(st.lists(st.sampled_from(pool), max_size=8))
+        text = "".join(line + data.draw(st.sampled_from(SEPARATORS)) for line in lines)
+        text += data.draw(st.sampled_from(["", "x", TWO_LAYER_LINES[0]]))
+        from_path, from_stream, from_lines, split_at_cr = read_every_way(text, tmp_path_factory.mktemp("split"))
+        assert from_path == from_stream == from_lines == split_at_cr
+
+    def test_peak_memory_stays_within_twice_the_file_size(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        size = write_trace_file(TraceColumns.from_records(random_records(4096, layers=4, seed=15)), path)
+        tracemalloc.start()
+        try:
+            read_trace(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * size, f"tracemalloc peak {peak} bytes for a {size}-byte trace"
+
+    @pytest.mark.parametrize("source", ["read_trace", "run_prompt"])
+    def test_a_string_column_holds_one_object_per_distinct_value(self, tmp_path, source):
+        if source == "read_trace":
+            path = tmp_path / "t.jsonl"
+            write_trace_file(TraceColumns.from_records(random_records(2 * _CHUNK_ROWS + 1, seed=16)), path)
+            block = read_trace(path)
+        else:
+            model = build_model(ModelConfig(layer_count=2, depth=16, head_count=2, ffn_dim=32, max_seq=16, seed=5))
+            _, block = run_prompt(model, [[72, 105, 33], [65, 66, 67]], HaltPolicy(), ["s0", "s1"])
+        for name in ("sequence_id", "phase", "formula", "skip_mode"):
+            column = getattr(block, name)
+            assert len({id(v) for v in column}) == len(set(column.tolist())), name
+
+
+class TestConsumersTakeABlock:
+    @pytest.mark.parametrize("records", [[make_record()], []], ids=["one-record", "empty"])
+    @pytest.mark.parametrize("name", ["write_trace", "render_bitmap", "usage_report", "norm_profile",
+                                      "alpha_sweep", "export_reports"])
+    def test_a_list_is_refused_naming_the_consumer(self, tmp_path, name, records):
+        buf, out_dir = io.StringIO(), tmp_path / "out"
+        call = {"write_trace": lambda r: write_trace(r, buf), "render_bitmap": render_bitmap,
+                "usage_report": usage_report, "norm_profile": norm_profile,
+                "alpha_sweep": lambda r: alpha_sweep(r, [0.5]), "export_reports": lambda r: export_reports(r, out_dir)}
+        with pytest.raises(TypeError, match=rf"^{name} takes a TraceColumns block, got list: "
+                                            r"wrap a list of TraceRecord with TraceColumns\.from_records$"):
+            call[name](records)
+        assert buf.getvalue() == "" and not out_dir.exists()
 
 
 class TestFromRecords:
