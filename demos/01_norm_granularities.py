@@ -1,10 +1,10 @@
-"""The three L2-norm granularities and how they relate.
+"""The two L2-norm granularities and how they relate.
 
 A hidden state is a (batch, length, depth) tensor. The norm can be
-reduced per batch (one scalar), per example (one value per batch row),
-or per token (one value per position). Squared norms telescope:
-the batch norm squared equals the sum of example norms squared, which
-equals the sum of token norms squared.
+reduced per example (one value per batch row) or per token (one value
+per position). Squared norms telescope: an example's norm squared
+equals the sum of its token norms squared, so the example norms
+squared and the token norms squared have one sum.
 """
 
 import numpy as np
@@ -14,17 +14,14 @@ from lacvoid import NormGranularity, l2_norm
 rng = np.random.default_rng(0)
 h = rng.normal(size=(2, 3, 4)).astype(np.float32)  # 2 examples, 3 tokens, depth 4
 
-batch = l2_norm(h, NormGranularity.BATCH)      # shape (1,)
 example = l2_norm(h, NormGranularity.EXAMPLE)  # shape (2, 1)
 token = l2_norm(h, NormGranularity.TOKEN)      # shape (2, 3, 1)
 
-print("batch norm:   ", batch)
 print("example norms:", example.ravel())
 print("token norms:\n", token[..., 0])
 
 # the telescoping identity, accumulated in float64 by the library
-print("\nbatch^2      =", float(batch[0]) ** 2)
-print("sum example^2 =", float((example.astype(np.float64) ** 2).sum()))
+print("\nsum example^2 =", float((example.astype(np.float64) ** 2).sum()))
 print("sum token^2   =", float((token.astype(np.float64) ** 2).sum()))
 
 # scaling the tensor scales every norm by |c|

@@ -9,7 +9,7 @@ threshold and more voids.
 
 import numpy as np
 
-from lacvoid import detect_voids_offline, offline_void_mask
+from lacvoid import offline_void_mask
 
 # a hand-picked progress sequence: one big jump, a dip, two small steps
 deltas = [5.0, -1.0, 4.0, 0.1]
@@ -28,5 +28,5 @@ for alpha in (0.2, 0.5, 1.0):
 # the same decisions can be replayed from a recorded sequence at any alpha
 print("void sets by alpha (offline replay of the same deltas):")
 for alpha in (0.1, 0.3, 0.5, 0.8, 1.0):
-    print(f"  alpha {alpha:.1f}: voids {sorted(detect_voids_offline(deltas, alpha)) or 'none'}")
+    print(f"  alpha {alpha:.1f}: voids {(np.flatnonzero(offline_void_mask(deltas, alpha)) + 1).tolist() or 'none'}")
 # note the nesting: raising alpha only ever adds voids

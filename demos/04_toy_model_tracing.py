@@ -44,6 +44,7 @@ out.mkdir(exist_ok=True)
 # write_trace writes to an open file; "w" replaces an earlier run's trace
 with open(out / "trace.jsonl", "w", encoding="utf-8", newline="\n") as fh:
     written = write_trace(records, fh)
-(out / "bitmap_pp.pgm").write_text(render_bitmap(records, phase="PP"))
-(out / "bitmap_rg.pgm").write_text(render_bitmap(records, phase="RG"))
+# a boolean mask over the phase column selects one phase's rows
+(out / "bitmap_pp.pgm").write_text(render_bitmap(records[records.phase == "PP"]))
+(out / "bitmap_rg.pgm").write_text(render_bitmap(records[records.phase == "RG"]))
 print(f"\nwrote {written} bytes of trace and two PGM bitmaps under {out}/")

@@ -5,9 +5,7 @@ arrays; an empty block gives a report with no phases.
 
 Usage is a per-token micro-average: the mean over tokens of (active
 layers / layer count). Per-layer frequencies are the fraction of
-tokens for which the layer was active, split by phase; the normalized
-view divides every frequency by the single largest layer frequency in
-the report, so the report's maximum is exactly 1.
+tokens for which the layer was active, split by phase, undivided.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .halting import offline_void_mask
+from .halting import SkipMode, offline_void_mask
 from .tensors import DTYPE
 from .trace import PHASES, TraceColumns, _require_block
 
@@ -48,7 +46,6 @@ class LayerUsageReport:
 
     layer_count: int
     frequencies: dict[str, np.ndarray]
-    normalized: dict[str, np.ndarray]
     average_usage: dict[str, float]
     token_counts: dict[str, int]
     alpha: float | None
@@ -86,12 +83,9 @@ def _usage_from_columns(flags: np.ndarray, phases: np.ndarray, alpha) -> LayerUs
         frequencies[phase] = sub.mean(axis=0)
         average[phase] = float(sub.sum(axis=1).mean() / t_total)
         counts[phase] = len(sub)
-    peak = max((f.max() for f in frequencies.values()), default=0.0)
-    normalized = {p: (f / peak if peak > 0 else np.zeros_like(f)) for p, f in frequencies.items()}
     return LayerUsageReport(
         layer_count=t_total,
         frequencies=frequencies,
-        normalized=normalized,
         average_usage=average,
         token_counts=counts,
         alpha=alpha,
@@ -118,12 +112,15 @@ def alpha_sweep(trace: TraceColumns, alphas, min_layers: int = 1) -> list[tuple[
 
     Records must carry per-layer deltas from a run that did not alter
     the stream (off or detect mode), otherwise the replayed decisions
-    do not correspond to any single forward pass. The deltas are
-    replayed per token, so the sweep matches a live run at token
-    granularity only. Each alpha is one offline_void_mask call over the
-    (N, T) delta matrix.
+    do not correspond to any single forward pass: ValueError names any
+    other skip mode. The deltas are replayed per token, so the sweep
+    matches a live run at token granularity only. Each alpha is one
+    offline_void_mask call over the (N, T) delta matrix.
     """
     _require_block(trace, "alpha_sweep")
+    altered = set(trace.skip_mode.tolist()) - {SkipMode.OFF.value, SkipMode.DETECT.value}
+    if altered:
+        raise ValueError(f"alpha_sweep replays traces of off or detect runs, got skip_mode {sorted(altered)}")
     deltas = trace.layer_deltas.astype(DTYPE)
     return [(float(alpha), _usage_from_columns(~offline_void_mask(deltas, alpha, min_layers), trace.phase,
                                                float(alpha)))

@@ -160,7 +160,7 @@ def _parse_seed_model(text: str, seed: int) -> ModelConfig:
 
 def _add_policy_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=float, default=0.8, help="threshold knob in (0, 1]")
-    p.add_argument("--granularity", choices=["example", "token"], default="token",
+    p.add_argument("--granularity", choices=[g.value for g in NormGranularity], default="token",
                    help="halting unit: each prompt, or each token")
     p.add_argument("--mode", choices=[m.value for m in SkipMode], default="detect")
     p.add_argument("--min-layers", type=int, default=1, help="layers 1..N are never voids")
@@ -217,15 +217,20 @@ def _policy_from_args(args, parser, skip_mode: str | None = None) -> HaltPolicy:
 
 
 def _model_from_args(args, parser) -> ToyTransformer:
+    """The built or loaded model; a usage error when --min-layers exceeds its layer count."""
     if bool(args.seed_model) == bool(args.weights):
         parser.error("exactly one of --seed-model or --weights is required")
     if args.weights:
-        return load_weights(args.weights)
-    try:
-        config = _parse_seed_model(args.seed_model, args.seed)
-    except ValueError as exc:
-        parser.error(str(exc))
-    return build_model(config)
+        model = load_weights(args.weights)
+    else:
+        try:
+            config = _parse_seed_model(args.seed_model, args.seed)
+        except ValueError as exc:
+            parser.error(str(exc))
+        model = build_model(config)
+    if args.min_layers > model.layer_count:
+        parser.error(f"--min-layers {args.min_layers} exceeds the model's layer count {model.layer_count}")
+    return model
 
 
 def _jobs_from_args(args, parser) -> tuple[list[SuiteCase], int]:

@@ -7,8 +7,8 @@ lambda = alpha * (max(deltas) - min(deltas)); a layer whose progress
 falls below the threshold is a void for that unit.
 
 The rule itself lives in _void_rule alone, called by the executor
-layer by layer with running extrema and by the offline replay of
-recorded deltas with accumulated ones.
+layer by layer with running extrema and by offline_void_mask, the one
+offline replay of recorded deltas, with accumulated ones.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ __all__ = [
     "SkipMode",
     "HaltPolicy",
     "offline_void_mask",
-    "detect_voids_offline",
 ]
 
 
@@ -52,10 +51,10 @@ class HaltPolicy:
     """Configuration for halting decisions. Immutable and shareable.
 
     alpha scales the threshold: larger alpha means a more decisive
-    threshold and more voids. min_layers is the usage floor: layers
-    1..min_layers are never flagged void, and layer 1 is always kept
-    regardless (with a single observation the threshold is zero, so a
-    negative first delta would otherwise void layer 1).
+    threshold and more voids. min_layers is the usage floor, at least 1:
+    layers 1..min_layers are never flagged void. Layer 1 is always kept
+    because with a single observation the threshold is zero, so a
+    negative first delta would otherwise void it.
     """
 
     granularity: NormGranularity = NormGranularity.TOKEN
@@ -66,21 +65,25 @@ class HaltPolicy:
     def __post_init__(self) -> None:
         if self.granularity not in (NormGranularity.EXAMPLE, NormGranularity.TOKEN):
             raise ValueError(f"halting granularity must be EXAMPLE or TOKEN, got {self.granularity}")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
-        if self.min_layers < 1:
-            raise ValueError(f"min_layers must be >= 1, got {self.min_layers}")
+        _check_rule_args(self.alpha, self.min_layers)
+
+
+def _check_rule_args(alpha: float, min_layers: int) -> None:
+    """ValueError unless alpha is in (0, 1] and min_layers >= 1."""
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    if min_layers < 1:
+        raise ValueError(f"min_layers must be >= 1, got {min_layers}")
 
 
 def _void_rule(delta, dmax, dmin, step, alpha: float, min_layers: int) -> np.ndarray:
     """Void flags of delta, given its running extrema so far and its 1-based step.
 
     lambda = alpha * (dmax - dmin); void is strictly below lambda, and
-    layer 1 and layers 1..min_layers are never void. step is an int,
-    or an array broadcasting to delta.
+    layers 1..min_layers (min_layers >= 1) are never void. step is an
+    int, or an array broadcasting to delta.
     """
-    eligible = (step >= 2) & (step > min_layers)
-    return (delta < np.float32(alpha) * (dmax - dmin)) & eligible
+    return (delta < np.float32(alpha) * (dmax - dmin)) & (step > min_layers)
 
 
 def offline_void_mask(delta_sequence, alpha: float, min_layers: int = 1) -> np.ndarray:
@@ -89,20 +92,13 @@ def offline_void_mask(delta_sequence, alpha: float, min_layers: int = 1) -> np.n
     Running extrema along the layer axis feed the same rule, in the
     same float32 arithmetic, as the live path's layer-by-layer
     decisions, so traces recorded without skipping can be
-    re-thresholded at any alpha after the fact.
+    re-thresholded at any alpha after the fact. alpha and min_layers
+    are refused as HaltPolicy refuses them.
     """
     deltas = np.asarray(delta_sequence, dtype=DTYPE)
     if deltas.ndim not in (1, 2) or deltas.shape[-1] == 0:
         raise ValueError(f"expected a non-empty (T,) or (N, T) delta array, got shape {deltas.shape}")
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    _check_rule_args(alpha, min_layers)
     return _void_rule(deltas, np.maximum.accumulate(deltas, axis=-1), np.minimum.accumulate(deltas, axis=-1),
                       np.arange(1, deltas.shape[-1] + 1), alpha, min_layers)
 
-
-def detect_voids_offline(delta_sequence, alpha: float, min_layers: int = 1) -> set[int]:
-    """Set of void layer indices (1-based, matching step numbering) of a (T,) sequence."""
-    mask = offline_void_mask(delta_sequence, alpha, min_layers)
-    if mask.ndim != 1:
-        raise ValueError(f"expected a 1-d delta sequence, got shape {mask.shape}")
-    return {int(i) + 1 for i in np.flatnonzero(mask)}

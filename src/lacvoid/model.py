@@ -347,8 +347,6 @@ def _prompt_ids(tokens, config: ModelConfig) -> list[int]:
     than max_seq, or a token outside the vocabulary."""
     if isinstance(tokens, str):
         ids = encode_text(tokens)
-    elif isinstance(tokens, (bytes, bytearray)):
-        ids = list(tokens)
     else:
         ids = [int(t) for t in tokens]
     for t in ids:

@@ -1,4 +1,4 @@
-"""Dense float32 numeric substrate and the three L2-norm reductions.
+"""Dense float32 numeric substrate and the per-example and per-token L2 norms.
 
 Hidden states are rank-3 float32 arrays shaped (batch, length, depth),
 stored row-major. Norm reductions accumulate in float64 and return
@@ -18,13 +18,9 @@ LAYER_NORM_EPS = 1e-5
 
 
 class NormGranularity(Enum):
-    """Unit of an activation norm; halting (HaltPolicy) takes EXAMPLE or TOKEN.
+    """Unit of an activation norm and of halting (HaltPolicy): EXAMPLE
+    reduces each batch row, TOKEN each (example, position) vector."""
 
-    BATCH reduces the whole tensor to one scalar, EXAMPLE reduces each
-    batch row, TOKEN reduces each (example, position) vector.
-    """
-
-    BATCH = "batch"
     EXAMPLE = "example"
     TOKEN = "token"
 
@@ -47,8 +43,7 @@ def l2_norm(h, granularity: NormGranularity) -> np.ndarray:
 
     Args:
         h: rank-3 array (batch, length, depth); all values finite.
-        granularity: BATCH -> shape (1,); EXAMPLE -> (batch, 1);
-            TOKEN -> (batch, length, 1).
+        granularity: EXAMPLE -> shape (batch, 1); TOKEN -> (batch, length, 1).
 
     Each output element is sqrt of the sum of squares over the axes the
     granularity reduces. Sums accumulate in float64.
@@ -57,9 +52,7 @@ def l2_norm(h, granularity: NormGranularity) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise NonFiniteError("hidden state contains NaN or Inf")
     sq = np.square(arr, dtype=np.float64)
-    if granularity is NormGranularity.BATCH:
-        out = np.sqrt(sq.sum()).reshape(1)
-    elif granularity is NormGranularity.EXAMPLE:
+    if granularity is NormGranularity.EXAMPLE:
         out = np.sqrt(sq.sum(axis=(1, 2)))[:, None]
     elif granularity is NormGranularity.TOKEN:
         out = np.sqrt(sq.sum(axis=2))[:, :, None]

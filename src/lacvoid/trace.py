@@ -411,18 +411,15 @@ def _read_lines(lines: Iterable[str], origin: str) -> TraceColumns:
     return block
 
 
-def render_bitmap(block: TraceColumns, phase: str | None = None) -> str:
+def render_bitmap(block: TraceColumns) -> str:
     """Token-by-layer activation bitmap for one sequence as PGM (P2) text.
 
     Columns are tokens in token_index order, rows are layers with the
     last layer rendered as the top row (layer 1 at the bottom).
-    Activated pixels are 255, voids 0.
+    Activated pixels are 255, voids 0. Select a phase's rows with a
+    mask first: render_bitmap(block[block.phase == "PP"]).
     """
     _require_block(block, "render_bitmap")
-    if phase is not None and phase not in PHASES:
-        raise ValueError(f"phase filter must be one of {PHASES} or None, got {phase!r}")
-    if phase is not None:
-        block = block[block.phase == phase]
     if not len(block):
         raise ValueError("no records to render (empty selection)")
     seq_ids = set(block.sequence_id.tolist())

@@ -12,6 +12,7 @@ from lacvoid import (
     alpha_sweep,
     export_reports,
     norm_profile,
+    offline_void_mask,
     run_stack,
     usage_report,
 )
@@ -64,10 +65,6 @@ class TestUsageReport:
         assert "RG" not in report.frequencies
         assert "RG" not in report.average_usage
 
-    def test_normalized_peak_is_exactly_one(self):
-        report = usage_report(flag_records([[True, False, False], [True, True, False]]))
-        assert max(v.max() for v in report.normalized.values()) == 1.0
-
     def test_mixed_layer_counts_rejected(self):
         records = [*flag_records([[True, True]]),
                    make_record(token_index=9, flags=[True] * 3, norms=[1] * 3, deltas=[0] * 3)]
@@ -77,7 +74,7 @@ class TestUsageReport:
     def test_empty_block_gives_no_phases(self):
         report = usage_report(TraceColumns.empty(3))
         assert (report.layer_count, report.alpha) == (3, None)
-        assert report.frequencies == report.normalized == report.average_usage == report.token_counts == {}
+        assert report.frequencies == report.average_usage == report.token_counts == {}
         profile = norm_profile(TraceColumns.empty(3))
         assert profile.layer_count == 3 and profile.mean_norms == profile.mean_deltas == {}
 
@@ -144,13 +141,19 @@ class TestAlphaSweep:
             assert report.average_usage["PP"] == 1.0
 
     def test_void_sets_nested_by_inclusion(self):
-        from lacvoid import detect_voids_offline
-
         records = self.sweep_records(seed=8, n=10)
-        alphas = [0.2, 0.5, 0.9]
-        for r in records:
-            sets = [detect_voids_offline(r.layer_deltas, a) for a in alphas]
-            assert sets[0] <= sets[1] <= sets[2]
+        lo, mid, hi = (offline_void_mask(records.layer_deltas, a) for a in [0.2, 0.5, 0.9])
+        assert not (lo & ~mid).any() and not (mid & ~hi).any()
+
+    @pytest.mark.parametrize("mode", ["mask-zero", "skip-identity", "halt-frozen"])
+    def test_altered_stream_refused(self, mode):
+        # an off or detect trace replays; one record of a run that altered the stream refuses the whole block
+        records = TraceColumns.from_records([make_record(token_index=0, skip_mode="off"),
+                                             make_record(token_index=1, skip_mode="detect")])
+        assert len(alpha_sweep(records, [0.5])) == 1
+        records = records + TraceColumns.from_records([make_record(token_index=2, skip_mode=mode)])
+        with pytest.raises(ValueError, match=f"off or detect runs, got skip_mode \\['{mode}'\\]"):
+            alpha_sweep(records, [0.5])
 
     def test_report_alpha_reflects_sweep_alpha(self):
         records = self.sweep_records(n=4)
@@ -171,7 +174,6 @@ class TestAlphaSweep:
         (_, report), = alpha_sweep(TraceColumns.from_records(records), [0.7])
         recomputed = [r for r in records]
         for j, rec in enumerate(recomputed):
-            from lacvoid import offline_void_mask
             flags = [not v for v in offline_void_mask(rec.layer_deltas, 0.7)]
             assert flags == live_flags[j]
 

@@ -9,8 +9,8 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from conftest import make_record, write_trace_file
-from lacvoid import (HaltPolicy, ModelConfig, TraceColumns, build_model, cli, generate, load_weights, read_trace,
-                     run_prompt, save_weights)
+from lacvoid import (HaltPolicy, ModelConfig, NormGranularity, TraceColumns, build_model, cli, generate, load_weights,
+                     read_trace, run_prompt, save_weights)
 from lacvoid.cli import main
 from lacvoid.suites import SuiteCase
 
@@ -230,6 +230,23 @@ class TestTrace:
         assert run([*command, *MODEL, flag, value, "--out", str(out)]) == 2
         assert message in usage_error_line(capsys.readouterr().err, command[0])
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["trace", "--prompt", "hi"], ["sweep", "--prompt", "hi", "--alphas", "0.5"],
+                                         ["compare", "--suite", "copy"]])
+    def test_min_layers_above_the_layer_count_exits_2(self, tmp_path, capsys, monkeypatch, command):
+        # checked once the model is built, before any forward pass or write
+        monkeypatch.setattr(cli, "_run_jobs", lambda *a: pytest.fail("a refused run reached _run_jobs"))
+        out = tmp_path / "out"
+        assert run([*command, *MODEL, "--min-layers", "9", "--out", str(out)]) == 2
+        assert usage_error_line(capsys.readouterr().err, command[0]).endswith(
+            "--min-layers 9 exceeds the model's layer count 4")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["trace", "sweep", "compare"])
+    def test_granularity_choices_are_the_norm_granularities(self, command):
+        sub = next(a for a in cli.build_parser()._actions if a.dest == "command").choices[command]
+        choices = next(a.choices for a in sub._actions if a.dest == "granularity")
+        assert choices == [g.value for g in NormGranularity]
 
     @pytest.mark.parametrize("spec, component", [("d16,h2,l4,d32", "d"), ("d16,h2,h4,l4", "h"),
                                                   ("d16,h2,l4,l1", "l"), ("f32,d16,h2,l4,f64", "f"),

@@ -10,7 +10,6 @@ from lacvoid import (
     HaltPolicy,
     NormGranularity,
     SkipMode,
-    detect_voids_offline,
     l2_norm,
     offline_void_mask,
     run_stack,
@@ -49,32 +48,38 @@ class TestVoidRule:
 
     def test_below_threshold_is_void(self):
         # range 1.0 at alpha 1.0 gives lambda exactly 1.0 at layer 2; 0.5 < 1.0
-        assert detect_voids_offline([1.5, 0.5], alpha=1.0) == {2}
+        assert offline_void_mask([1.5, 0.5], alpha=1.0).tolist() == [False, True]
 
     def test_half_range_over_mixed_signs(self):
         # range 4 - (-2) = 6 at alpha 0.5 gives lambda 3.0 from layer 2 on
-        assert detect_voids_offline([-2.0, 4.0, 3.0], alpha=0.5) == set()
-        assert detect_voids_offline([-2.0, 4.0, 2.99], alpha=0.5) == {3}
+        assert not offline_void_mask([-2.0, 4.0, 3.0], alpha=0.5).any()
+        assert offline_void_mask([-2.0, 4.0, 2.99], alpha=0.5).tolist() == [False, False, True]
 
     def test_floor_protects_early_layers(self):
         # --min-layers N keeps layers 1..N
-        assert detect_voids_offline([1.0, -1.0, -1.0], alpha=1.0, min_layers=1) == {2, 3}
-        assert detect_voids_offline([1.0, -1.0, -1.0], alpha=1.0, min_layers=2) == {3}
-        assert detect_voids_offline([1.0, -1.0, -1.0], alpha=1.0, min_layers=3) == set()
+        assert offline_void_mask([1.0, -1.0, -1.0], alpha=1.0, min_layers=1).tolist() == [False, True, True]
+        assert offline_void_mask([1.0, -1.0, -1.0], alpha=1.0, min_layers=2).tolist() == [False, False, True]
+        assert not offline_void_mask([1.0, -1.0, -1.0], alpha=1.0, min_layers=3).any()
 
-    def test_void_layers_are_python_ints(self):
-        voids = detect_voids_offline([5.0, -1.0, 4.0, 0.1], alpha=0.5)
-        assert voids == {2, 4}
-        assert all(type(t) is int for t in voids)
+    @pytest.mark.parametrize("min_layers", [0, -3])
+    def test_floor_below_one_refused(self, min_layers):
+        # the usage floor is HaltPolicy's: layer 1 is kept by min_layers >= 1, not by a second rule
+        with pytest.raises(ValueError, match=f"min_layers must be >= 1, got {min_layers}"):
+            offline_void_mask([1.0, -1.0], alpha=1.0, min_layers=min_layers)
+
+    def test_mask_is_boolean(self):
+        mask = offline_void_mask([5.0, -1.0, 4.0, 0.1], alpha=0.5)
+        assert mask.dtype == bool
+        assert mask.tolist() == [False, True, False, True]
 
     def test_first_layer_always_kept(self):
         # with one observation lambda is 0; a negative first delta must not void layer 1
-        assert detect_voids_offline([-1.0], alpha=1.0) == set()
-        assert detect_voids_offline([-1.0, -2.0], alpha=1.0) == {2}
+        assert offline_void_mask([-1.0], alpha=1.0).tolist() == [False]
+        assert offline_void_mask([-1.0, -2.0], alpha=1.0).tolist() == [False, True]
 
     def test_strict_inequality_at_zero(self):
         # delta == lambda == 0 does not halt ("falls below" is strict)
-        assert detect_voids_offline([0.0, 0.0, 0.0], alpha=1.0) == set()
+        assert not offline_void_mask([0.0, 0.0, 0.0], alpha=1.0).any()
 
     @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0])
     def test_single_value_gives_zero_lambda(self, alpha):
@@ -141,29 +146,24 @@ class TestLiveRule:
 
 class TestOfflineVoids:
     def test_constant_sequence_has_no_voids(self):
-        assert detect_voids_offline([1.0, 1.0, 1.0, 1.0], alpha=1.0) == set()
+        assert not offline_void_mask([1.0, 1.0, 1.0, 1.0], alpha=1.0).any()
 
     def test_hand_stepped_example(self):
         # stepwise: t=2 lambda=6, -1 < 6; t=3 lambda=6, 4 < 6; t=4 lambda=6, 0.1 < 6
-        assert detect_voids_offline([5.0, -1.0, 4.0, 0.1], alpha=1.0, min_layers=1) == {2, 3, 4}
+        assert offline_void_mask([5.0, -1.0, 4.0, 0.1], alpha=1.0, min_layers=1).tolist() == [False, True, True, True]
 
     def test_hand_stepped_example_brute_force(self):
         deltas = np.array([5.0, -1.0, 4.0, 0.1], dtype=np.float32)
-        voids = set()
+        voids = []
         for t in range(1, 5):
             window = deltas[:t]
             lam = 1.0 * (window.max() - window.min())
-            if t >= 2 and float(deltas[t - 1]) < lam:
-                voids.add(t)
-        assert detect_voids_offline(deltas, alpha=1.0) == voids
+            voids.append(t >= 2 and float(deltas[t - 1]) < lam)
+        assert offline_void_mask(deltas, alpha=1.0).tolist() == voids
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError):
-            detect_voids_offline([], alpha=0.5)
-
-    def test_matrix_rejected(self):
-        with pytest.raises(ValueError, match="1-d"):
-            detect_voids_offline(np.zeros((2, 3), np.float32), alpha=0.5)
+            offline_void_mask([], alpha=0.5)
 
     @given(
         deltas=st.lists(st.floats(-50, 50, allow_nan=False, width=32), min_size=1, max_size=12),
@@ -173,7 +173,7 @@ class TestOfflineVoids:
     @settings(max_examples=100, deadline=None)
     def test_alpha_monotone_inclusion(self, deltas, a1, a2):
         lo, hi = min(a1, a2), max(a1, a2)
-        assert detect_voids_offline(deltas, lo) <= detect_voids_offline(deltas, hi)
+        assert not (offline_void_mask(deltas, lo) & ~offline_void_mask(deltas, hi)).any()
 
     @given(
         deltas=st.lists(st.floats(-20, 20, allow_nan=False, width=32), min_size=2, max_size=10),
@@ -252,12 +252,12 @@ class TestHaltPolicy:
             HaltPolicy(min_layers=0)
 
     @pytest.mark.parametrize("build", [
-        lambda: HaltPolicy(granularity=NormGranularity.BATCH),
-        lambda: dataclasses.replace(HaltPolicy(), granularity=NormGranularity.BATCH),
+        lambda: HaltPolicy(granularity="token"),
+        lambda: dataclasses.replace(HaltPolicy(), granularity="token"),
     ], ids=["constructor", "replace"])
-    def test_batch_granularity_refused(self, build):
-        # halting runs per example or per token; the whole-batch unit has no run_stack shape
-        message = "halting granularity must be EXAMPLE or TOKEN, got NormGranularity.BATCH"
+    def test_non_member_granularity_refused(self, build):
+        # the unit is a NormGranularity member; its str value is not one
+        message = "halting granularity must be EXAMPLE or TOKEN, got token"
         with pytest.raises(ValueError, match=message):
             build()
 

@@ -314,6 +314,15 @@ class TestRunPrompt:
         with pytest.raises(ValueError, match="max_seq"):
             run_prompt(build_model(cfg), [[1, 2, 3, 4]], OFF, ["s0"])
 
+    @pytest.mark.parametrize("prompt", [b"hi", bytearray(b"hi")], ids=["bytes", "bytearray"])
+    def test_byte_string_prompt_is_its_ids(self, prompt):
+        # a bytes-like prompt iterates as its byte values, the ids a str prompt encodes to
+        model = build_model(CFG)
+        (want,), want_trace = run_prompt(model, ["hi"], DETECT, ["s0"])
+        (got,), got_trace = run_prompt(model, [prompt], DETECT, ["s0"])
+        assert reference_lines(got_trace) == reference_lines(want_trace)
+        assert got.last_logits.tobytes() == want.last_logits.tobytes()
+
     def test_bad_token_id_rejected(self):
         with pytest.raises(ValueError, match="vocabulary"):
             run_prompt(build_model(CFG), [[300]], OFF, ["s0"])

@@ -7,19 +7,12 @@ from hypothesis import strategies as st
 
 from lacvoid import NonFiniteError, NormGranularity, ShapeError, l2_norm, layer_norm_pre, matmul
 
-B, E, T = NormGranularity.BATCH, NormGranularity.EXAMPLE, NormGranularity.TOKEN
+E, T = NormGranularity.EXAMPLE, NormGranularity.TOKEN
 
 
 def loop_norm(h: np.ndarray, granularity: NormGranularity) -> np.ndarray:
     """Element-wise loop oracle, float64 accumulation."""
     b, l, d = h.shape
-    if granularity is B:
-        s = 0.0
-        for i in range(b):
-            for j in range(l):
-                for k in range(d):
-                    s += float(h[i, j, k]) ** 2
-        return np.array([math.sqrt(s)], dtype=np.float32)
     if granularity is E:
         out = np.zeros((b, 1), dtype=np.float32)
         for i in range(b):
@@ -44,17 +37,7 @@ class TestL2Norm:
         h = np.ones((1, 1, 4), dtype=np.float32)
         assert np.array_equal(l2_norm(h, T), np.array([[[2.0]]], dtype=np.float32))
 
-    def test_per_batch_zeros(self):
-        h = np.zeros((2, 3, 8), dtype=np.float32)
-        assert np.array_equal(l2_norm(h, B), np.array([0.0], dtype=np.float32))
-
-    def test_per_batch_matches_loop_oracle(self, rng42):
-        h = rng42.uniform(-2, 2, size=(2, 3, 4)).astype(np.float32)
-        got = l2_norm(h, B)
-        assert got.shape == (1,)
-        np.testing.assert_allclose(got, loop_norm(h, B), rtol=1e-6)
-
-    @pytest.mark.parametrize("granularity,shape", [(B, (1,)), (E, (2, 1)), (T, (2, 5, 1))])
+    @pytest.mark.parametrize("granularity,shape", [(E, (2, 1)), (T, (2, 5, 1))])
     def test_output_shapes(self, rng42, granularity, shape):
         h = rng42.normal(size=(2, 5, 3)).astype(np.float32)
         got = l2_norm(h, granularity)
@@ -78,10 +61,9 @@ class TestL2Norm:
         rng = np.random.default_rng(seed)
         b, l, d = rng.integers(1, 5), rng.integers(1, 7), rng.integers(1, 9)
         h = rng.uniform(-3, 3, size=(b, l, d)).astype(np.float32)
-        batch_sq = float(l2_norm(h, B)[0]) ** 2
         ex = l2_norm(h, E).astype(np.float64)
         tok = l2_norm(h, T).astype(np.float64)
-        assert batch_sq == pytest.approx(float((ex**2).sum()), rel=1e-5, abs=1e-8)
+        assert float((ex**2).sum()) == pytest.approx(float((tok**2).sum()), rel=1e-5, abs=1e-8)
         for i in range(b):
             assert float(ex[i, 0] ** 2) == pytest.approx(float((tok[i] ** 2).sum()), rel=1e-5, abs=1e-8)
 
@@ -90,7 +72,7 @@ class TestL2Norm:
     def test_scale_equivariance(self, seed, c):
         rng = np.random.default_rng(seed)
         h = rng.uniform(-2, 2, size=(2, 3, 4)).astype(np.float32)
-        for g in (B, E, T):
+        for g in (E, T):
             scaled = l2_norm((np.float32(c) * h), g)
             np.testing.assert_allclose(scaled, abs(c) * l2_norm(h, g), rtol=1e-5, atol=1e-6)
 
@@ -99,7 +81,7 @@ class TestL2Norm:
     def test_non_negativity(self, seed):
         rng = np.random.default_rng(seed)
         h = rng.normal(size=(2, 4, 3)).astype(np.float32)
-        for g in (B, E, T):
+        for g in (E, T):
             assert (l2_norm(h, g) >= 0).all()
 
 
