@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ShapeError
-from .halting import HaltPolicy, SkipMode, _void_rule
+from .halting import HaltPolicy, SkipMode, _check_floor, _void_rule
 from .tensors import DTYPE, NormGranularity, l2_norm, require_hidden_state
 
 __all__ = [
@@ -78,8 +78,7 @@ def run_stack(layers: Sequence[StepFn], h0, policy: HaltPolicy, forced_voids=Non
     t_total = len(layers)
     if t_total == 0:
         raise ValueError("layer stack is empty")
-    if policy.min_layers > t_total:
-        raise ValueError(f"min_layers={policy.min_layers} exceeds layer count {t_total}")
+    _check_floor(policy.min_layers, t_total)
     g = policy.granularity
     mode = policy.skip_mode
 

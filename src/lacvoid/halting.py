@@ -76,6 +76,12 @@ def _check_rule_args(alpha: float, min_layers: int) -> None:
         raise ValueError(f"min_layers must be >= 1, got {min_layers}")
 
 
+def _check_floor(min_layers: int, layer_count: int) -> None:
+    """ValueError when the usage floor min_layers exceeds layer_count."""
+    if min_layers > layer_count:
+        raise ValueError(f"min_layers={min_layers} exceeds layer count {layer_count}")
+
+
 def _void_rule(delta, dmax, dmin, step, alpha: float, min_layers: int) -> np.ndarray:
     """Void flags of delta, given its running extrema so far and its 1-based step.
 
@@ -93,12 +99,13 @@ def offline_void_mask(delta_sequence, alpha: float, min_layers: int = 1) -> np.n
     same float32 arithmetic, as the live path's layer-by-layer
     decisions, so traces recorded without skipping can be
     re-thresholded at any alpha after the fact. alpha and min_layers
-    are refused as HaltPolicy refuses them.
+    are refused as HaltPolicy and run_stack refuse them.
     """
     deltas = np.asarray(delta_sequence, dtype=DTYPE)
     if deltas.ndim not in (1, 2) or deltas.shape[-1] == 0:
         raise ValueError(f"expected a non-empty (T,) or (N, T) delta array, got shape {deltas.shape}")
     _check_rule_args(alpha, min_layers)
+    _check_floor(min_layers, deltas.shape[-1])
     return _void_rule(deltas, np.maximum.accumulate(deltas, axis=-1), np.minimum.accumulate(deltas, axis=-1),
                       np.arange(1, deltas.shape[-1] + 1), alpha, min_layers)
 

@@ -115,7 +115,7 @@ class KVCache:
 
     def __init__(self, layer_count: int, rows: int, head_count: int, capacity: int, head_dim: int):
         shape = (rows, head_count, capacity, head_dim)
-        self.capacity = capacity
+        self.rows, self.capacity = rows, capacity
         try:
             self.k = [np.zeros(shape, dtype=DTYPE) for _ in range(layer_count)]
             self.v = [np.zeros(shape, dtype=DTYPE) for _ in range(layer_count)]
@@ -425,7 +425,10 @@ def run_prompt(model: ToyTransformer, prompts, policy: HaltPolicy, sequence_ids,
     if len({len(x) for x in ids}) > 1:
         raise ValueError(f"batched prompts must share one length, got lengths {sorted({len(x) for x in ids})}")
     if cache is None:
-        cache = model.new_cache(max(rows) + 1)
+        cache = model.new_cache(max(0, *rows) + 1)
+    outside = [r for r in rows if not 0 <= r < cache.rows]
+    if outside:
+        raise ValueError(f"cache row {outside[0]} is outside the cache's {cache.rows} rows [0, {cache.rows})")
     trace, logits = _forward(model, cache, rows, [0] * len(rows), ids, PHASE_PP, sequence_ids, policy, forced_voids)
     states = [GenerationState(s, cache, len(ids[0]), logits[b], r) for b, (s, r) in enumerate(zip(sequence_ids, rows))]
     return states, trace

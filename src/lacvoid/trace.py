@@ -5,7 +5,7 @@ TraceColumns block, arrays of N records: the model hands its records
 over as one, the writer formats a block with one % template per layer
 count, and the reader returns one; a TraceRecord is one record's view.
 The value rules live in one place, _check, which the writer runs before
-it writes a byte and the reader runs once over the block it parsed. The
+it writes a byte and the reader runs on each chunk it reads. The
 JSONL encoding is byte stable: fixed field order, floats printed with 9
 significant digits (enough to round-trip float32 exactly), flags as
 0/1. Bitmaps are plain PGM (P2, ASCII): one column per token, one row
@@ -322,10 +322,10 @@ def read_trace(source) -> TraceColumns:
     A path or file object is read a line at a time, never whole, and its
     lines are split as str.splitlines splits the text. A refused line
     raises TraceError naming its 1-based line number. Each line is
-    checked for what its JSON types decide as it is read, and the block
-    is checked against the writer's value rules once all lines are read,
-    so a trace with several bad lines is refused naming one of them, not
-    always the first.
+    checked for what its JSON types decide as it is read, and each chunk
+    of _CHUNK_ROWS records against the writer's value rules once built,
+    so the read stops at the first chunk holding a refused line, where a
+    line refused by its JSON types wins over an earlier value error.
     """
     if isinstance(source, (list, tuple)):
         return _read_lines(source, "<stream>")
@@ -361,20 +361,18 @@ def _chunk(rows: list[tuple], strings: dict[str, str]) -> list[np.ndarray]:
 
 
 def _read_lines(lines: Iterable[str], origin: str) -> TraceColumns:
-    blocks, block_lines = [], []  # each closed chunk's block, and its records' 1-based line numbers
-    rows, numbers = [], []  # the open chunk's values and line numbers
+    blocks = []  # each checked chunk's block
+    rows, numbers = [], []  # the open chunk's values and 1-based line numbers
     strings: dict[str, str] = {}
     first = None  # line number and layer count of the first record
-    overflow = None  # the first value a column's dtype could not hold, raised once every line is read
 
     def close_chunk() -> None:
-        nonlocal overflow
-        if overflow is None:
-            try:
-                blocks.append(TraceColumns(*_chunk(rows, strings)))
-                block_lines.append(np.array(numbers, dtype=np.int64))
-            except _RowError as exc:
-                overflow = TraceError(f"{origin}: line {numbers[exc.row]}: {exc}")
+        try:
+            block = TraceColumns(*_chunk(rows, strings))
+            _check(block)
+        except _RowError as exc:
+            raise TraceError(f"{origin}: line {numbers[exc.row]}: {exc}") from exc
+        blocks.append(block)
         rows.clear()
         numbers.clear()
 
@@ -399,16 +397,7 @@ def _read_lines(lines: Iterable[str], origin: str) -> TraceColumns:
             close_chunk()
     if rows:
         close_chunk()
-    if overflow is not None:
-        raise overflow
-    if not blocks:
-        return TraceColumns.empty(0)
-    block = TraceColumns.concat(blocks)
-    try:
-        _check(block)
-    except _RowError as exc:
-        raise TraceError(f"{origin}: line {np.concatenate(block_lines)[exc.row]}: {exc}") from exc
-    return block
+    return TraceColumns.concat(blocks) if blocks else TraceColumns.empty(0)
 
 
 def render_bitmap(block: TraceColumns) -> str:

@@ -155,6 +155,13 @@ class TestAlphaSweep:
         with pytest.raises(ValueError, match=f"off or detect runs, got skip_mode \\['{mode}'\\]"):
             alpha_sweep(records, [0.5])
 
+    def test_floor_above_the_layer_count_refused(self):
+        records = self.sweep_records(n=4, layers=6)
+        (_, report), = alpha_sweep(records, [0.5], min_layers=6)
+        assert report.average_usage == {"PP": 1.0, "RG": 1.0}
+        with pytest.raises(ValueError, match=r"^min_layers=7 exceeds layer count 6$"):
+            alpha_sweep(records, [0.5], min_layers=7)
+
     def test_report_alpha_reflects_sweep_alpha(self):
         records = self.sweep_records(n=4)
         out = alpha_sweep(records, [0.3])

@@ -258,6 +258,23 @@ class TestTrace:
             capsys.readouterr().err, "trace")
         assert not out.exists()
 
+    @pytest.mark.parametrize("spec, message", [("d16,x2,l4", "bad --seed-model component 'x2'"),
+                                               ("d16,h2", "--seed-model needs at least d<depth>,h<heads>,l<layers>"),
+                                               ("d15,h3,l4", "depth must be even")])
+    def test_refused_seed_model_exits_2(self, tmp_path, capsys, spec, message):
+        out = tmp_path / "out"
+        assert run(["trace", "--seed-model", spec, "--prompt", "hi", "--out", str(out)]) == 2
+        assert message in usage_error_line(capsys.readouterr().err, "trace")
+        assert not out.exists()
+
+    def test_prompt_file_of_blank_lines_exits_2(self, tmp_path, capsys):
+        pf = tmp_path / "prompts.txt"
+        pf.write_text("\n  \n\t\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["trace", *MODEL, "--prompt-file", str(pf), "--out", str(out)]) == 2
+        assert f"--prompt-file {pf} contains no prompts" in usage_error_line(capsys.readouterr().err, "trace")
+        assert not out.exists()
+
     def test_formula_flag_is_a_usage_error(self, tmp_path, capsys):
         assert run(["trace", *MODEL, "--prompt", "hi", "--formula", "original", "--out", str(tmp_path)]) == 2
         assert "--formula" in capsys.readouterr().err
@@ -380,6 +397,14 @@ class TestSweep:
     def test_empty_alpha_list_exits_2(self, tmp_path):
         assert run(["sweep", *MODEL, "--prompt", "x", "--alphas", "", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("alphas, message", [("0.5,abc", "bad alpha value 'abc' in --alphas"),
+                                                 ("1.5", "--alphas entries must be in (0, 1], got 1.5")])
+    def test_refused_alphas_exit_2(self, tmp_path, capsys, alphas, message):
+        out = tmp_path / "out"
+        assert run(["sweep", *MODEL, "--prompt", "x", "--alphas", alphas, "--out", str(out)]) == 2
+        assert message in usage_error_line(capsys.readouterr().err, "sweep")
+        assert not out.exists()
+
     def test_suite_scores_present(self, tmp_path):
         assert run(["sweep", *MODEL, "--suite", "copy", "--alphas", "0.2,0.8",
                     "--out", str(tmp_path)]) == 0
@@ -412,6 +437,14 @@ class TestReport:
 
     def test_missing_trace_exits_1(self, tmp_path):
         assert run(["report", "--trace", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path)]) == 1
+
+    def test_empty_trace_exits_1(self, tmp_path, capsys):
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text("", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["report", "--trace", str(trace), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {trace} contains no records\n"
+        assert not out.exists()
 
     def test_non_object_line_exits_1(self, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"

@@ -80,6 +80,16 @@ class TestStrictHeader:
         with pytest.raises(ContainerError, match="not in the canonical form"):
             load_bytes(blob)
 
+    def test_non_object_header_refused(self):
+        blob = b"LACTNSR1" + (2).to_bytes(4, "little") + b"[]"
+        with pytest.raises(ContainerError, match="header must be a JSON object"):
+            load_bytes(blob)
+
+    def test_trailing_payload_bytes_refused(self):
+        with pytest.raises(ContainerError, match=f"payload length mismatch, header describes {2 * 4 + 3 * 4} "
+                                                 f"bytes but file has {2 * 4 + 3 * 4 + 4}"):
+            load_bytes(VALID + bytes(4))
+
     def test_zero_extent_is_accepted(self):
         loaded = load_bytes(saved_bytes({"a": np.zeros((0, 3), np.float32)}))
         assert loaded["a"].shape == (0, 3)

@@ -67,6 +67,16 @@ class TestVoidRule:
         with pytest.raises(ValueError, match=f"min_layers must be >= 1, got {min_layers}"):
             offline_void_mask([1.0, -1.0], alpha=1.0, min_layers=min_layers)
 
+    @pytest.mark.parametrize("deltas", [[1.0, -1.0, -1.0, -1.0], [[1.0, -1.0, -1.0, -1.0]] * 3], ids=["T", "NxT"])
+    def test_floor_above_the_layer_count_refused(self, deltas):
+        # run_stack's refusal, with its message; a floor equal to the layer count keeps every layer
+        assert not offline_void_mask(deltas, alpha=1.0, min_layers=4).any()
+        with pytest.raises(ValueError, match=r"^min_layers=9 exceeds layer count 4$"):
+            offline_void_mask(deltas, alpha=1.0, min_layers=9)
+        stack = add_constant_stack([1.0, -1.0, -1.0, -1.0])
+        with pytest.raises(ValueError, match=r"^min_layers=9 exceeds layer count 4$"):
+            run_stack(stack, np.ones((1, 1, 1), np.float32), HaltPolicy(min_layers=9))
+
     def test_mask_is_boolean(self):
         mask = offline_void_mask([5.0, -1.0, 4.0, 0.1], alpha=0.5)
         assert mask.dtype == bool
@@ -184,6 +194,10 @@ class TestOfflineVoids:
     def test_negative_progress_capture(self, deltas, alpha, min_layers):
         # lambda = alpha * (max - min) is never negative, so every eligible negative delta is void
         arr = np.asarray(deltas, dtype=np.float32)
+        if min_layers > len(arr):
+            with pytest.raises(ValueError, match=f"min_layers={min_layers} exceeds layer count {len(arr)}"):
+                offline_void_mask(arr, alpha, min_layers)
+            return
         mask = offline_void_mask(arr, alpha, min_layers)
         for t in range(2, len(arr) + 1):
             if arr[t - 1] < 0 and t > min_layers:
@@ -202,8 +216,12 @@ class TestOneRule:
     )
     @settings(max_examples=200, deadline=None)
     def test_matrix_matches_window_oracle(self, deltas, alpha, min_layers):
-        mask = offline_void_mask(deltas, alpha, min_layers)
         n, t_total = deltas.shape
+        if min_layers > t_total:
+            with pytest.raises(ValueError, match=f"min_layers={min_layers} exceeds layer count {t_total}"):
+                offline_void_mask(deltas, alpha, min_layers)
+            return
+        mask = offline_void_mask(deltas, alpha, min_layers)
         assert mask.shape == (n, t_total) and mask.dtype == bool
 
         for i in range(n):

@@ -170,6 +170,14 @@ class TestContainer:
         with pytest.raises(ContainerError, match="missing tensor"):
             load_weights(path)
 
+    def test_config_value_that_is_not_an_integer(self, tmp_path):
+        tensors = build_model(CFG).named_tensors()
+        tensors["config"] = np.array([4, 16, 2, 32, 256.5, 64], dtype=np.float32)
+        path = tmp_path / "m.lactnsr"
+        save_container(tensors, path)
+        with pytest.raises(ContainerError, match="malformed 'config' tensor"):
+            load_weights(path)
+
     def test_missing_config(self, tmp_path):
         path = tmp_path / "m.lactnsr"
         save_container({"embed": np.zeros((4, 2), np.float32)}, path)
@@ -617,6 +625,15 @@ class TestBatchedRunPrompt:
         cache = model.new_cache(2)
         with pytest.raises(TypeError, match=f"^{name} must be a list, one entry per prompt, not the str"):
             run_prompt(model, prompts, OFF, seqs, cache=cache)
+        assert not any(buf.any() for buf in cache.k + cache.v)
+
+    @pytest.mark.parametrize("row", [-2, 2])
+    def test_row_outside_the_cache_is_refused_before_anything_is_written(self, row):
+        # -2 would index row 0 of a 2-row cache from the end; 2 is past its last row
+        model = build_model(CFG)
+        cache = model.new_cache(2)
+        with pytest.raises(ValueError, match=rf"^cache row {row} is outside the cache's 2 rows \[0, 2\)$"):
+            run_prompt(model, ["hi"], OFF, ["s0"], cache=cache, rows=[row])
         assert not any(buf.any() for buf in cache.k + cache.v)
 
     def test_default_cache_covers_the_highest_row(self):

@@ -470,11 +470,35 @@ class TestStreamingReader:
                                              rf"got {2**63}$"):
             read_trace(lines)
 
-    def test_a_line_refused_by_its_json_types_wins_over_an_earlier_value_beyond_int64(self):
+    def test_an_earlier_chunks_value_beyond_int64_wins_over_a_later_chunks_missing_field(self):
         lines = [reference_line(r) for r in random_records(2 * _CHUNK_ROWS, layers=2, seed=14)]
         lines[3] = with_field("token_index", str(2**63), lines[3])
         lines[_CHUNK_ROWS + 5] = '{"sequence_id":"s0"}'
-        with pytest.raises(TraceError, match=rf"^<stream>: line {_CHUNK_ROWS + 6}: missing field\(s\): token_index"):
+        with pytest.raises(TraceError, match=rf"^<stream>: line 4: token_index must fit in int64, got {2**63}$"):
+            read_trace(lines)
+
+    def test_a_refused_value_stops_the_read_at_its_chunk(self):
+        class CountingFile(io.StringIO):
+            handed_out = 0
+
+            def __next__(self):
+                self.handed_out += 1
+                return super().__next__()
+
+        lines = [reference_line(r) for r in random_records(4 * _CHUNK_ROWS, layers=2, seed=17)]
+        lines[1] = with_field("alpha", "1.5", lines[1])
+        fh = CountingFile("".join(line + "\n" for line in lines))
+        with pytest.raises(TraceError, match=r"^<stream>: line 2: alpha must be a finite number in \(0, 1\], "
+                                             r"got 1\.5$"):
+            read_trace(fh)
+        assert 0 < fh.handed_out <= _CHUNK_ROWS
+
+    def test_an_alpha_outside_the_unit_interval_in_the_second_chunk_names_its_line(self):
+        lines = [reference_line(r) for r in random_records(2 * _CHUNK_ROWS, layers=2, seed=18)]
+        row = _CHUNK_ROWS + 7
+        lines[row] = with_field("alpha", "0", lines[row])
+        with pytest.raises(TraceError, match=rf"^<stream>: line {row + 1}: alpha must be a finite number in "
+                                             r"\(0, 1\], got 0\.0$"):
             read_trace(lines)
 
     @given(data=st.data())
