@@ -18,13 +18,21 @@ length equals the sum of all tensor byte sizes. The loader enforces
 both, and accepts only the header bytes save_container writes for the
 tensors it reads: no whitespace, no repeated names, and every
 character outside printable ASCII escaped as \\uXXXX.
+
+The loader reads the payload once, into one new float32 array, and
+each tensor it returns is a view of that array, so a load holds one
+copy of the weights. The payload size comes from the open file, so a
+container must be a regular file: a pipe is refused, and so is a file
+that holds fewer bytes than its size said. The saver converts every
+tensor before it opens the file, then writes each from its own memory.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from pathlib import Path
+import os
+import stat
 
 import numpy as np
 
@@ -43,32 +51,44 @@ def _header_bytes(header: dict[str, dict]) -> bytes:
 
 
 def save_container(tensors: dict[str, np.ndarray], path) -> int:
-    """Write tensors to a container file. Returns bytes written."""
-    names = sorted(tensors)
+    """Write tensors to a container file. Returns bytes written.
+
+    A tensor that cannot convert to float32 raises before the file is
+    opened, so an earlier file at path stays as it was."""
+    arrays = {name: np.ascontiguousarray(tensors[name], dtype="<f4") for name in sorted(tensors)}
     header: dict[str, dict] = {}
-    chunks: list[bytes] = []
     offset = 0
-    for name in names:
-        arr = np.ascontiguousarray(tensors[name], dtype="<f4")
+    for name, arr in arrays.items():
         header[name] = {"offset": offset, "shape": list(arr.shape), "dtype": "f32"}
-        raw = arr.tobytes()
-        chunks.append(raw)
-        offset += len(raw)
+        offset += arr.nbytes
     header_bytes = _header_bytes(header)
-    blob = MAGIC + len(header_bytes).to_bytes(4, "little") + header_bytes + b"".join(chunks)
-    Path(path).write_bytes(blob)
-    return len(blob)
+    with open(path, "wb") as f:
+        f.write(MAGIC + len(header_bytes).to_bytes(4, "little") + header_bytes)
+        for arr in arrays.values():
+            f.write(arr)
+    return 12 + len(header_bytes) + offset
 
 
 def load_container(path) -> dict[str, np.ndarray]:
-    """Read a container file back into name -> float32 array."""
-    blob = Path(path).read_bytes()
-    if len(blob) < 12 or blob[:8] != MAGIC:
-        raise ContainerError(f"{path}: bad magic, not a tensor container")
-    header_len = int.from_bytes(blob[8:12], "little")
-    if 12 + header_len > len(blob):
-        raise ContainerError(f"{path}: header length {header_len} exceeds file size")
-    header_bytes, payload = blob[12:12 + header_len], blob[12 + header_len:]
+    """Read a container file back into name -> float32 array, each a view of one payload array."""
+    with open(path, "rb") as f:
+        info = os.fstat(f.fileno())
+        if not stat.S_ISREG(info.st_mode):
+            raise ContainerError(f"{path}: not a regular file, so its size is unknown")
+        prefix = f.read(12)
+        if len(prefix) < 12 or prefix[:8] != MAGIC:
+            raise ContainerError(f"{path}: bad magic, not a tensor container")
+        header_len = int.from_bytes(prefix[8:12], "little")
+        if 12 + header_len > info.st_size:
+            raise ContainerError(f"{path}: header length {header_len} exceeds file size")
+        payload_len = info.st_size - 12 - header_len
+        header_bytes = f.read(header_len)
+        # whole floats, so the buffer covers a payload whose length is not a multiple of 4
+        buf = np.empty(-(-payload_len // 4), dtype="<f4")
+        got = len(header_bytes) + f.readinto(buf.view(np.uint8)[:payload_len])
+    if got != header_len + payload_len:
+        raise ContainerError(f"{path}: short read, {got} of the {header_len + payload_len} bytes after "
+                             "the prefix that the file's size promised (did it shrink while being read?)")
     try:
         header = json.loads(header_bytes.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -94,15 +114,15 @@ def load_container(path) -> dict[str, np.ndarray]:
         if offset != total:
             raise ContainerError(f"{path}: tensor {name!r} at offset {offset}, expected {total} "
                                  "(tensors must be packed in sorted-name order with no gaps)")
-        if offset + nbytes > len(payload):
+        if offset + nbytes > payload_len:
             raise ContainerError(f"{path}: tensor {name!r} payload [{offset}, {offset + nbytes}) out of range")
         try:
-            tensors[name] = np.frombuffer(payload, dtype="<f4", count=count, offset=offset).reshape(shape).copy()
+            tensors[name] = buf[offset // 4:offset // 4 + count].reshape(shape)
         except ValueError as exc:  # more axes, or a larger empty array, than numpy supports
             raise ContainerError(f"{path}: tensor {name!r} has unsupported shape: {exc}") from exc
         total += nbytes
-    if total != len(payload):
-        raise ContainerError(f"{path}: payload length mismatch, header describes {total} bytes but file has {len(payload)}")
+    if total != payload_len:
+        raise ContainerError(f"{path}: payload length mismatch, header describes {total} bytes but file has {payload_len}")
     if header_bytes != _header_bytes(header):
         raise ContainerError(f"{path}: header is not in the canonical form save_container writes "
                              "(compact, keys sorted, names unique, characters outside printable ASCII escaped)")

@@ -457,6 +457,9 @@ def generate(states: list[GenerationState], model: ToyTransformer, policy: HaltP
         raise ValueError("states decoded together must share one KVCache")
     if len({s.row for s in states}) != len(states):
         raise ValueError("states decoded together need distinct cache rows")
+    for s in states:
+        if not 0 <= s.row < s.cache.rows:
+            raise ValueError(f"cache row {s.row} is outside the cache's {s.cache.rows} rows [0, {s.cache.rows})")
     t_total = model.layer_count
     if forced_voids is not None:
         forced_voids = np.asarray(forced_voids, dtype=bool)

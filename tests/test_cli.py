@@ -289,13 +289,16 @@ class TestTrace:
         pp = [r for r in records if r.phase == "PP"]
         assert all(r.layer_flags == pp[0].layer_flags for r in pp)
 
-    def test_weights_round_trip(self, tmp_path):
-        from lacvoid import ModelConfig, build_model, save_weights
-
+    @pytest.mark.parametrize("spec", ["d16,h2,l4", "d10,h2,l3"])
+    def test_weights_round_trip(self, tmp_path, spec):
         weights = tmp_path / "model.lactnsr"
-        save_weights(build_model(ModelConfig(layer_count=4, depth=16, head_count=2, ffn_dim=64, seed=3)), weights)
+        save_weights(build_model(cli._parse_seed_model(spec, 3)), weights)
+        if spec.startswith("d10,"):
+            # 10x10 matrices are 400 bytes, so loaded block matrices sit off 64-byte boundaries
+            blocks = load_weights(weights).blocks
+            assert any(getattr(blk, w).ctypes.data % 64 for blk in blocks for w in ("wq", "wk", "wv", "wo", "w1", "w2"))
         a, b = tmp_path / "a", tmp_path / "b"
-        assert run(["trace", *MODEL, "--prompt", "roundtrip", "--out", str(a)]) == 0
+        assert run(["trace", "--seed-model", spec, "--seed", "3", "--prompt", "roundtrip", "--out", str(a)]) == 0
         assert run(["trace", "--weights", str(weights), "--prompt", "roundtrip", "--out", str(b)]) == 0
         assert (a / "trace.jsonl").read_bytes() == (b / "trace.jsonl").read_bytes()
 

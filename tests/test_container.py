@@ -1,4 +1,6 @@
+import os
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lacvoid import ContainerError, load_container, save_container
+from lacvoid import ContainerError, ModelConfig, build_model, container, load_container, save_container, save_weights
 
 # Trailing and leading unit extents, so "," -> "." inside a shape keeps the element count.
 TENSORS = {
@@ -107,3 +109,65 @@ class TestStrictHeader:
         except ContainerError:
             return
         assert saved_bytes(loaded) == mutated
+
+
+class TestOneBuffer:
+    def test_tensors_are_writable_views_of_one_buffer(self, tmp_path):
+        path = tmp_path / "m.lactnsr"
+        save_weights(build_model(ModelConfig(layer_count=3, depth=10, head_count=2, ffn_dim=40, seed=1)), path)
+        loaded = load_container(path)
+        assert all(t.dtype == np.float32 and t.flags.c_contiguous and t.flags.writeable for t in loaded.values())
+        base = loaded["embed"].base
+        assert base is not None and all(t.base is base for t in loaded.values())
+        before = {name: t.copy() for name, t in loaded.items()}
+        loaded["block1.attn.wk"][...] = 7.0
+        for name, t in loaded.items():
+            if name != "block1.attn.wk":
+                assert np.array_equal(t, before[name]), name
+
+    def test_load_holds_one_copy_of_the_payload(self, tmp_path):
+        # twelve 256x256 tensors: a payload of about 3 MB
+        tensors = {f"t{i:02d}": np.full((256, 256), i, np.float32) for i in range(12)}
+        path = tmp_path / "big.lactnsr"
+        save_container(tensors, path)
+        payload = sum(t.nbytes for t in tensors.values())
+        tracemalloc.start()
+        try:
+            loaded = load_container(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(np.array_equal(loaded[name], t) for name, t in tensors.items())
+        assert peak <= 1.2 * payload, f"peak {peak} bytes for a payload of {payload}"
+
+    def test_file_that_shrinks_after_it_is_sized_is_refused(self, tmp_path, monkeypatch):
+        path = tmp_path / "c.lactnsr"
+        path.write_bytes(VALID)
+        real_fstat = container.os.fstat
+
+        def fstat_then_shrink(fd):
+            info = real_fstat(fd)
+            os.truncate(path, len(VALID) - 4)
+            return info
+
+        monkeypatch.setattr(container.os, "fstat", fstat_then_shrink)
+        with pytest.raises(ContainerError, match=f"short read, {len(VALID) - 16} of the {len(VALID) - 12} bytes"):
+            load_container(path)
+
+    @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd to name a pipe")
+    def test_pipe_is_refused(self):
+        r, w = os.pipe()
+        try:
+            os.write(w, VALID)
+            os.close(w)
+            with pytest.raises(ContainerError, match="not a regular file"):
+                load_container(f"/proc/self/fd/{r}")
+        finally:
+            os.close(r)
+
+    def test_refused_tensor_leaves_an_earlier_file_as_it_was(self, tmp_path):
+        path = tmp_path / "c.lactnsr"
+        path.write_bytes(VALID)
+        with pytest.raises(ValueError, match="could not convert"):
+            save_container({"a": TENSORS["a"], "b": np.array(["x"])}, path)
+        assert path.read_bytes() == VALID

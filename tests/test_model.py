@@ -26,7 +26,7 @@ from lacvoid import (
     save_container,
     save_weights,
 )
-from lacvoid.model import KVCache, TransformerBlock, gelu, sinusoidal_positions
+from lacvoid.model import GenerationState, KVCache, TransformerBlock, gelu, sinusoidal_positions
 from lacvoid.trace import TraceColumns, TraceRecord
 from lacvoid.rng import Xoshiro256StarStar
 from conftest import reference_lines
@@ -565,6 +565,20 @@ class TestBatchedGenerate:
         (c,), _ = run_prompt(model, [[67]], OFF, ["c"], cache=a.cache)
         with pytest.raises(ValueError, match="distinct cache rows"):
             generate([a, c], model, OFF, 2)
+
+    @pytest.mark.parametrize("row", [5, -1, -2])
+    def test_row_outside_the_cache_is_refused_before_anything_is_written(self, row):
+        # -2 would index row 0 of a 2-row cache from the end; -1 and 5 select no row at all
+        model = build_model(CFG)
+        (a,), _ = run_prompt(model, [[65]], OFF, ["a"], cache=model.new_cache(2))
+        before = [buf.copy() for buf in a.cache.k + a.cache.v]
+        logits = np.zeros(model.config.vocab_size, dtype=np.float32)
+        logits[66] = 1.0  # not the end-of-text byte, so the state would decode
+        stray = GenerationState("b", a.cache, 0, logits, row)
+        with pytest.raises(ValueError, match=rf"^cache row {row} is outside the cache's 2 rows \[0, 2\)$"):
+            generate([a, stray], model, OFF, 2)
+        assert all(np.array_equal(x, y) for x, y in zip(before, a.cache.k + a.cache.v))
+        assert a.position == 1 and stray.position == 0
 
 
 class TestBatchedRunPrompt:
