@@ -141,7 +141,7 @@ def _parse_seed_model(text: str, seed: int) -> ModelConfig:
     fields = {"d": None, "h": None, "l": None, "f": None, "m": None}
     for part in text.split(","):
         part = part.strip()
-        if not part or part[0] not in fields or not part[1:].isdigit():
+        if not part or part[0] not in fields or not (part[1:].isascii() and part[1:].isdigit()):
             raise ValueError(f"bad --seed-model component {part!r}")
         if fields[part[0]] is not None:
             raise ValueError(f"repeated --seed-model component {part[0]!r} in {text!r}")

@@ -18,6 +18,7 @@ from enum import Enum
 
 import numpy as np
 
+from .errors import NonFiniteError
 from .tensors import DTYPE, NormGranularity
 
 __all__ = [
@@ -87,8 +88,14 @@ def _void_rule(delta, dmax, dmin, step, alpha: float, min_layers: int) -> np.nda
 
     lambda = alpha * (dmax - dmin); void is strictly below lambda, and
     layers 1..min_layers (min_layers >= 1) are never void. step is an
-    int, or an array broadcasting to delta.
+    int, or an array broadcasting to delta. An int step is the live
+    path's, whose delta, dmax and dmin share one shape: it decides
+    eligibility once, and an ineligible layer is all-False without a comparison.
     """
+    if isinstance(step, int):
+        if step <= min_layers:
+            return np.zeros(np.shape(delta), dtype=bool)
+        return delta < np.float32(alpha) * (dmax - dmin)
     return (delta < np.float32(alpha) * (dmax - dmin)) & (step > min_layers)
 
 
@@ -99,11 +106,15 @@ def offline_void_mask(delta_sequence, alpha: float, min_layers: int = 1) -> np.n
     same float32 arithmetic, as the live path's layer-by-layer
     decisions, so traces recorded without skipping can be
     re-thresholded at any alpha after the fact. alpha and min_layers
-    are refused as HaltPolicy and run_stack refuse them.
+    are refused as HaltPolicy and run_stack refuse them, and a NaN or
+    infinite delta (in float32) raises NonFiniteError, as the trace
+    reader and l2_norm refuse one.
     """
     deltas = np.asarray(delta_sequence, dtype=DTYPE)
     if deltas.ndim not in (1, 2) or deltas.shape[-1] == 0:
         raise ValueError(f"expected a non-empty (T,) or (N, T) delta array, got shape {deltas.shape}")
+    if not np.isfinite(deltas).all():
+        raise NonFiniteError("progress deltas contain NaN or Inf")
     _check_rule_args(alpha, min_layers)
     _check_floor(min_layers, deltas.shape[-1])
     return _void_rule(deltas, np.maximum.accumulate(deltas, axis=-1), np.minimum.accumulate(deltas, axis=-1),

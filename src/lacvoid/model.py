@@ -103,37 +103,40 @@ def gelu(x: np.ndarray) -> np.ndarray:
 
 
 class KVCache:
-    """Per-layer key/value buffers, each (rows, heads, capacity, head_dim).
+    """Per-layer key and value buffers: keys stored transposed, each
+    (rows, heads, head_dim, capacity), values (rows, heads, capacity, head_dim).
 
     Every buffer is allocated once; a cache too large to allocate
     raises ValueError naming its capacity and byte count. A forward
     chunk writes its keys and values in place at its positions and gets
     back views of the buffer, so the cache is never reallocated.
-    Attention's matmul still copies the views it reads into contiguous
-    operands.
+    The transposed keys make the key view the right operand of q @ K^T
+    as it stands, so attention multiplies both views in place; it
+    copies a key view only while it holds 3 keys or fewer.
     """
 
     def __init__(self, layer_count: int, rows: int, head_count: int, capacity: int, head_dim: int):
-        shape = (rows, head_count, capacity, head_dim)
+        k_shape, v_shape = (rows, head_count, head_dim, capacity), (rows, head_count, capacity, head_dim)
         self.rows, self.capacity = rows, capacity
         try:
-            self.k = [np.zeros(shape, dtype=DTYPE) for _ in range(layer_count)]
-            self.v = [np.zeros(shape, dtype=DTYPE) for _ in range(layer_count)]
+            self.k = [np.zeros(k_shape, dtype=DTYPE) for _ in range(layer_count)]
+            self.v = [np.zeros(v_shape, dtype=DTYPE) for _ in range(layer_count)]
         except MemoryError as exc:
-            nbytes = 2 * layer_count * math.prod(shape) * np.dtype(DTYPE).itemsize
+            nbytes = 2 * layer_count * math.prod(v_shape) * np.dtype(DTYPE).itemsize
             raise ValueError(f"cannot allocate a KV cache of capacity {capacity} positions: {nbytes} bytes "
                              f"for {layer_count} layers of {rows} rows") from exc
 
     def append(self, layer: int, rows: slice, pos: int, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Write k and v, each (rows, heads, n, head_dim), at positions pos..pos+n-1
-        of the given cache rows. Returns views of those rows' keys and
-        values over positions 0..pos+n-1."""
+        of the given cache rows. Returns views of those rows' transposed
+        keys, (rows, heads, head_dim, pos+n), and values, (rows, heads, pos+n, head_dim),
+        over positions 0..pos+n-1."""
         end = pos + k.shape[2]
         if end > self.capacity:
             raise ValueError(f"position {end - 1} overflows max_seq {self.capacity}")
-        self.k[layer][rows, :, pos:end] = k
+        self.k[layer][rows, :, :, pos:end] = k.transpose(0, 1, 3, 2)
         self.v[layer][rows, :, pos:end] = v
-        return self.k[layer][rows, :, :end], self.v[layer][rows, :, :end]
+        return self.k[layer][rows, :, :, :end], self.v[layer][rows, :, :end]
 
 
 # Each block tensor's container name (after "block<i>.") -> its TransformerBlock attribute, in container order.
@@ -159,37 +162,47 @@ class TransformerBlock:
         hd = d // self.head_count
         return x.reshape(b, n, self.head_count, hd).transpose(0, 2, 1, 3)
 
-    def forward(self, h: np.ndarray, cache: KVCache, layer: int, segments) -> np.ndarray:
+    def forward(self, h: np.ndarray, cache: KVCache, layer: int, segments, masks: dict) -> np.ndarray:
         """One block over h (B, n, D). segments are (row_start, row_stop, pos_start)
         triples that map h's batch rows, in order, to runs of cache rows
-        whose n tokens start at one position; attention runs once per run."""
+        whose n tokens start at one position; attention runs once per run.
+        masks holds the causal masks by start position: the caller's stack
+        shares one dict over its layers, so the first layer builds each mask.
+
+        The weight products call np.matmul directly: their operands are
+        contiguous float32, and the model's builders have checked their shapes."""
         b, n, d = h.shape
         hd = d // self.head_count
 
         a_in = layer_norm_pre(h, self.ln1_gain)
-        q = self._split_heads(matmul(a_in, self.wq))
-        k = self._split_heads(matmul(a_in, self.wk))
-        v = self._split_heads(matmul(a_in, self.wv))
+        q = self._split_heads(np.matmul(a_in, self.wq))
+        k = self._split_heads(np.matmul(a_in, self.wk))
+        v = self._split_heads(np.matmul(a_in, self.wv))
         ctx = np.empty((b, self.head_count, n, hd), dtype=DTYPE)
         i = 0
         for row_start, row_stop, pos_start in segments:
             j = i + row_stop - row_start
-            k_all, v_all = cache.append(layer, slice(row_start, row_stop), pos_start, k[i:j], v[i:j])
+            k_t, v_all = cache.append(layer, slice(row_start, row_stop), pos_start, k[i:j], v[i:j])
+            if k_t.shape[-1] <= 3:  # over so few keys the strided product is not the copy's, bit for bit
+                k_t = np.ascontiguousarray(k_t)
             # causal softmax in place on the scores buffer
-            scores = matmul(q[i:j], k_all.transpose(0, 1, 3, 2))
+            scores = np.matmul(np.ascontiguousarray(q[i:j]), k_t)
             scores /= np.float32(np.sqrt(hd))
             if n > 1:  # a single query is the newest position, so no key lies in its future
-                future = np.arange(pos_start + n) > np.arange(pos_start, pos_start + n)[:, None]
+                future = masks.get(pos_start)
+                if future is None:
+                    positions = np.arange(pos_start + n)
+                    future = masks[pos_start] = positions > positions[pos_start:, None]
                 np.copyto(scores, np.float32(-np.inf), where=future)
             scores -= scores.max(axis=-1, keepdims=True)
             np.exp(scores, out=scores)
             scores /= scores.sum(axis=-1, keepdims=True)
-            ctx[i:j] = matmul(scores, v_all)
+            ctx[i:j] = np.matmul(scores, v_all)
             i = j
         # each residual sum lands in the fresh matmul output: run_stack may keep h as the prior state
-        attn = matmul(ctx.transpose(0, 2, 1, 3).reshape(b, n, d), self.wo)
+        attn = np.matmul(ctx.transpose(0, 2, 1, 3).reshape(b, n, d), self.wo)
         attn += h
-        out = matmul(gelu(matmul(layer_norm_pre(attn, self.ln2_gain), self.w1)), self.w2)
+        out = np.matmul(gelu(np.matmul(layer_norm_pre(attn, self.ln2_gain), self.w1)), self.w2)
         out += attn
         return out
 
@@ -225,8 +238,10 @@ class ToyTransformer:
             else:
                 segments.append([int(row), int(row) + 1, int(pos)])
 
+        masks: dict[int, np.ndarray] = {}  # one stack's causal masks, freed with it
+
         def bind(i, block):
-            return lambda h: block.forward(h, cache, i, segments)
+            return lambda h: block.forward(h, cache, i, segments, masks)
         return [bind(i, blk) for i, blk in enumerate(self.blocks)]
 
     def logits_from_hidden(self, h: np.ndarray) -> np.ndarray:

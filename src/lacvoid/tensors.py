@@ -2,7 +2,15 @@
 
 Hidden states are rank-3 float32 arrays shaped (batch, length, depth),
 stored row-major. Norm reductions accumulate in float64 and return
-float32, so results are stable regardless of tensor size.
+float32, so results are stable regardless of tensor size. A norm checks
+finiteness on its float64 sums of squares, not on the state: a sum is
+non-finite exactly when one of its elements is.
+
+matmul is the checked public product: it makes its operands contiguous
+float32 and checks their extents. The model's blocks call np.matmul
+directly on operands that already are, and their attention multiplies
+the KV cache's views in place (see model.KVCache); the products that
+still copy are the query heads and a key view of 3 keys or fewer.
 """
 
 from __future__ import annotations
@@ -48,17 +56,27 @@ def l2_norm(h, granularity: NormGranularity) -> np.ndarray:
     Each output element is sqrt of the sum of squares over the axes the
     granularity reduces. Sums accumulate in float64.
     """
-    arr = require_hidden_state(h)
-    if not np.isfinite(arr).all():
-        raise NonFiniteError("hidden state contains NaN or Inf")
-    sq = np.square(arr, dtype=np.float64)
+    sq = np.square(require_hidden_state(h), dtype=np.float64)
     if granularity is NormGranularity.EXAMPLE:
-        out = np.sqrt(sq.sum(axis=(1, 2)))[:, None]
-    elif granularity is NormGranularity.TOKEN:
-        out = np.sqrt(sq.sum(axis=2))[:, :, None]
-    else:
-        raise TypeError(f"unknown granularity: {granularity!r}")
-    return out.astype(DTYPE)
+        return _finite_root(sq.sum(axis=(1, 2))[:, None])
+    if granularity is NormGranularity.TOKEN:
+        return _finite_root(sq.sum(axis=2)[:, :, None])
+    raise TypeError(f"unknown granularity: {granularity!r}")
+
+
+def _example_and_token_norms(h) -> tuple[np.ndarray, np.ndarray]:
+    """l2_norm(h, EXAMPLE) and l2_norm(h, TOKEN), both summed from one float64 square of h."""
+    sq = np.square(require_hidden_state(h), dtype=np.float64)
+    return _finite_root(sq.sum(axis=(1, 2))[:, None]), _finite_root(sq.sum(axis=2)[:, :, None])
+
+
+def _finite_root(sums: np.ndarray) -> np.ndarray:
+    """float32 square roots of float64 sums of squares. A finite float32
+    squared cannot overflow float64, so a sum is non-finite exactly when
+    one of its elements is: checking the sums checks the state."""
+    if not np.isfinite(sums).all():
+        raise NonFiniteError("hidden state contains NaN or Inf")
+    return np.sqrt(sums).astype(DTYPE)
 
 
 def matmul(a, b) -> np.ndarray:

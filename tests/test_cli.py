@@ -260,7 +260,8 @@ class TestTrace:
 
     @pytest.mark.parametrize("spec, message", [("d16,x2,l4", "bad --seed-model component 'x2'"),
                                                ("d16,h2", "--seed-model needs at least d<depth>,h<heads>,l<layers>"),
-                                               ("d15,h3,l4", "depth must be even")])
+                                               ("d15,h3,l4", "depth must be even"),
+                                               ("d²,h2,l4", "bad --seed-model component 'd²'")])
     def test_refused_seed_model_exits_2(self, tmp_path, capsys, spec, message):
         out = tmp_path / "out"
         assert run(["trace", "--seed-model", spec, "--prompt", "hi", "--out", str(out)]) == 2

@@ -435,11 +435,32 @@ class TestKVCache:
             v = rng.standard_normal((2, 2, n, 4)).astype(np.float32)
             k_all, v_all = cache.append(1, slice(1, 3), pos, k, v)
             pos += n
-            assert k_all.shape == v_all.shape == (2, 2, pos, 4)
+            assert k_all.shape == (2, 2, 4, pos) and v_all.shape == (2, 2, pos, 4)  # keys stored transposed
             assert np.shares_memory(k_all, cache.k[1]) and np.shares_memory(v_all, cache.v[1])
-            assert np.array_equal(k_all[:, :, -n:], k) and np.array_equal(v_all[:, :, -n:], v)
+            assert np.array_equal(k_all[..., -n:], k.transpose(0, 1, 3, 2)) and np.array_equal(v_all[:, :, -n:], v)
         assert all(cache.k[i] is buffers[i][0] and cache.v[i] is buffers[i][1] for i in range(2))
         assert not cache.k[1][0].any() and not cache.k[0].any()  # other rows and layers untouched
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.integers(1, 4), spare_rows=st.integers(0, 2), heads=st.integers(1, 4),
+           head_dim=st.sampled_from([1, 2, 4, 8, 16, 32, 64]), keys=st.integers(1, 40), new=st.integers(1, 8),
+           spare_positions=st.integers(0, 8), seed=st.integers(0, 2**32 - 1))
+    def test_products_with_the_views_equal_those_with_copies(self, rows, spare_rows, heads, head_dim, keys, new,
+                                                             spare_positions, seed):
+        # attention multiplies the views append returns; it copies a key view only at 3 keys or fewer,
+        # where the strided product is not the copy's, bit for bit
+        new = min(new, keys)
+        rng = np.random.default_rng(seed)
+        cache = KVCache(1, spare_rows + rows, heads, keys + spare_positions, head_dim)
+        for buf in cache.k + cache.v:
+            buf[...] = rng.standard_normal(buf.shape).astype(np.float32)
+        k, v = (rng.standard_normal((rows, heads, new, head_dim)).astype(np.float32) for _ in "kv")
+        k_t, v_all = cache.append(0, slice(spare_rows, spare_rows + rows), keys - new, k, v)
+        q = rng.standard_normal((rows, heads, new, head_dim)).astype(np.float32)
+        scores = rng.standard_normal((rows, heads, new, keys)).astype(np.float32)
+        if keys > 3:
+            assert np.matmul(q, k_t).tobytes() == np.matmul(q, np.ascontiguousarray(k_t)).tobytes()
+        assert np.matmul(scores, v_all).tobytes() == np.matmul(scores, np.ascontiguousarray(v_all)).tobytes()
 
     def test_write_past_capacity_raises(self):
         cache = KVCache(layer_count=1, rows=1, head_count=1, capacity=3, head_dim=2)
@@ -731,6 +752,9 @@ class TestInPlaceMath:
     @settings(max_examples=60, deadline=None)
     @given(layout=segment_layouts(), n=st.integers(1, 5), heads=st.integers(1, 3), head_dim=st.sampled_from([1, 2, 4, 8]),
            ffn=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    # one query over 2 and 3 keys, with later positions in the buffer: a strided key view's product
+    # differs from the copy's there, so attention must copy it
+    @example(layout=([(0, 1, 1), (1, 2, 2), (2, 3, 5)], 3), n=1, heads=2, head_dim=4, ffn=4, seed=0)
     def test_block_forward_equals_the_out_of_place_oracle(self, layout, n, heads, head_dim, ffn, seed):
         segments, cache_rows = layout
         rng = np.random.default_rng(seed)
@@ -748,13 +772,17 @@ class TestInPlaceMath:
         cache = KVCache(layer_count=2, rows=cache_rows, head_count=heads, capacity=capacity, head_dim=head_dim)
         for buf in cache.k + cache.v:
             buf[...] = f32(*buf.shape)  # earlier positions hold keys and values the queries attend to
-        k_ref, v_ref = cache.k[1].copy(), cache.v[1].copy()
+        # the oracle keeps its keys as (rows, heads, capacity, hd); the cache stores them transposed
+        k_ref, v_ref = cache.k[1].transpose(0, 1, 3, 2).copy(), cache.v[1].copy()
 
-        out = block.forward(h, cache, 1, segments)
+        masks = {}
+        block.forward(h, cache, 0, segments, masks)  # layer 0 builds the masks layer 1 reuses
+        out = block.forward(h, cache, 1, segments, masks)
         expect = forward_oracle(block, h, k_ref, v_ref, segments)
         assert out.dtype == expect.dtype and out.shape == expect.shape
         assert out.tobytes() == expect.tobytes()
-        assert cache.k[1].tobytes() == k_ref.tobytes() and cache.v[1].tobytes() == v_ref.tobytes()
+        assert cache.k[1].transpose(0, 1, 3, 2).tobytes() == k_ref.tobytes()
+        assert cache.v[1].tobytes() == v_ref.tobytes()
         assert h.tobytes() == h_before.tobytes()
 
     @settings(max_examples=60, deadline=None)

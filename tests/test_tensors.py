@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lacvoid import NonFiniteError, NormGranularity, ShapeError, l2_norm, layer_norm_pre, matmul
+from lacvoid.tensors import _example_and_token_norms
 
 E, T = NormGranularity.EXAMPLE, NormGranularity.TOKEN
 
@@ -83,6 +85,58 @@ class TestL2Norm:
         h = rng.normal(size=(2, 4, 3)).astype(np.float32)
         for g in (E, T):
             assert (l2_norm(h, g) >= 0).all()
+
+
+def state_norm_oracle(h, granularity):
+    """l2_norm as it was written before the finiteness check moved to the sums:
+    check the state, square it in float64, sum and take the root."""
+    arr = np.ascontiguousarray(h, dtype=np.float32)
+    if not np.isfinite(arr).all():
+        raise NonFiniteError("hidden state contains NaN or Inf")
+    sq = np.square(arr, dtype=np.float64)
+    if granularity is E:
+        return np.sqrt(sq.sum(axis=(1, 2)))[:, None].astype(np.float32)
+    return np.sqrt(sq.sum(axis=2))[:, :, None].astype(np.float32)
+
+
+finite_states = hnp.arrays(np.float32, hnp.array_shapes(min_dims=3, max_dims=3, max_side=9),
+                           elements=st.floats(width=32, allow_nan=False, allow_infinity=False))
+EXTREME = np.array([[[3e38, -3e38], [-3e38, 1.0]]], dtype=np.float32)
+
+
+class TestNormsFromSums:
+    """l2_norm checks finiteness on its float64 sums, and the executor's
+    EXAMPLE measure sums one square: both must equal what they replace."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(h=finite_states)
+    @example(h=EXTREME)
+    def test_l2_norm_equals_the_state_checked_expression(self, h):
+        with np.errstate(over="ignore"):  # a norm past float32's range rounds to inf in both
+            for g in (E, T):
+                assert l2_norm(h, g).tobytes() == state_norm_oracle(h, g).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(h=finite_states, data=st.data(), bad=st.sampled_from([np.nan, np.inf, -np.inf]))
+    def test_l2_norm_raises_for_any_non_finite_element(self, h, data, bad):
+        h = h.copy()
+        h[tuple(data.draw(st.integers(0, n - 1)) for n in h.shape)] = bad
+        for g in (E, T):
+            with pytest.raises(NonFiniteError):
+                l2_norm(h, g)
+
+    @settings(max_examples=150, deadline=None)
+    @given(h=finite_states)
+    @example(h=EXTREME)
+    def test_one_square_equals_two_l2_norm_calls(self, h):
+        with np.errstate(over="ignore"):
+            ex, tok = _example_and_token_norms(h)
+            assert ex.tobytes() == l2_norm(h, E).tobytes() and ex.shape == (h.shape[0], 1)
+            assert tok.tobytes() == l2_norm(h, T).tobytes() and tok.shape == h.shape[:2] + (1,)
+
+    def test_one_square_raises_for_non_finite(self):
+        with pytest.raises(NonFiniteError):
+            _example_and_token_norms(np.array([[[1.0, np.nan]]], dtype=np.float32))
 
 
 class TestMatmul:
