@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .halting import HaltPolicy, SkipMode, _check_floor, _void_rule
-from .tensors import DTYPE, NormGranularity, _example_and_token_norms, l2_norm, require_hidden_state
+from .tensors import DTYPE, NormGranularity, l2_norm, require_hidden_state
 
 __all__ = [
     "ExecutionOutcome",
@@ -45,12 +45,11 @@ class ExecutionOutcome:
 
 def _measure(h: np.ndarray, granularity: NormGranularity) -> tuple[np.ndarray, np.ndarray]:
     """Unit norms on the token grid ((B, 1) per example or (B, L) per
-    token) and (B, L) token norms of h, from one square of h."""
+    token) and (B, L) token norms of h; one reduction at TOKEN granularity."""
+    tok = l2_norm(h, NormGranularity.TOKEN)[..., 0]
     if granularity is NormGranularity.TOKEN:
-        tok = l2_norm(h, granularity)[..., 0]
         return tok, tok
-    unit, tok = _example_and_token_norms(h)
-    return unit, tok[..., 0]
+    return l2_norm(h, granularity), tok
 
 
 def run_stack(layers: Sequence[StepFn], h0, policy: HaltPolicy, forced_voids=None) -> ExecutionOutcome:

@@ -88,14 +88,8 @@ def _void_rule(delta, dmax, dmin, step, alpha: float, min_layers: int) -> np.nda
 
     lambda = alpha * (dmax - dmin); void is strictly below lambda, and
     layers 1..min_layers (min_layers >= 1) are never void. step is an
-    int, or an array broadcasting to delta. An int step is the live
-    path's, whose delta, dmax and dmin share one shape: it decides
-    eligibility once, and an ineligible layer is all-False without a comparison.
+    int, or an array broadcasting to delta.
     """
-    if isinstance(step, int):
-        if step <= min_layers:
-            return np.zeros(np.shape(delta), dtype=bool)
-        return delta < np.float32(alpha) * (dmax - dmin)
     return (delta < np.float32(alpha) * (dmax - dmin)) & (step > min_layers)
 
 

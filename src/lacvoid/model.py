@@ -162,12 +162,10 @@ class TransformerBlock:
         hd = d // self.head_count
         return x.reshape(b, n, self.head_count, hd).transpose(0, 2, 1, 3)
 
-    def forward(self, h: np.ndarray, cache: KVCache, layer: int, segments, masks: dict) -> np.ndarray:
+    def forward(self, h: np.ndarray, cache: KVCache, layer: int, segments) -> np.ndarray:
         """One block over h (B, n, D). segments are (row_start, row_stop, pos_start)
         triples that map h's batch rows, in order, to runs of cache rows
         whose n tokens start at one position; attention runs once per run.
-        masks holds the causal masks by start position: the caller's stack
-        shares one dict over its layers, so the first layer builds each mask.
 
         The weight products call np.matmul directly: their operands are
         contiguous float32, and the model's builders have checked their shapes."""
@@ -189,10 +187,7 @@ class TransformerBlock:
             scores = np.matmul(np.ascontiguousarray(q[i:j]), k_t)
             scores /= np.float32(np.sqrt(hd))
             if n > 1:  # a single query is the newest position, so no key lies in its future
-                future = masks.get(pos_start)
-                if future is None:
-                    positions = np.arange(pos_start + n)
-                    future = masks[pos_start] = positions > positions[pos_start:, None]
+                future = np.arange(pos_start + n) > np.arange(pos_start, pos_start + n)[:, None]
                 np.copyto(scores, np.float32(-np.inf), where=future)
             scores -= scores.max(axis=-1, keepdims=True)
             np.exp(scores, out=scores)
@@ -238,10 +233,8 @@ class ToyTransformer:
             else:
                 segments.append([int(row), int(row) + 1, int(pos)])
 
-        masks: dict[int, np.ndarray] = {}  # one stack's causal masks, freed with it
-
         def bind(i, block):
-            return lambda h: block.forward(h, cache, i, segments, masks)
+            return lambda h: block.forward(h, cache, i, segments)
         return [bind(i, blk) for i, blk in enumerate(self.blocks)]
 
     def logits_from_hidden(self, h: np.ndarray) -> np.ndarray:

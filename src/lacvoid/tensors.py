@@ -64,12 +64,6 @@ def l2_norm(h, granularity: NormGranularity) -> np.ndarray:
     raise TypeError(f"unknown granularity: {granularity!r}")
 
 
-def _example_and_token_norms(h) -> tuple[np.ndarray, np.ndarray]:
-    """l2_norm(h, EXAMPLE) and l2_norm(h, TOKEN), both summed from one float64 square of h."""
-    sq = np.square(require_hidden_state(h), dtype=np.float64)
-    return _finite_root(sq.sum(axis=(1, 2))[:, None]), _finite_root(sq.sum(axis=2)[:, :, None])
-
-
 def _finite_root(sums: np.ndarray) -> np.ndarray:
     """float32 square roots of float64 sums of squares. A finite float32
     squared cannot overflow float64, so a sum is non-finite exactly when

@@ -15,7 +15,6 @@ from lacvoid import (
     offline_void_mask,
     run_stack,
 )
-from lacvoid.halting import _void_rule
 from conftest import add_constant_stack, random_affine_stack
 
 
@@ -183,24 +182,6 @@ class TestOfflineVoids:
         # each used to give a mask: inf voided layer 3, nan voided nothing, -inf voided layers 2-3
         with pytest.raises(NonFiniteError, match="NaN or Inf"):
             offline_void_mask(deltas, alpha=0.5)
-
-    @given(
-        deltas=hnp.arrays(np.float32, st.tuples(st.integers(1, 8), st.integers(1, 5)),
-                          elements=st.floats(-20, 20, allow_nan=False, width=32)),
-        alpha=st.floats(0.01, 1.0),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_int_step_equals_the_array_step_form(self, deltas, alpha):
-        # the live path's int step against the offline path's array step, at every step and floor
-        dmax, dmin = np.maximum.accumulate(deltas), np.minimum.accumulate(deltas)
-        t_total = len(deltas)
-        for min_layers in range(1, t_total + 1):
-            for step in range(1, t_total + 1):
-                args = deltas[step - 1], dmax[step - 1], dmin[step - 1]
-                fast = _void_rule(*args, step, alpha, min_layers)
-                full = _void_rule(*args, np.array(step), alpha, min_layers)
-                assert fast.dtype == full.dtype == bool and fast.shape == full.shape
-                assert np.array_equal(fast, full)
 
     @given(
         deltas=st.lists(st.floats(-50, 50, allow_nan=False, width=32), min_size=1, max_size=12),

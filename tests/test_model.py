@@ -775,9 +775,7 @@ class TestInPlaceMath:
         # the oracle keeps its keys as (rows, heads, capacity, hd); the cache stores them transposed
         k_ref, v_ref = cache.k[1].transpose(0, 1, 3, 2).copy(), cache.v[1].copy()
 
-        masks = {}
-        block.forward(h, cache, 0, segments, masks)  # layer 0 builds the masks layer 1 reuses
-        out = block.forward(h, cache, 1, segments, masks)
+        out = block.forward(h, cache, 1, segments)
         expect = forward_oracle(block, h, k_ref, v_ref, segments)
         assert out.dtype == expect.dtype and out.shape == expect.shape
         assert out.tobytes() == expect.tobytes()

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from lacvoid import NonFiniteError, NormGranularity, ShapeError, l2_norm, layer_norm_pre, matmul
-from lacvoid.tensors import _example_and_token_norms
 
 E, T = NormGranularity.EXAMPLE, NormGranularity.TOKEN
 
@@ -105,8 +104,8 @@ EXTREME = np.array([[[3e38, -3e38], [-3e38, 1.0]]], dtype=np.float32)
 
 
 class TestNormsFromSums:
-    """l2_norm checks finiteness on its float64 sums, and the executor's
-    EXAMPLE measure sums one square: both must equal what they replace."""
+    """l2_norm checks finiteness on its float64 sums: it must equal the
+    expression that checked the state."""
 
     @settings(max_examples=150, deadline=None)
     @given(h=finite_states)
@@ -124,19 +123,6 @@ class TestNormsFromSums:
         for g in (E, T):
             with pytest.raises(NonFiniteError):
                 l2_norm(h, g)
-
-    @settings(max_examples=150, deadline=None)
-    @given(h=finite_states)
-    @example(h=EXTREME)
-    def test_one_square_equals_two_l2_norm_calls(self, h):
-        with np.errstate(over="ignore"):
-            ex, tok = _example_and_token_norms(h)
-            assert ex.tobytes() == l2_norm(h, E).tobytes() and ex.shape == (h.shape[0], 1)
-            assert tok.tobytes() == l2_norm(h, T).tobytes() and tok.shape == h.shape[:2] + (1,)
-
-    def test_one_square_raises_for_non_finite(self):
-        with pytest.raises(NonFiniteError):
-            _example_and_token_norms(np.array([[[1.0, np.nan]]], dtype=np.float32))
 
 
 class TestMatmul:
