@@ -24,14 +24,14 @@ from .model import (
     run_prompt,
     save_weights,
 )
-from .tensors import NormGranularity, l2_norm, layer_norm_pre, matmul
+from .tensors import NormGranularity, l2_norm, layer_norm_pre
 from .trace import PHASE_PP, PHASE_RG, TraceColumns, TraceRecord, read_trace, render_bitmap, write_trace
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "NormGranularity", "l2_norm", "matmul", "layer_norm_pre",
+    "NormGranularity", "l2_norm", "layer_norm_pre",
     "SkipMode", "HaltPolicy", "offline_void_mask",
     "ExecutionOutcome", "run_stack",
     "EOT", "ModelConfig", "ToyTransformer", "GenerationState",

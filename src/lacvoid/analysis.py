@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from .halting import SkipMode, offline_void_mask
-from .tensors import DTYPE
 from .trace import PHASES, TraceColumns, _require_block
 
 __all__ = [
@@ -121,9 +120,8 @@ def alpha_sweep(trace: TraceColumns, alphas, min_layers: int = 1) -> list[tuple[
     altered = set(trace.skip_mode.tolist()) - {SkipMode.OFF.value, SkipMode.DETECT.value}
     if altered:
         raise ValueError(f"alpha_sweep replays traces of off or detect runs, got skip_mode {sorted(altered)}")
-    deltas = trace.layer_deltas.astype(DTYPE)
-    return [(float(alpha), _usage_from_columns(~offline_void_mask(deltas, alpha, min_layers), trace.phase,
-                                               float(alpha)))
+    return [(float(alpha), _usage_from_columns(~offline_void_mask(trace.layer_deltas, alpha, min_layers),
+                                               trace.phase, float(alpha)))
             for alpha in alphas]
 
 

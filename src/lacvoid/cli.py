@@ -4,8 +4,8 @@ Exit codes: 0 success, 1 runtime error, 2 usage error. Sequences run in
 groups, in input order, whose KV caches fit 8 MiB. In a group, prompt
 processing (PP) forwards equal-length prompts as batches, each one
 run_prompt call on a thread pool of one worker per CPU, whose BLAS calls
-overlap; each length's prompts split into at least one batch per worker
-while prompts remain, none holding more tokens than one max_seq prompt.
+overlap; each length's prompts split into as few batches as hold no more
+tokens than one max_seq prompt each.
 Response generation (RG) then decodes the group's rows as one batch on
 the main thread, which takes results in input order, so runs are
 byte-deterministic. `trace` writes each group's
@@ -46,7 +46,9 @@ _GROUP_KV_BYTES = 8 << 20
 
 def _groups(model: ToyTransformer, jobs: list[SuiteCase], max_new: int, workers: int):
     """Runs of consecutive jobs whose KV cache fits _GROUP_KV_BYTES,
-    each of at least `workers` jobs but the last. Yields (jobs, cache capacity).
+    each of at least `workers` jobs but the last, so RG decodes at least
+    `workers` rows at a time even when one job's cache needs more than
+    _GROUP_KV_BYTES / workers. Yields (jobs, cache capacity).
 
     The budget also bounds `trace`'s record memory, since it writes each
     group's records before the next group starts."""
@@ -65,23 +67,23 @@ def _groups(model: ToyTransformer, jobs: list[SuiteCase], max_new: int, workers:
         yield group, capacity
 
 
-def _pp_batches(lengths: list[int], max_seq: int, workers: int):
+def _pp_batches(lengths: list[int], max_seq: int):
     """Split rows, given by their checked prompt lengths in sorted order,
-    into PP batches: each run of rows of one length n into at least
-    min(workers, run) contiguous batches of near-equal size, each of at
-    most max_seq // n rows, so no batch holds more tokens than one
-    max_seq prompt. Yields (start, stop) row ranges."""
+    into PP batches: each run of rows of one length n into the fewest
+    contiguous batches of near-equal size that hold at most max_seq // n
+    rows each, so no batch holds more tokens than one max_seq prompt.
+    Yields (start, stop) row ranges."""
     start = 0
     for n, run in itertools.groupby(lengths):
         size = len(list(run))
-        parts = max(min(workers, size), -(-size // (max_seq // n)))
+        parts = -(-size // (max_seq // n))
         for k in range(parts):
             yield start + k * size // parts, start + (k + 1) * size // parts
         start += size
 
 
 def _run_group(model: ToyTransformer, group: list[SuiteCase], capacity: int, policy: HaltPolicy,
-               max_new: int, pool: ThreadPoolExecutor, workers: int) -> list:
+               max_new: int, pool: ThreadPoolExecutor) -> list:
     """PP of equal-length prompts in batches on `pool`, then RG of the group as one batch.
 
     Each prompt is checked before it is batched, so a prompt that
@@ -105,7 +107,7 @@ def _run_group(model: ToyTransformer, group: list[SuiteCase], capacity: int, pol
         return run_prompt(model, [group[i].prompt_ids for i in batch], policy,
                           [group[i].sequence_id for i in batch], cache=cache, rows=list(range(*rows)))
 
-    batches = list(_pp_batches(lengths, model.config.max_seq, workers))
+    batches = list(_pp_batches(lengths, model.config.max_seq))
     pp = {}  # job index -> (state, PP trace)
     for (start, stop), (states, trace) in zip(batches, pool.map(prompts, batches)):
         n = lengths[start]
@@ -129,7 +131,7 @@ def _run_jobs(model: ToyTransformer, jobs: list[SuiteCase], policy: HaltPolicy, 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for group, capacity in _groups(model, jobs, max_new, workers):
             # the loop holds the group's results only until it has yielded them
-            for res in _run_group(model, group, capacity, policy, max_new, pool, workers):
+            for res in _run_group(model, group, capacity, policy, max_new, pool):
                 if isinstance(res, ValueError):
                     raise res
                 yield res

@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import NonFiniteError
-from .tensors import DTYPE, NormGranularity
+from .tensors import DTYPE, NormGranularity, _rounds_finite_f32
 
 __all__ = [
     "SkipMode",
@@ -100,15 +100,18 @@ def offline_void_mask(delta_sequence, alpha: float, min_layers: int = 1) -> np.n
     same float32 arithmetic, as the live path's layer-by-layer
     decisions, so traces recorded without skipping can be
     re-thresholded at any alpha after the fact. alpha and min_layers
-    are refused as HaltPolicy and run_stack refuse them, and a NaN or
-    infinite delta (in float32) raises NonFiniteError, as the trace
-    reader and l2_norm refuse one.
+    are refused as HaltPolicy and run_stack refuse them. A NaN or
+    infinite delta raises NonFiniteError, as the trace reader and
+    l2_norm refuse one, and so does a finite one beyond float32's range,
+    which the conversion to float32 would make infinite.
     """
-    deltas = np.asarray(delta_sequence, dtype=DTYPE)
+    deltas = np.asarray(delta_sequence, dtype=np.float64)
     if deltas.ndim not in (1, 2) or deltas.shape[-1] == 0:
         raise ValueError(f"expected a non-empty (T,) or (N, T) delta array, got shape {deltas.shape}")
-    if not np.isfinite(deltas).all():
-        raise NonFiniteError("progress deltas contain NaN or Inf")
+    if not _rounds_finite_f32(np.abs(deltas)):
+        raise NonFiniteError("progress deltas contain NaN or Inf, or a magnitude beyond float32's range "
+                             f"({np.finfo(DTYPE).max:.8g})")
+    deltas = deltas.astype(DTYPE)
     _check_rule_args(alpha, min_layers)
     _check_floor(min_layers, deltas.shape[-1])
     return _void_rule(deltas, np.maximum.accumulate(deltas, axis=-1), np.minimum.accumulate(deltas, axis=-1),

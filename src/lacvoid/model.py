@@ -24,7 +24,7 @@ from .errors import ContainerError, ShapeError
 from .executor import StepFn, run_stack
 from .halting import HaltPolicy
 from .rng import _draw_streams, _to_uniform, stream_for
-from .tensors import DTYPE, layer_norm_pre, matmul
+from .tensors import DTYPE, layer_norm_pre
 from .trace import PHASE_PP, PHASE_RG, TraceColumns
 
 __all__ = [
@@ -133,7 +133,7 @@ class KVCache:
         over positions 0..pos+n-1."""
         end = pos + k.shape[2]
         if end > self.capacity:
-            raise ValueError(f"position {end - 1} overflows max_seq {self.capacity}")
+            raise ValueError(f"position {end - 1} overflows the KV cache's capacity {self.capacity}")
         self.k[layer][rows, :, :, pos:end] = k.transpose(0, 1, 3, 2)
         self.v[layer][rows, :, pos:end] = v
         return self.k[layer][rows, :, :, :end], self.v[layer][rows, :, :end]
@@ -238,7 +238,7 @@ class ToyTransformer:
         return [bind(i, blk) for i, blk in enumerate(self.blocks)]
 
     def logits_from_hidden(self, h: np.ndarray) -> np.ndarray:
-        return matmul(layer_norm_pre(h, self.ln_f_gain), self._unembed)
+        return np.matmul(layer_norm_pre(h, self.ln_f_gain), self._unembed)
 
     def without_layer(self, index: int) -> "ToyTransformer":
         """Copy of the model with one block removed (weights shared)."""
@@ -367,6 +367,13 @@ def _prompt_ids(tokens, config: ModelConfig) -> list[int]:
     return ids
 
 
+def _check_rows(rows, cache: KVCache) -> None:
+    """ValueError naming the first of rows outside the cache's rows."""
+    outside = [r for r in rows if not 0 <= r < cache.rows]
+    if outside:
+        raise ValueError(f"cache row {outside[0]} is outside the cache's {cache.rows} rows [0, {cache.rows})")
+
+
 def _forward(model: ToyTransformer, cache: KVCache, rows, starts, ids, phase: str, sequence_ids,
              policy: HaltPolicy, forced_voids) -> tuple[TraceColumns, np.ndarray]:
     """One run_stack over B rows of n tokens: row b is tokens ids[b] at
@@ -434,9 +441,7 @@ def run_prompt(model: ToyTransformer, prompts, policy: HaltPolicy, sequence_ids,
         raise ValueError(f"batched prompts must share one length, got lengths {sorted({len(x) for x in ids})}")
     if cache is None:
         cache = model.new_cache(max(0, *rows) + 1)
-    outside = [r for r in rows if not 0 <= r < cache.rows]
-    if outside:
-        raise ValueError(f"cache row {outside[0]} is outside the cache's {cache.rows} rows [0, {cache.rows})")
+    _check_rows(rows, cache)
     trace, logits = _forward(model, cache, rows, [0] * len(rows), ids, PHASE_PP, sequence_ids, policy, forced_voids)
     states = [GenerationState(s, cache, len(ids[0]), logits[b], r) for b, (s, r) in enumerate(zip(sequence_ids, rows))]
     return states, trace
@@ -465,16 +470,17 @@ def generate(states: list[GenerationState], model: ToyTransformer, policy: HaltP
         raise ValueError("states decoded together must share one KVCache")
     if len({s.row for s in states}) != len(states):
         raise ValueError("states decoded together need distinct cache rows")
-    for s in states:
-        if not 0 <= s.row < s.cache.rows:
-            raise ValueError(f"cache row {s.row} is outside the cache's {s.cache.rows} rows [0, {s.cache.rows})")
+    if states:
+        _check_rows([s.row for s in states], states[0].cache)
     t_total = model.layer_count
     if forced_voids is not None:
         forced_voids = np.asarray(forced_voids, dtype=bool)
         if forced_voids.shape[:1] != (t_total,) or forced_voids.size != t_total:
             raise ShapeError(f"forced_voids shape {forced_voids.shape} is not one flag per layer ({t_total})")
         forced_voids = forced_voids.reshape(t_total)
-    limit = min(model.config.max_seq, states[0].cache.capacity) if states else 0
+    limit, bound = model.config.max_seq, "max_seq"  # the smaller of max_seq and the cache's capacity
+    if states and states[0].cache.capacity < limit:
+        limit, bound = states[0].cache.capacity, "the KV cache's capacity"
     for s in states:
         s.error = None
 
@@ -493,7 +499,7 @@ def generate(states: list[GenerationState], model: ToyTransformer, policy: HaltP
             if nxt == EOT:
                 continue
             if s.position >= limit:
-                s.error = ValueError(f"position {s.position} overflows max_seq {limit}")
+                s.error = ValueError(f"position {s.position} overflows {bound} {limit}")
                 continue
             step.append(i)
             tokens.append(nxt)

@@ -3,14 +3,8 @@
 Hidden states are rank-3 float32 arrays shaped (batch, length, depth),
 stored row-major. Norm reductions accumulate in float64 and return
 float32, so results are stable regardless of tensor size. A norm checks
-finiteness on its float64 sums of squares, not on the state: a sum is
-non-finite exactly when one of its elements is.
-
-matmul is the checked public product: it makes its operands contiguous
-float32 and checks their extents. The model's blocks call np.matmul
-directly on operands that already are, and their attention multiplies
-the KV cache's views in place (see model.KVCache); the products that
-still copy are the query heads and a key view of 3 keys or fewer.
+its float64 roots, not the state: one range check refuses a NaN or
+infinite state and a finite one whose norm would round to float32 inf.
 """
 
 from __future__ import annotations
@@ -66,25 +60,18 @@ def l2_norm(h, granularity: NormGranularity) -> np.ndarray:
 
 def _finite_root(sums: np.ndarray) -> np.ndarray:
     """float32 square roots of float64 sums of squares. A finite float32
-    squared cannot overflow float64, so a sum is non-finite exactly when
-    one of its elements is: checking the sums checks the state."""
-    if not np.isfinite(sums).all():
-        raise NonFiniteError("hidden state contains NaN or Inf")
-    return np.sqrt(sums).astype(DTYPE)
+    squared cannot overflow float64, so a root is NaN or infinite exactly
+    when an element of the state is."""
+    roots = np.sqrt(sums)
+    if not _rounds_finite_f32(roots):
+        raise NonFiniteError("hidden state contains NaN or Inf, or its norm exceeds float32's range")
+    return roots.astype(DTYPE)
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product of the last two axes, float32.
-
-    Leading axes broadcast; the inner extents must agree.
-    """
-    a = as_f32(a)
-    b = as_f32(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul needs rank >= 2 operands, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul inner extents disagree: {a.shape} x {b.shape}")
-    return np.matmul(a, b)
+def _rounds_finite_f32(magnitudes: np.ndarray) -> bool:
+    """Whether every element of a non-negative float64 array rounds to a finite float32 (a NaN
+    does not): 2**128 - 2**103, halfway from float32's largest value to 2**128, rounds to inf."""
+    return bool((magnitudes < 2.0**128 - 2.0**103).all())
 
 
 def layer_norm_pre(h, gain) -> np.ndarray:

@@ -6,6 +6,7 @@ import pytest
 
 from lacvoid import (
     HaltPolicy,
+    NonFiniteError,
     SkipMode,
     TraceColumns,
     TraceError,
@@ -161,6 +162,12 @@ class TestAlphaSweep:
         assert report.average_usage == {"PP": 1.0, "RG": 1.0}
         with pytest.raises(ValueError, match=r"^min_layers=7 exceeds layer count 6$"):
             alpha_sweep(records, [0.5], min_layers=7)
+
+    def test_delta_beyond_float32_range_refused(self):
+        # finite in float64, so the reader accepts it; the replay's float32 would make it inf
+        records = TraceColumns.from_records([make_record(deltas=[1.0, 1e300])])
+        with pytest.raises(NonFiniteError, match=r"beyond float32's range \(3.4028235e\+38\)$"):
+            alpha_sweep(records, [0.5])
 
     def test_report_alpha_reflects_sweep_alpha(self):
         records = self.sweep_records(n=4)

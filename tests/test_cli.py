@@ -85,14 +85,15 @@ class TestTrace:
         seqs = {r.sequence_id for r in read_trace(tmp_path / "trace.jsonl")}
         assert seqs == {"seq000", "seq001", "seq002"}
 
-    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    @pytest.mark.parametrize("max_seq", [18, 24, 256])
     @pytest.mark.parametrize("mode, granularity", sorted(RAGGED_DIGESTS))
-    def test_batched_decode_writes_the_same_trace(self, tmp_path, monkeypatch, mode, granularity, cpus):
-        # the four 6-byte prompts run as PP batches of 4, 2 + 2 and 1 + 1 + 1 + 1
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    def test_batched_decode_writes_the_same_trace(self, tmp_path, mode, granularity, max_seq):
+        # a PP batch holds at most max_seq // 6 of the four 6-byte prompts: 2 + 2 at 18, all 4 at 24 and 256;
+        # a 6-byte prompt and its 12 new tokens fill 18 positions, so no row reaches max_seq
         pf = tmp_path / "prompts.txt"
         pf.write_text(RAGGED_PROMPTS, encoding="utf-8")
-        assert run(["trace", *MODEL, "--prompt-file", str(pf), "--max-new", "12", "--alpha", "0.6",
+        assert run(["trace", "--seed-model", f"d16,h2,l4,m{max_seq}", "--seed", "3", "--prompt-file", str(pf),
+                    "--max-new", "12", "--alpha", "0.6",
                     "--mode", mode, "--granularity", granularity, "--out", str(tmp_path)]) == 0
         digest = hashlib.sha256((tmp_path / "trace.jsonl").read_bytes()).hexdigest()
         assert digest == RAGGED_DIGESTS[mode, granularity]
@@ -117,9 +118,8 @@ class TestTrace:
         assert capsys.readouterr().err == "error: position 8 overflows max_seq 8\n"
         assert not (tmp_path / "trace.jsonl").exists()
 
-    def test_refused_prompt_fails_alone_in_input_order(self, tmp_path, monkeypatch, capsys):
-        # one worker puts equal-length prompts in one PP batch; bytes 126 and 125 lie outside a 100-id vocabulary
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    def test_refused_prompt_fails_alone_in_input_order(self, tmp_path, capsys):
+        # equal-length prompts share one PP batch; bytes 126 and 125 lie outside a 100-id vocabulary
         weights = tmp_path / "small.lactnsr"
         save_weights(build_model(ModelConfig(layer_count=2, depth=8, head_count=2, ffn_dim=16, vocab_size=100)),
                      weights)
@@ -134,7 +134,7 @@ class TestTrace:
         model = load_weights(weights)
         jobs = [SuiteCase(f"seq{i}", tuple(p.encode())) for i, p in enumerate(["abc", "ab~", "bca", "a}c"])]
         with ThreadPoolExecutor(max_workers=1) as pool:
-            results = cli._run_group(model, jobs, 8, HaltPolicy(), 3, pool, 1)
+            results = cli._run_group(model, jobs, 8, HaltPolicy(), 3, pool)
         assert [str(r) for r in results[1::2]] == ["token id 126 outside vocabulary [0, 100)",
                                                    "token id 125 outside vocabulary [0, 100)"]
         for job, (trace, ids) in zip(jobs[::2], results[::2]):
@@ -142,16 +142,15 @@ class TestTrace:
             (ref_ids,), (rg,) = generate([state], model, HaltPolicy(), 3)
             assert ids == ref_ids and trace == pp + rg
 
-    @pytest.mark.parametrize("lengths, workers, batches", [
-        ([16] * 8, 2, [(0, 4), (4, 8)]),  # the decode workload
-        ([240] * 3, 2, [(0, 1), (1, 2), (2, 3)]),  # one max_seq prompt's tokens per batch at most
-        ([2, 6, 6, 6, 6], 1, [(0, 1), (1, 5)]),
-        ([2, 6, 6, 6, 6], 8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]),
-        ([100] * 5, 2, [(0, 1), (1, 3), (3, 5)]),
-        ([256, 256], 4, [(0, 1), (1, 2)]),
+    @pytest.mark.parametrize("lengths, batches", [
+        ([16] * 8, [(0, 8)]),  # the decode workload
+        ([240] * 3, [(0, 1), (1, 2), (2, 3)]),  # one max_seq prompt's tokens per batch at most
+        ([2, 6, 6, 6, 6], [(0, 1), (1, 5)]),
+        ([100] * 5, [(0, 1), (1, 3), (3, 5)]),
+        ([256, 256], [(0, 1), (1, 2)]),
     ])
-    def test_pp_batches(self, lengths, workers, batches):
-        assert list(cli._pp_batches(lengths, 256, workers)) == batches
+    def test_pp_batches(self, lengths, batches):
+        assert list(cli._pp_batches(lengths, 256)) == batches
 
     @pytest.mark.parametrize("mode, granularity", [("halt-frozen", "token"), ("skip-identity", "example")])
     def test_group_budget_does_not_change_the_outputs(self, tmp_path, monkeypatch, capsys, mode, granularity):

@@ -177,9 +177,10 @@ class TestOfflineVoids:
             offline_void_mask([], alpha=0.5)
 
     @pytest.mark.parametrize("deltas", [[0.1, np.inf, 0.2], [0.1, np.nan, 0.2], [[0.1, -np.inf, 0.2]],
-                                        [[0.1, 0.2, 0.3], [0.4, np.nan, 0.5]]])
+                                        [[0.1, 0.2, 0.3], [0.4, np.nan, 0.5]], [0.1, 1e300, 0.2], [[0.1, -1e39]]])
     def test_non_finite_deltas_raise(self, deltas):
-        # each used to give a mask: inf voided layer 3, nan voided nothing, -inf voided layers 2-3
+        # each used to give a mask: inf voided layer 3, nan voided nothing, -inf voided layers 2-3;
+        # a float64 beyond float32's range raised numpy's overflow warning as it became inf
         with pytest.raises(NonFiniteError, match="NaN or Inf"):
             offline_void_mask(deltas, alpha=0.5)
 

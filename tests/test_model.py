@@ -466,8 +466,16 @@ class TestKVCache:
         cache = KVCache(layer_count=1, rows=1, head_count=1, capacity=3, head_dim=2)
         kv = np.ones((1, 1, 2, 2), dtype=np.float32)
         cache.append(0, slice(0, 1), 0, kv, kv)
-        with pytest.raises(ValueError, match="position 3 overflows max_seq 3"):
+        with pytest.raises(ValueError, match="^position 3 overflows the KV cache's capacity 3$"):
             cache.append(0, slice(0, 1), 2, kv, kv)
+
+    def test_prompt_past_the_cache_capacity_names_the_capacity(self):
+        # max_seq 64 admits the prompt; the 3-position cache is the limit it passes
+        model = build_model(CFG)
+        cache = model.new_cache(1, capacity=3)
+        with pytest.raises(ValueError, match="^position 4 overflows the KV cache's capacity 3$"):
+            run_prompt(model, ["hello"], OFF, ["s0"], cache=cache)
+        assert not any(buf.any() for buf in cache.k + cache.v)
 
     def test_unallocatable_cache_is_a_named_value_error(self, monkeypatch):
         real_zeros = np.zeros
@@ -575,7 +583,7 @@ class TestBatchedGenerate:
             (ref_ids,), (ref_rg,) = generate([alone], model, DETECT, 10)
             assert ids[i] == ref_ids
             assert reference_lines(rg[i]) == reference_lines(ref_rg)
-            assert str(states[i].error) == str(alone.error) == "position 6 overflows max_seq 6"
+            assert str(states[i].error) == str(alone.error) == "position 6 overflows the KV cache's capacity 6"
 
     def test_states_must_share_a_cache_in_distinct_rows(self):
         model = build_model(CFG)
