@@ -28,7 +28,7 @@ off = HaltPolicy(skip_mode=SkipMode.OFF)
 blocks = []
 gen = stream_for(7, "sweep-demo")
 for i in range(20):
-    prompt = gen.integers(8, 33, 127)
+    prompt = [33 + (gen.next_u64() >> 40) % 94 for _ in range(8)]
     (state,), pp = run_prompt(model, [prompt], off, [f"d{i}"])
     _, (rg,) = generate([state], model, off, 8)
     blocks += [pp, rg]

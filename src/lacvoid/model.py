@@ -278,7 +278,7 @@ def _from_tensors(config: ModelConfig, tensors: dict[str, np.ndarray]) -> ToyTra
 def build_model(config: ModelConfig) -> ToyTransformer:
     """Deterministic model from the config seed. Same config, same bits.
 
-    Every drawn tensor's stream advances in one _draw_streams batch, and
+    Every drawn tensor's stream is drawn from its start in one _draw_streams batch, and
     each tensor's floats are written over its own draws."""
     shapes = _tensor_shapes(config)
     drawn = [name for name, (_, fan_in) in shapes.items() if fan_in is not None]

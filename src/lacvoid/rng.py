@@ -10,26 +10,26 @@ scheme, in full, so other implementations can match it byte for byte:
   * xoshiro256** produces the u64 stream.
   * A uniform float in [0, 1) is (u64 >> 40) / 2^24, i.e. the top 24
     bits, computed in double precision.
-  * uniform(lo, hi) = lo + (hi - lo) * u, computed in double precision
-    and rounded to float32 at the end.
+  * A float in [lo, hi) is lo + (hi - lo) * u, computed in double
+    precision and rounded to float32 at the end.
+  * An integer in [lo, hi) is lo + (u64 >> 40) % (hi - lo), exactly.
   * Named streams: stream_for(seed, name) seeds a fresh generator with
     seed XOR fnv1a64(name), so every tensor or case draws from its own
     well-defined stream regardless of generation order elsewhere.
 
-uniform and integers compute the same stream as next_u64, only faster.
-The state update T of xoshiro256** is linear over GF(2), so n draws are
-split into lanes of a power-of-two length m: lane j starts from
-T^(j*m) applied to the current state, and all lanes step together as
-numpy uint64 vectors. Every jump T^(j*m) is composed from the squaring
-chain T, T^2, T^4, ..., built once per process and kept as bit-packed
-256x256 bit matrices.
-
-_draw_streams advances many named streams in one batch, which is how
-build_model draws every weight tensor and build_suite every case's
-bytes (through _to_integers, as integers does): all streams share one lane
-length, the lanes of all streams are started by the same jump calls and
-stepped by one lockstep loop. The draws are kept as their top 24 bits
-in one uint32 buffer, and _to_uniform writes each stream's float32
+_draw_streams draws the first counts[i] outputs of each generator's
+stream from its current state, and leaves every generator as it was.
+It is how build_model draws every weight tensor (mapped by _to_uniform)
+and build_suite every case's bytes (mapped by _to_integers). It computes
+what counts[i] calls of next_u64 would return, only faster. The state
+update T of xoshiro256** is linear over GF(2), so each stream is split
+into lanes of one power-of-two length m: lane j starts from T^(j*m)
+applied to the stream's state, the lanes of all streams are started by
+the same jump calls, and all of them step together as numpy uint64
+vectors in one lockstep loop. Every jump T^(j*m) is composed from the
+squaring chain T, T^2, T^4, ..., built once per process and kept as
+bit-packed 256x256 bit matrices. The draws are kept as their top 24
+bits in one uint32 buffer, and _to_uniform writes each stream's float32
 values over its own draws, so the working set beyond the output is the
 lane states plus one stream's float64 transient.
 """
@@ -91,21 +91,12 @@ class Xoshiro256StarStar:
         s[3] = _rotl(s[3], 45)
         return result
 
-    def uniform(self, n: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
-        """n float32 values uniform in [lo, hi): the next n outputs of the stream."""
-        return _to_uniform(_draw_streams([self], [n])[0], lo, hi)
-
-    def integers(self, n: int, lo: int, hi: int) -> list[int]:
-        """n ints uniform in [lo, hi), by rejection-free modulo of the top bits."""
-        if hi <= lo:
-            raise ValueError(f"empty integer range [{lo}, {hi})")
-        return _to_integers(_draw_streams([self], [max(n, 0)])[0], lo, hi)
-
 
 def _draw_streams(gens: list[Xoshiro256StarStar], counts: list[int]) -> list[np.ndarray]:
-    """The next counts[i] outputs of each gens[i], as their top 24 bits
-    (u64 >> 40) in uint32, leaving each generator where counts[i] calls
-    of next_u64 would. The arrays are views of one shared buffer.
+    """The first counts[i] outputs of each gens[i]'s stream from its
+    current state, as their top 24 bits (u64 >> 40) in uint32. No
+    generator is changed, so one passed twice gives equal draws. The
+    arrays are views of one shared buffer.
 
     Every stream is split into lanes of one power-of-two length m, sized
     by the batch's total draw count. Lane j of a stream starts from
@@ -113,8 +104,6 @@ def _draw_streams(gens: list[Xoshiro256StarStar], counts: list[int]) -> list[np.
     lanes of all streams come from one _gf2_apply per doubling of the
     lane count, and all lanes step together in one lockstep loop.
     """
-    if len({id(gen) for gen in gens}) != len(gens):
-        raise ValueError("_draw_streams: the same generator is passed twice in one batch")
     counts = [int(n) for n in counts]
     if any(n < 0 for n in counts):
         raise ValueError(f"_draw_streams: negative draw count in {counts}")
@@ -134,12 +123,6 @@ def _draw_streams(gens: list[Xoshiro256StarStar], counts: list[int]) -> list[np.
         state[:, src + filled] = _gf2_apply(_jump(k), state[:, src].T).T
         filled *= 2
         k += 1
-    # after loop step e, the final lane of each stream i in ends[e] stands at step counts[i] of its
-    # stream: that state is where the generator continues
-    ends: dict[int, list[int]] = {}
-    for i, (n, count) in enumerate(zip(counts, lanes)):
-        if n:
-            ends.setdefault(n - (count - 1) * m - 1, []).append(i)
     s0, s1, s2, s3 = state
     out = np.empty((first[-1], m), dtype=np.uint32)
     r = np.empty(first[-1], dtype=np.uint64)
@@ -161,9 +144,6 @@ def _draw_streams(gens: list[Xoshiro256StarStar], counts: list[int]) -> list[np.
         np.left_shift(s3, _U45, out=t)
         np.right_shift(s3, _U19, out=s3)
         s3 |= t
-        for i in ends.get(step, ()):
-            j = first[i + 1] - 1
-            gens[i]._s = [int(s0[j]), int(s1[j]), int(s2[j]), int(s3[j])]
     flat = out.reshape(-1)
     return [flat[f * m:f * m + n] for f, n in zip(first, counts)]
 

@@ -31,7 +31,7 @@ from lacvoid import (
 )
 from lacvoid.cli import main as cli_main
 from lacvoid.model import ToyTransformer, TransformerBlock
-from lacvoid.rng import stream_for
+from lacvoid.rng import _draw_streams, _to_uniform, stream_for
 from conftest import add_constant_stack, compose_stack, random_affine_stack, white_pixel_count, write_trace_file
 
 
@@ -50,7 +50,7 @@ def acceptance_prompts(n):
     out = []
     for _ in range(n):
         length = 4 + (gen.next_u64() % 9)
-        out.append(gen.integers(int(length), 1, 256))
+        out.append([1 + (gen.next_u64() >> 40) % 255 for _ in range(length)])
     return out
 
 
@@ -235,7 +235,8 @@ def consistency_model(depth=16, layers=4) -> ToyTransformer:
                          (0.5 * np.eye(depth)).astype(np.float32), 2)
         for _ in range(layers)
     ]
-    embed = stream_for(0, "embed").uniform(256 * depth, -0.25, 0.25).reshape(256, depth)
+    (draws,) = _draw_streams([stream_for(0, "embed")], [256 * depth])
+    embed = _to_uniform(draws, -0.25, 0.25).reshape(256, depth)
     embed[0] = 0.0  # keep the end-of-text byte from winning the argmax
     return ToyTransformer(cfg, embed, blocks, ones.copy())
 

@@ -1,5 +1,7 @@
 """Each demo script runs to completion as a user would start it, and
-prints exactly its pinned stdout (tests/demo_stdout/<demo>.txt)."""
+prints exactly its pinned stdout (tests/demo_stdout/<demo>.txt). Demos
+run in Python's development mode with every warning an error, as strict
+as the in-process tests."""
 
 import os
 import subprocess
@@ -31,7 +33,8 @@ def run_demo(demo: Path, cwd: Path) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     env["PYTHONIOENCODING"] = "utf-8"
-    return subprocess.run([sys.executable, str(demo)], cwd=cwd, env=env, capture_output=True, timeout=300)
+    command = [sys.executable, "-X", "dev", "-W", "error", str(demo)]
+    return subprocess.run(command, cwd=cwd, env=env, capture_output=True, timeout=300)
 
 
 def test_tracing_demo_run_twice_leaves_one_trace(tmp_path, capsys):

@@ -28,7 +28,6 @@ from lacvoid import (
 )
 from lacvoid.model import GenerationState, KVCache, TransformerBlock, gelu, sinusoidal_positions
 from lacvoid.trace import TraceColumns, TraceRecord
-from lacvoid.rng import Xoshiro256StarStar
 from conftest import reference_lines
 
 OFF = HaltPolicy(skip_mode=SkipMode.OFF)
@@ -121,7 +120,7 @@ class TestContainer:
 
         def refuse(*args, **kwargs):
             raise AssertionError("load_weights drew random weights")
-        monkeypatch.setattr(Xoshiro256StarStar, "uniform", refuse)
+        monkeypatch.setattr("lacvoid.model._draw_streams", refuse)
         loaded = load_weights(path)
         for name, arr in model.named_tensors().items():
             assert loaded.named_tensors()[name].tobytes() == arr.tobytes(), name
