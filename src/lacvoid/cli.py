@@ -1,11 +1,11 @@
 """Command-line front-end: trace runs, alpha sweeps, reports, comparisons.
 
-Exit codes: 0 success, 1 runtime error, 2 usage error. Sequences run in
-groups, in input order, whose KV caches fit 8 MiB. In a group, prompt
-processing (PP) forwards equal-length prompts as batches, each one
-run_prompt call on a thread pool of one worker per CPU, whose BLAS calls
-overlap; each length's prompts split into as few batches as hold no more
-tokens than one max_seq prompt each.
+Exit codes: 0 success, 1 runtime error (a closed stdout too, silently),
+2 usage error. Sequences run in groups, in input order, whose KV caches
+fit 8 MiB. In a group, prompt processing (PP) forwards equal-length
+prompts as batches, each one run_prompt call on a thread pool of one
+worker per CPU, whose BLAS calls overlap; each length's prompts split
+into as few batches as hold no more tokens than one max_seq prompt each.
 Response generation (RG) then decodes the group's rows as one batch on
 the main thread, which takes results in input order, so runs are
 byte-deterministic. `trace` writes each group's
@@ -192,6 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_policy_flags(p_sweep)
     _add_run_flags(p_sweep)
     p_sweep.add_argument("--alphas", default="", help="comma-separated alpha grid, e.g. 0.1,0.2,...")
+    p_sweep.set_defaults(mode="skip-identity")  # the mode of the --suite score runs; the trace is detect's
 
     p_report = sub.add_parser("report", help="aggregate a trace into CSV/JSON/bitmaps")
     p_report.add_argument("--trace", required=True, help="trace.jsonl path")
@@ -200,18 +201,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="skip-vs-full scores on a synthetic suite")
     _add_policy_flags(p_cmp)
     _add_run_flags(p_cmp, with_prompt=False)
-    p_cmp.set_defaults(mode="skip-identity")  # the skipped column skips unless told otherwise
+    p_cmp.set_defaults(mode="skip-identity")  # the mode of the skipped column
     for p in sub.choices.values():
         p.set_defaults(parser=p)  # so a usage error raised inside a command names that command
     return parser
 
 
-def _policy_from_args(args, parser, skip_mode: str | None = None) -> HaltPolicy:
+def _policy_from_args(args, parser) -> HaltPolicy:
     try:
         return HaltPolicy(
             granularity=NormGranularity(args.granularity),
             alpha=args.alpha,
-            skip_mode=SkipMode(skip_mode if skip_mode is not None else args.mode),
+            skip_mode=SkipMode(args.mode),
             min_layers=args.min_layers,
         )
     except ValueError as exc:
@@ -253,6 +254,13 @@ def _jobs_from_args(args, parser) -> tuple[list[SuiteCase], int]:
         if not prompts:
             parser.error(f"--prompt-file {args.prompt_file} contains no prompts")
     return [SuiteCase(f"seq{i:03d}", tuple(p.encode("utf-8"))) for i, p in enumerate(prompts)], args.max_new
+
+
+def _score(model: ToyTransformer, jobs: list[SuiteCase], policy: HaltPolicy, max_new: int) -> tuple[float, TraceColumns]:
+    """The mean score of the suite jobs' generations under policy, and their trace."""
+    results = list(_run_jobs(model, jobs, policy, max_new))
+    scores = [score_case(gen_ids, job.expected_ids) for job, (_, gen_ids) in zip(jobs, results, strict=True)]
+    return sum(scores) / len(scores), TraceColumns.concat(trace for trace, _ in results)
 
 
 def _summarize(trace: TraceColumns) -> tuple[dict[str, int], dict[str, float | None]]:
@@ -321,31 +329,28 @@ def cmd_sweep(args, parser) -> int:
 
     Usage columns come from the recorded progress (offline replay), so
     they are monotone in alpha by construction. For suites, the score
-    column re-runs generation with skipping applied at each alpha.
+    column re-runs generation in --mode at each alpha.
     """
     alphas = _parse_alphas(args.alphas, parser)
     if args.granularity != NormGranularity.TOKEN.value:
         parser.error(f"sweep needs --granularity token, got {args.granularity}: "
                      "the replay re-thresholds per-token deltas")
-    base_policy = _policy_from_args(args, parser, skip_mode="detect")
+    policy = _policy_from_args(args, parser)
     model = _model_from_args(args, parser)
     jobs, max_new = _jobs_from_args(args, parser)
-    trace = TraceColumns.concat(t for t, _ in _run_jobs(model, jobs, base_policy, max_new))
+    detect = dataclasses.replace(policy, skip_mode=SkipMode.DETECT)
+    trace = TraceColumns.concat(t for t, _ in _run_jobs(model, jobs, detect, max_new))
 
     out_dir = Path(args.out)
     with _trace_file(out_dir) as fh:
         write_trace(trace, fh)
 
-    score_mode = args.mode if args.mode in ("mask-zero", "skip-identity", "halt-frozen") else "skip-identity"
     sweep = alpha_sweep(trace, alphas, args.min_layers)
     rows = []
     for alpha, report in sweep:
         score = ""
         if args.suite:
-            policy = dataclasses.replace(_policy_from_args(args, parser, skip_mode=score_mode), alpha=alpha)
-            runs = _run_jobs(model, jobs, policy, max_new)
-            scores = [score_case(gen_ids, job.expected_ids) for (_, gen_ids), job in zip(runs, jobs, strict=True)]
-            score = f"{sum(scores) / len(scores):.6f}"
+            score = f"{_score(model, jobs, dataclasses.replace(policy, alpha=alpha), max_new)[0]:.6f}"
         pp = report.average_usage.get(PHASE_PP)
         rg = report.average_usage.get(PHASE_RG)
         rows.append((alpha, pp, rg, score))
@@ -393,25 +398,23 @@ def cmd_report(args, parser) -> int:
 def cmd_compare(args, parser) -> int:
     if not args.suite:
         parser.error("compare requires --suite")
-    skip_mode = args.mode if args.mode != "off" else "skip-identity"
-    skipped = _policy_from_args(args, parser, skip_mode=skip_mode)
+    skipped = _policy_from_args(args, parser)
     model = _model_from_args(args, parser)
     jobs, max_new = _jobs_from_args(args, parser)
 
     columns = {}
     for label, policy in (("not_skipped", dataclasses.replace(skipped, skip_mode=SkipMode.OFF)), ("skipped", skipped)):
-        results = list(_run_jobs(model, jobs, policy, max_new))
-        scores = [score_case(gen_ids, job.expected_ids) for job, (_, gen_ids) in zip(jobs, results)]
-        _, usage = _summarize(TraceColumns.concat(trace for trace, _ in results))
+        score, trace = _score(model, jobs, policy, max_new)
+        _, usage = _summarize(trace)
         columns[label] = {
-            "score": sum(scores) / len(scores),
+            "score": score,
             "pp_usage": usage[PHASE_PP],
             "rg_usage": usage[PHASE_RG],
         }
 
     source = f"seed:{args.seed_model}" if args.seed_model else args.weights
     print(f"suite={args.suite} model={source} layers={model.layer_count} "
-          f"alpha={args.alpha} skip={skip_mode}")
+          f"alpha={args.alpha} skip={args.mode}")
     print(f"{'metric':<12} {'not_skipped':>12} {'skipped':>12}")
     for metric in ("score", "pp_usage", "rg_usage"):
         a = columns["not_skipped"][metric]
@@ -430,9 +433,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return _COMMANDS[args.command](args, args.parser)
+        code = _COMMANDS[args.command](args, args.parser)
+        sys.stdout.flush()  # here, so a closed stdout is met while its error can still be handled
+        return code
     except SystemExit as exc:  # parser.error inside a command
         return int(exc.code) if exc.code is not None else 0
+    except BrokenPipeError:  # stdout's reader has gone: exit 1 quietly, with the exit's flush sent nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,15 +1,15 @@
 """Durable per-token trace records: JSONL streams and void bitmaps.
 
-One record per (sequence, token, phase). Records travel as a
-TraceColumns block, arrays of N records: the model hands its records
-over as one, the writer formats a block with one % template per layer
-count, and the reader returns one; a TraceRecord is one record's view.
-The value rules live in one place, _check, which the writer runs before
-it writes a byte and the reader runs on each chunk it reads. The
-JSONL encoding is byte stable: fixed field order, floats printed with 9
-significant digits (enough to round-trip float32 exactly), flags as
-0/1. Bitmaps are plain PGM (P2, ASCII): one column per token, one row
-per layer with the last layer on top, 255 = activated, 0 = void.
+One record per (sequence, token, phase). Records travel as a TraceColumns
+block, arrays of N records: the model hands its records over as one, the
+writer formats a block with one % template per layer count, and the reader
+returns one; a TraceRecord is one record's view. The type rules live in
+_values, run on each line read and each record from_records takes; the
+value rules in _check, run on each block before it is written and on each
+chunk read. The JSONL encoding is byte stable: fixed field order, floats
+printed with 9 significant digits (enough to round-trip float32 exactly),
+flags as 0/1. Bitmaps are plain PGM (P2, ASCII): one column per token, one
+row per layer with the last layer on top, 255 = activated, 0 = void.
 """
 
 from __future__ import annotations
@@ -84,10 +84,12 @@ class TraceColumns(Sequence):
     def __post_init__(self) -> None:
         n = len(self.sequence_id)
         per_layer = (n, self.layer_flags.shape[-1])
-        for name in _REQUIRED_FIELDS:
-            want = per_layer if name in _LAYER_FIELDS else (n,)
-            if getattr(self, name).shape != want:
-                raise ShapeError(f"{name} has shape {getattr(self, name).shape}, expected {want}")
+        for name, dtype in _COLUMN_DTYPES.items():
+            column, want = getattr(self, name), (per_layer if name in _LAYER_FIELDS else (n,))
+            if column.shape != want:
+                raise ShapeError(f"{name} has shape {column.shape}, expected {want}")
+            if column.dtype != dtype:
+                raise TraceError(f"{name} has dtype {column.dtype}, expected {np.dtype(dtype)}")
 
     @property
     def layer_count(self) -> int:
@@ -128,25 +130,21 @@ class TraceColumns(Sequence):
 
     @classmethod
     def from_records(cls, records: Iterable[TraceRecord]) -> TraceColumns:
-        """The one place records become columns.
+        """The block of the given records, built by the reader's row path.
 
-        Raises ValueError for no records, and TraceError naming the field
-        when a per-layer field's length is not the one layer count that
-        every record shares, or when a value does not fit its column's
-        dtype (such as a token_index of 2^63).
+        Raises ValueError for no records, and TraceError, in the reader's
+        words, where the reader would refuse the record's line by its
+        types (a record's flags may also be bool) or by its layer count.
         """
-        records = list(records)
-        if not records:
+        rows = []
+        for i, r in enumerate(records):
+            values = _values(vars(r), {int, bool})
+            if rows and len(values[4]) != len(rows[0][4]):  # values[4] is layer_flags
+                raise TraceError(f"records mix layer counts: {len(rows[0][4])} in record 0, {len(values[4])} in record {i}")
+            rows.append(values)
+        if not rows:
             raise ValueError("no records to aggregate")
-        columns = []
-        for name in _REQUIRED_FIELDS:  # one list of N values alive at a time
-            values = [getattr(r, name) for r in records]
-            if name in _LAYER_FIELDS:
-                counts = {len(v) for v in values} | {records[0].layer_count}
-                if len(counts) != 1:
-                    raise TraceError(f"records mix layer counts in {name}: {sorted(counts)}")
-            columns.append(_column(name, values))
-        return cls(*columns)
+        return cls(*_chunk(rows, {}))
 
 
 def _require_block(block, caller: str) -> None:
@@ -201,10 +199,12 @@ def _check(block: TraceColumns) -> None:
     def refuse_where(bad: np.ndarray, name: str, rule: str) -> None:
         if bad.any():
             row = int(np.argmax(bad))
-            raise _RowError(row, f"{name} must be {rule}, got {getattr(block, name)[row].item()!r}")
+            raise _RowError(row, f"{name} must be {rule}, got {getattr(block, name).tolist()[row]!r}")
 
     if block.layer_count == 0:
         raise _RowError(0, "a record needs at least one layer")
+    if not {*map(type, block.sequence_id.tolist())} <= {str}:
+        refuse_where(np.array([type(v) is not str for v in block.sequence_id.tolist()]), "sequence_id", "a string")
     refuse_outside("phase", PHASES)
     for name in ("token_index", "token_id"):
         refuse_where(getattr(block, name) < 0, name, "non-negative")
@@ -246,7 +246,7 @@ def record_to_line(r: TraceRecord) -> str:
     tests is perfbench/checks.py's round trip, which ROADMAP item A
     moves onto write_trace.
 
-    Raises TraceError for what the writer refuses.
+    Raises TraceError for what from_records or the writer refuses.
     """
     block = TraceColumns.from_records([r])
     _check(block)
@@ -265,8 +265,7 @@ def write_trace(block: TraceColumns, fh: IO[str]) -> int:
     count = 0
     for text in _chunks(block):
         fh.write(text)
-        # an ASCII string's length is its UTF-8 byte count, and isascii() is O(1)
-        count += len(text) if text.isascii() else len(text.encode("utf-8"))
+        count += len(text)  # every line is ASCII, so its length is its UTF-8 byte count
     return count
 
 
@@ -288,12 +287,12 @@ _SCALAR_TYPES = {"sequence_id": ({str}, "a string"), "token_index": ({int}, "an 
                  "skip_mode": ({str}, "a string")}
 
 
-def _values(obj) -> tuple:
+def _values(obj, flag_types=frozenset({int})) -> tuple:
     """One decoded line's values in field order, after the checks that
     need only the JSON types: every field once and no other, each scalar
-    of its JSON type, flags of exactly 0 or 1, numbers for norms and
-    deltas, and per-layer lists of one length. The value rules are
-    _check's."""
+    of its JSON type, flags of exactly 0 or 1 and of flag_types, numbers
+    for norms and deltas, and per-layer lists of one length. The value
+    rules are _check's."""
     if type(obj) is not dict:
         raise TraceError(f"record must be a JSON object, got {type(obj).__name__}")
     if obj.keys() != _FIELD_SET:
@@ -305,7 +304,7 @@ def _values(obj) -> tuple:
         if type(obj[name]) not in types:
             raise TraceError(f"{name} must be {kind}, got {obj[name]!r}")
     flags = obj["layer_flags"]
-    if type(flags) is not list or not {*map(type, flags)} <= {int} or not {*flags} <= {0, 1}:
+    if type(flags) is not list or not {*map(type, flags)} <= flag_types or not {*flags} <= {0, 1}:
         raise TraceError(f"layer_flags must be a list of 0 and 1, got {flags!r}")
     for name in ("layer_norms", "layer_deltas"):
         if type(obj[name]) is not list or not {*map(type, obj[name])} <= _NUMBER:

@@ -2,15 +2,17 @@ import csv
 import hashlib
 import json
 import os
+import subprocess
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
 from conftest import make_record, write_trace_file
-from lacvoid import (HaltPolicy, ModelConfig, NormGranularity, TraceColumns, build_model, cli, generate, load_weights,
-                     read_trace, run_prompt, save_weights)
+from lacvoid import (HaltPolicy, ModelConfig, NormGranularity, SkipMode, TraceColumns, build_model, cli, generate,
+                     load_weights, read_trace, run_prompt, save_weights)
 from lacvoid.cli import main
 from lacvoid.suites import SuiteCase
 
@@ -532,6 +534,22 @@ class TestCompare:
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("mode", [m.value for m in SkipMode])
+    def test_skipped_score_is_sweeps_score_in_the_same_mode(self, tmp_path, capsys, mode):
+        assert run(["compare", *MODEL, "--suite", "copy", "--alpha", "0.8", "--mode", mode]) == 0
+        out = capsys.readouterr().out
+        assert f"skip={mode}" in out.splitlines()[0]
+        not_skipped, skipped = self.parse_table(out)["score"]
+        if mode in ("off", "detect"):  # neither skips a layer, so both columns score the full stack
+            assert skipped == not_skipped
+        for name, flags in (("default", []), (mode, ["--mode", mode])):
+            assert run(["sweep", *MODEL, "--suite", "copy", "--alphas", "0.8", *flags,
+                        "--out", str(tmp_path / name)]) == 0
+        row, = csv.DictReader((tmp_path / mode / "sweep.csv").read_text().splitlines())
+        assert f"{float(row['task_score']):.4f}" == skipped
+        # sweep records in detect mode whatever --mode scores in
+        assert (tmp_path / mode / "trace.jsonl").read_bytes() == (tmp_path / "default" / "trace.jsonl").read_bytes()
+
     def test_unknown_suite_exits_2(self, tmp_path):
         assert run(["compare", *MODEL, "--suite", "nonsense", "--out", str(tmp_path)]) == 2
 
@@ -546,3 +564,34 @@ class TestCompare:
         missing = tmp_path / "missing.lactnsr"
         assert run(["compare", "--weights", str(missing), "--suite", "copy", flag, value]) == 2
         assert message in usage_error_line(capsys.readouterr().err, "compare")
+
+
+def run_with_closed_stdout(args, cwd, unbuffered):
+    """The lacvoid console command run with stdout a pipe whose read end is already closed."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]),
+                                                                    os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run([sys.executable, "-m", "lacvoid", *args], cwd=cwd, env=env, stdout=write_end,
+                              stderr=subprocess.PIPE, timeout=300)
+    finally:
+        os.close(write_end)
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_trace_exits_1_silently_with_its_trace_written(self, tmp_path, unbuffered):
+        args = ["trace", *MODEL, "--prompt", "hi", "--max-new", "4", "--out"]
+        proc = run_with_closed_stdout([*args, "closed"], tmp_path, unbuffered)
+        assert (proc.returncode, proc.stderr) == (1, b"")
+        assert run([*args, str(tmp_path / "open")]) == 0
+        assert (tmp_path / "closed" / "trace.jsonl").read_bytes() == (tmp_path / "open" / "trace.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_compare_exits_1_silently(self, tmp_path, unbuffered):
+        proc = run_with_closed_stdout(["compare", *MODEL, "--suite", "copy"], tmp_path, unbuffered)
+        assert (proc.returncode, proc.stderr) == (1, b"")

@@ -303,6 +303,21 @@ class TestTraceColumns:
         with pytest.raises(ShapeError, match="layer_norms"):
             dataclasses.replace(block, layer_norms=block.layer_norms[:, :2])
 
+    @pytest.mark.parametrize("name, dtype", [("token_index", np.float64), ("token_id", np.int32),
+                                             ("layer_flags", np.int64), ("alpha", np.float32), ("phase", str)])
+    def test_columns_of_other_dtypes_rejected(self, name, dtype):
+        block = TraceColumns.from_records(random_records(3))
+        with pytest.raises(TraceError, match=f"^{name} has dtype "):
+            dataclasses.replace(block, **{name: getattr(block, name).astype(dtype)})
+
+    def test_a_sequence_id_not_a_string_is_refused_before_a_byte_is_written(self):
+        model = build_model(ModelConfig(layer_count=2, depth=16, head_count=2, ffn_dim=32, max_seq=16, seed=5))
+        _, block = run_prompt(model, ["hi"], HaltPolicy(), [5])
+        buf = io.StringIO()
+        with pytest.raises(TraceError, match="^sequence_id must be a string, got 5$"):
+            write_trace(block, buf)
+        assert buf.getvalue() == ""
+
 
 def with_field(field, raw, line=None):
     """A valid trace line (by default make_record's) with one field's JSON text replaced by raw."""
@@ -552,6 +567,18 @@ class TestConsumersTakeABlock:
         assert buf.getvalue() == "" and not out_dir.exists()
 
 
+# Record fields that from_records refuses by their types, and the reader's message for each.
+TYPE_REFUSED = [
+    ("token_index", 1.5, "token_index must be an integer, got 1.5"),
+    ("token_index", np.int64(3), f"token_index must be an integer, got {np.int64(3)!r}"),
+    ("token_id", True, "token_id must be an integer, got True"),
+    ("layer_flags", [2, 0], "layer_flags must be a list of 0 and 1, got [2, 0]"),
+    ("alpha", "0.5", "alpha must be a number, got '0.5'"),
+    ("sequence_id", 5, "sequence_id must be a string, got 5"),
+    ("layer_norms", (1.0, 2.0), "layer_norms must be a list of numbers, got (1.0, 2.0)"),
+]
+
+
 class TestFromRecords:
     def test_per_layer_field_is_records_by_layers(self):
         records = [make_record(token_index=i, norms=[i, 2 * i]) for i in range(3)]
@@ -567,8 +594,27 @@ class TestFromRecords:
         records = [make_record(), make_record(token_index=1)]
         assert TraceColumns.from_records(records).layer_flags.shape == (2, 2)
         records[1].layer_deltas = [1.0, 1.0, 1.0]
-        with pytest.raises(TraceError, match=r"layer_deltas: \[2, 3\]"):
+        with pytest.raises(TraceError, match=r"^per-layer arrays disagree: .*, 3 layer_deltas$"):
             TraceColumns.from_records(records)
+
+    def test_a_layer_count_other_than_record_0s_names_the_record(self):
+        records = [make_record(), make_record(token_index=1),
+                   make_record(token_index=2, flags=[True] * 3, norms=[1.0] * 3, deltas=[1.0] * 3)]
+        with pytest.raises(TraceError, match=r"^records mix layer counts: 2 in record 0, 3 in record 2$"):
+            TraceColumns.from_records(records)
+
+    @pytest.mark.parametrize("field, value, message", TYPE_REFUSED, ids=[f"{f}-{v!r}" for f, v, _ in TYPE_REFUSED])
+    def test_a_field_of_another_type_is_refused_in_the_readers_words(self, field, value, message):
+        bad = dataclasses.replace(make_record(token_index=1), **{field: value})
+        with pytest.raises(TraceError, match=f"^{re.escape(message)}$"):
+            TraceColumns.from_records([make_record(), bad])
+        with pytest.raises(TraceError, match=f"^{re.escape(message)}$"):
+            record_to_line(bad)
+
+    def test_flags_may_be_bool_or_0_and_1(self):
+        as_bool, as_int = make_record(flags=[True, False]), make_record(flags=[1, 0])
+        assert TraceColumns.from_records([as_bool]) == TraceColumns.from_records([as_int])
+        assert record_to_line(as_bool) == record_to_line(as_int) == reference_line(as_bool)
 
     def test_no_records_rejected(self):
         with pytest.raises(ValueError, match="no records"):
