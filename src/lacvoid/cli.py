@@ -176,7 +176,6 @@ def _add_run_flags(p: argparse.ArgumentParser, with_prompt: bool = True) -> None
         p.add_argument("--prompt-file", help="file with one prompt per line")
     p.add_argument("--suite", choices=SUITE_NAMES, help="synthetic checkable suite")
     p.add_argument("--max-new", type=int, default=16, help="response tokens per sequence")
-    p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--seed", type=int, default=0, help="model/suite seed")
 
 
@@ -187,10 +186,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace = sub.add_parser("trace", help="run PP then RG and write trace.jsonl")
     _add_policy_flags(p_trace)
     _add_run_flags(p_trace)
+    p_trace.add_argument("--out", default=".", help="output directory")
 
     p_sweep = sub.add_parser("sweep", help="trace once, re-threshold offline per alpha")
     _add_policy_flags(p_sweep)
     _add_run_flags(p_sweep)
+    p_sweep.add_argument("--out", default=".", help="output directory")
     p_sweep.add_argument("--alphas", default="", help="comma-separated alpha grid, e.g. 0.1,0.2,...")
     p_sweep.set_defaults(mode="skip-identity")  # the mode of the --suite score runs; the trace is detect's
 
@@ -366,6 +367,10 @@ def cmd_sweep(args, parser) -> int:
     return 0
 
 
+def _bitmap_name(seq_id: str, phase: str) -> str:
+    return f"bitmap_{seq_id}_{phase.lower()}.pgm"
+
+
 def cmd_report(args, parser) -> int:
     trace = read_trace(args.trace)
     if not trace:
@@ -380,14 +385,16 @@ def cmd_report(args, parser) -> int:
                              f"for token_index {token_index}")
         tokens.add((seq_id, token_index))
         groups.setdefault((seq_id, phase), []).append(i)
-    for seq_id, _ in groups:
+    for seq_id, phase in groups:
         if "/" in seq_id or "\0" in seq_id:
             raise ValueError(f"sequence_id {seq_id!r} cannot name a bitmap file: it holds '/' or NUL")
+        if len(os.fsencode(_bitmap_name(seq_id, phase))) > 255:  # NAME_MAX of Linux's common file systems
+            raise ValueError(f"sequence_id {seq_id!r} cannot name a bitmap file: its name is over 255 bytes")
     out_dir = Path(args.out)
     written = list(export_reports(trace, out_dir))  # makes out_dir
     # PP sorts before RG, so each sequence's bitmaps come in phase order
     for (seq_id, phase), rows in sorted(groups.items()):
-        pgm_path = out_dir / f"bitmap_{seq_id}_{phase.lower()}.pgm"
+        pgm_path = out_dir / _bitmap_name(seq_id, phase)
         pgm_path.write_text(render_bitmap(trace[rows]), encoding="utf-8")
         written.append(pgm_path)
     for path in written:

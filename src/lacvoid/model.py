@@ -87,8 +87,10 @@ def sinusoidal_positions(positions, depth: int) -> np.ndarray:
 
 def gelu(x: np.ndarray) -> np.ndarray:
     """tanh approximation, float32 throughout:
-    0.5 * x * (1 + tanh(c * (x + 0.044715 * x * x * x))), computed in
-    place on one temporary with the same operations in the same order."""
+    0.5 * x * (1 + tanh(c * (x + 0.044715 * x * x * x))), with the same
+    operations in the same order. Overwrites a float32 x with the result
+    and returns it (its one caller passes a fresh product); any other
+    input is converted to a new float32 array first. One temporary."""
     x = np.asarray(x, dtype=DTYPE)
     t = x * np.float32(0.044715)
     t *= x
@@ -97,9 +99,9 @@ def gelu(x: np.ndarray) -> np.ndarray:
     t *= np.float32(0.7978845608028654)
     np.tanh(t, out=t)
     t += np.float32(1.0)
-    out = x * np.float32(0.5)
-    out *= t
-    return out
+    x *= np.float32(0.5)
+    x *= t
+    return x
 
 
 class KVCache:
@@ -167,39 +169,66 @@ class TransformerBlock:
         triples that map h's batch rows, in order, to runs of cache rows
         whose n tokens start at one position; attention runs once per run.
 
-        The weight products call np.matmul directly: their operands are
-        contiguous float32, and the model's builders have checked their shapes."""
-        b, n, d = h.shape
-        hd = d // self.head_count
+        The block runs as an attention half and an FFN half, and each
+        half's temporaries are freed when it returns, so attention's
+        buffers are gone before the FFN allocates. The weight products
+        call np.matmul directly: their operands are contiguous float32,
+        and the model's builders have checked their shapes."""
+        return self._ffn(self._attention(h, cache, layer, segments))
 
+    def _qkv(self, h: np.ndarray, cache: KVCache, layer: int, segments) -> tuple[np.ndarray, list]:
+        """Norm and Q/K/V products of h. Writes every segment's keys and values
+        into the cache, and returns q, contiguous (B, heads, n, hd), and each
+        segment's cache views, so the normed input, k and v are freed here."""
         a_in = layer_norm_pre(h, self.ln1_gain)
-        q = self._split_heads(np.matmul(a_in, self.wq))
+        q = np.ascontiguousarray(self._split_heads(np.matmul(a_in, self.wq)))
         k = self._split_heads(np.matmul(a_in, self.wk))
         v = self._split_heads(np.matmul(a_in, self.wv))
-        ctx = np.empty((b, self.head_count, n, hd), dtype=DTYPE)
+        views = []
         i = 0
         for row_start, row_stop, pos_start in segments:
             j = i + row_stop - row_start
-            k_t, v_all = cache.append(layer, slice(row_start, row_stop), pos_start, k[i:j], v[i:j])
-            if k_t.shape[-1] <= 3:  # over so few keys the strided product is not the copy's, bit for bit
-                k_t = np.ascontiguousarray(k_t)
-            # causal softmax in place on the scores buffer
-            scores = np.matmul(np.ascontiguousarray(q[i:j]), k_t)
-            scores /= np.float32(np.sqrt(hd))
-            if n > 1:  # a single query is the newest position, so no key lies in its future
-                future = np.arange(pos_start + n) > np.arange(pos_start, pos_start + n)[:, None]
-                np.copyto(scores, np.float32(-np.inf), where=future)
-            scores -= scores.max(axis=-1, keepdims=True)
-            np.exp(scores, out=scores)
-            scores /= scores.sum(axis=-1, keepdims=True)
-            ctx[i:j] = np.matmul(scores, v_all)
+            views.append(cache.append(layer, slice(row_start, row_stop), pos_start, k[i:j], v[i:j]))
             i = j
-        # each residual sum lands in the fresh matmul output: run_stack may keep h as the prior state
+        return q, views
+
+    def _attention(self, h: np.ndarray, cache: KVCache, layer: int, segments) -> np.ndarray:
+        """h + attn(norm(h)), a fresh array: run_stack may keep h as the prior state."""
+        b, n, d = h.shape
+        q, views = self._qkv(h, cache, layer, segments)
+        ctx = np.empty_like(q)
+        i = 0
+        for (row_start, row_stop, pos_start), (k_t, v_all) in zip(segments, views):
+            j = i + row_stop - row_start
+            _attend(q[i:j], k_t, v_all, pos_start, ctx[i:j])
+            i = j
         attn = np.matmul(ctx.transpose(0, 2, 1, 3).reshape(b, n, d), self.wo)
         attn += h
-        out = np.matmul(gelu(np.matmul(layer_norm_pre(attn, self.ln2_gain), self.w1)), self.w2)
-        out += attn
+        return attn
+
+    def _ffn(self, h: np.ndarray) -> np.ndarray:
+        """h + ffn(norm(h)), a fresh array."""
+        out = np.matmul(gelu(np.matmul(layer_norm_pre(h, self.ln2_gain), self.w1)), self.w2)
+        out += h
         return out
+
+
+def _attend(q: np.ndarray, k_t: np.ndarray, v_all: np.ndarray, pos_start: int, out: np.ndarray) -> None:
+    """Causal softmax attention of one segment's queries (rows, heads, n, hd)
+    over its cache views, written into out; the scores buffer is freed on return."""
+    n, hd = q.shape[-2:]
+    if k_t.shape[-1] <= 3:  # over so few keys the strided product is not the copy's, bit for bit
+        k_t = np.ascontiguousarray(k_t)
+    # causal softmax in place on the scores buffer
+    scores = np.matmul(q, k_t)
+    scores /= np.float32(np.sqrt(hd))
+    if n > 1:  # a single query is the newest position, so no key lies in its future
+        future = np.arange(pos_start + n) > np.arange(pos_start, pos_start + n)[:, None]
+        np.copyto(scores, np.float32(-np.inf), where=future)
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    np.matmul(scores, v_all, out=out)
 
 
 class ToyTransformer:

@@ -247,7 +247,7 @@ def test_comparison_consistency_floor(tmp_path, capsys):
     save_weights(consistency_model(), weights)
     code = cli_main(["compare", "--weights", str(weights), "--suite", "copy",
                      "--alpha", "0.000001", "--mode", "skip-identity",
-                     "--seed", "0", "--out", str(tmp_path)])
+                     "--seed", "0"])
     assert code == 0
     out = capsys.readouterr().out
     table = {}

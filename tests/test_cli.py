@@ -47,6 +47,11 @@ def usage_error_line(err: str, command: str) -> str:
     return line
 
 
+def out_flag(command: str, out) -> list[str]:
+    """--out for the commands that write files; compare writes none and refuses it."""
+    return [] if command == "compare" else ["--out", str(out)]
+
+
 class TestTrace:
     def test_basic_contract(self, tmp_path, capsys):
         code = run(["trace", *MODEL, "--prompt", "hi", "--alpha", "0.8",
@@ -213,7 +218,7 @@ class TestTrace:
     @pytest.mark.parametrize("command", [["trace", "--prompt", "hi"], ["sweep", "--prompt", "hi", "--alphas", "0.5"],
                                          ["compare", "--suite", "copy"]])
     def test_negative_max_new_exits_2(self, tmp_path, capsys, command):
-        assert run([*command, *MODEL, "--max-new", "-5", "--out", str(tmp_path)]) == 2
+        assert run([*command, *MODEL, "--max-new", "-5", *out_flag(command[0], tmp_path)]) == 2
         assert "--max-new must be >= 0, got -5" in capsys.readouterr().err
         assert not (tmp_path / "trace.jsonl").exists()
 
@@ -228,7 +233,7 @@ class TestTrace:
     ])
     def test_refused_policy_flag_exits_2(self, tmp_path, capsys, command, flag, value, message):
         out = tmp_path / "out"
-        assert run([*command, *MODEL, flag, value, "--out", str(out)]) == 2
+        assert run([*command, *MODEL, flag, value, *out_flag(command[0], out)]) == 2
         assert message in usage_error_line(capsys.readouterr().err, command[0])
         assert not out.exists()
 
@@ -238,7 +243,7 @@ class TestTrace:
         # checked once the model is built, before any forward pass or write
         monkeypatch.setattr(cli, "_run_jobs", lambda *a: pytest.fail("a refused run reached _run_jobs"))
         out = tmp_path / "out"
-        assert run([*command, *MODEL, "--min-layers", "9", "--out", str(out)]) == 2
+        assert run([*command, *MODEL, "--min-layers", "9", *out_flag(command[0], out)]) == 2
         assert usage_error_line(capsys.readouterr().err, command[0]).endswith(
             "--min-layers 9 exceeds the model's layer count 4")
         assert not out.exists()
@@ -467,6 +472,25 @@ class TestReport:
         assert "error:" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.rglob("*") if p.is_file()) == ["trace.jsonl"]
 
+    def test_sequence_id_too_long_for_a_file_name_exits_1_before_writing(self, tmp_path, capsys):
+        seq_id = "x" * 300
+        trace = tmp_path / "trace.jsonl"
+        write_trace_file(TraceColumns.from_records([make_record(seq=seq_id)]), trace)
+        out = tmp_path / "out"
+        assert run(["report", "--trace", str(trace), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and seq_id in err
+        assert not out.exists()
+
+    # "bitmap_" + id + "_pp.pgm" is 14 bytes plus the id's: 255 is the longest file name, counted in utf-8 bytes
+    @pytest.mark.parametrize("seq_id, code", [("é" * 120 + "x", 0), ("é" * 121, 1)], ids=["255-bytes", "256-bytes"])
+    def test_bitmap_names_are_limited_to_255_utf8_bytes(self, tmp_path, seq_id, code):
+        trace = tmp_path / "trace.jsonl"
+        write_trace_file(TraceColumns.from_records([make_record(seq=seq_id)]), trace)
+        out = tmp_path / "out"
+        assert run(["report", "--trace", str(trace), "--out", str(out)]) == code
+        assert (out / f"bitmap_{seq_id}_pp.pgm").exists() == (code == 0)
+
     def test_duplicate_token_records_exit_1(self, tmp_path, capsys):
         assert run(["trace", *MODEL, "--prompt", "hi", "--max-new", "3", "--out", str(tmp_path / "t")]) == 0
         once = (tmp_path / "t" / "trace.jsonl").read_text(encoding="utf-8")
@@ -516,21 +540,20 @@ class TestCompare:
                 rows[parts[0]] = (parts[1], parts[2])
         return rows
 
-    def test_off_vs_detect_identical_scores(self, tmp_path, capsys):
-        assert run(["compare", *MODEL, "--suite", "copy", "--mode", "detect",
-                    "--out", str(tmp_path)]) == 0
+    def test_off_vs_detect_identical_scores(self, capsys):
+        assert run(["compare", *MODEL, "--suite", "copy", "--mode", "detect"]) == 0
         rows = self.parse_table(capsys.readouterr().out)
         assert rows["score"][0] == rows["score"][1]
 
-    def test_default_skip_side_is_skip_identity(self, tmp_path, capsys):
-        assert run(["compare", *MODEL, "--suite", "copy", "--out", str(tmp_path)]) == 0
+    def test_default_skip_side_is_skip_identity(self, capsys):
+        assert run(["compare", *MODEL, "--suite", "copy"]) == 0
         header = capsys.readouterr().out.splitlines()[0]
         assert "skip=skip-identity" in header
 
-    def test_deterministic_score_pair(self, tmp_path, capsys):
+    def test_deterministic_score_pair(self, capsys):
         outs = []
         for _ in range(2):
-            assert run(["compare", *MODEL, "--suite", "copy", "--out", str(tmp_path)]) == 0
+            assert run(["compare", *MODEL, "--suite", "copy"]) == 0
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1]
 
@@ -550,11 +573,19 @@ class TestCompare:
         # sweep records in detect mode whatever --mode scores in
         assert (tmp_path / mode / "trace.jsonl").read_bytes() == (tmp_path / "default" / "trace.jsonl").read_bytes()
 
-    def test_unknown_suite_exits_2(self, tmp_path):
-        assert run(["compare", *MODEL, "--suite", "nonsense", "--out", str(tmp_path)]) == 2
+    def test_unknown_suite_exits_2(self, capsys):
+        assert run(["compare", *MODEL, "--suite", "nonsense"]) == 2
+        assert "invalid choice: 'nonsense'" in usage_error_line(capsys.readouterr().err, "compare")
 
-    def test_requires_suite(self, tmp_path):
-        assert run(["compare", *MODEL, "--out", str(tmp_path)]) == 2
+    def test_requires_suite(self, capsys):
+        assert run(["compare", *MODEL]) == 2
+        assert usage_error_line(capsys.readouterr().err, "compare").endswith("compare requires --suite")
+
+    def test_out_is_refused(self, tmp_path, capsys):
+        # compare writes no file, so it takes no output directory
+        assert run(["compare", *MODEL, "--suite", "copy", "--out", str(tmp_path / "x")]) == 2
+        assert "unrecognized arguments: --out" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--alpha", "0", "alpha must be in (0, 1], got 0.0"),
