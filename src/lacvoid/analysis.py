@@ -144,22 +144,13 @@ def export_reports(trace: TraceColumns, out_dir) -> tuple[Path, Path]:
     csv_path = out_dir / f"{REPORT_STEM}.csv"
     json_path = out_dir / f"{REPORT_STEM}_summary.json"
 
-    def cell(mapping, phase, layer):
-        return _fmt(mapping[phase][layer]) if phase in mapping else ""
-
+    columns = [stat.get(phase) for stat in (usage.frequencies, profile.mean_norms, profile.mean_deltas)
+               for phase in PHASES]  # CSV_HEADER's order
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         for layer in range(usage.layer_count):
-            writer.writerow([
-                layer + 1,
-                cell(usage.frequencies, "PP", layer),
-                cell(usage.frequencies, "RG", layer),
-                cell(profile.mean_norms, "PP", layer),
-                cell(profile.mean_norms, "RG", layer),
-                cell(profile.mean_deltas, "PP", layer),
-                cell(profile.mean_deltas, "RG", layer),
-            ])
+            writer.writerow([layer + 1] + ["" if c is None else _fmt(c[layer]) for c in columns])
 
     summary = {
         "layer_count": usage.layer_count,

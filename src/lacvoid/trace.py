@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import io
 import json
 import operator
+import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
@@ -233,24 +235,24 @@ _CHUNK_ROWS = 512
 def _chunks(block: TraceColumns) -> Iterator[str]:
     """The JSONL lines of a checked block, each ending in a newline, _CHUNK_ROWS lines a piece."""
     for start in range(0, len(block), _CHUNK_ROWS):
-        part = block[start:start + _CHUNK_ROWS]
-        columns = (_quoted(part.sequence_id), part.token_index.tolist(), part.phase.tolist(), part.token_id.tolist(),
-                   *part.layer_flags.T.tolist(), *part.layer_norms.T.tolist(), *part.layer_deltas.T.tolist(),
-                   part.alpha.tolist(), _quoted(part.formula), _quoted(part.skip_mode))
-        yield "".join(map(_template(part.layer_count).__mod__, zip(*columns)))
+        seq, index, phase, token, flags, norms, deltas, alpha, formula, skip_mode = (
+            c[start:start + _CHUNK_ROWS] for c in block._columns())
+        columns = (_quoted(seq), index.tolist(), phase.tolist(), token.tolist(), *flags.T.tolist(),
+                   *norms.T.tolist(), *deltas.T.tolist(), alpha.tolist(), _quoted(formula), _quoted(skip_mode))
+        yield "".join(map(_template(block.layer_count).__mod__, zip(*columns)))
 
 
 def record_to_line(r: TraceRecord) -> str:
-    """One JSONL line, fixed field order, no trailing newline: the
-    writer's output for a one-record block. Its last caller outside the
-    tests is perfbench/checks.py's round trip, which ROADMAP item A
-    moves onto write_trace.
+    """One JSONL line, fixed field order, no trailing newline: write_trace
+    of the one-record block. Its last caller outside the tests is
+    perfbench/checks.py's round trip, which ROADMAP item A moves onto
+    write_trace.
 
     Raises TraceError for what from_records or the writer refuses.
     """
-    block = TraceColumns.from_records([r])
-    _check(block)
-    return next(_chunks(block))[:-1]
+    buf = io.StringIO()
+    write_trace(TraceColumns.from_records([r]), buf)
+    return buf.getvalue()[:-1]
 
 
 def write_trace(block: TraceColumns, fh: IO[str]) -> int:
@@ -315,27 +317,27 @@ def _values(obj, flag_types=frozenset({int})) -> tuple:
 
 
 def read_trace(source) -> TraceColumns:
-    """Parse a JSONL trace from a path, file object, or iterable of lines
+    """Parse a JSONL trace from a path (str, bytes or os.PathLike) or any
+    other iterable of text, such as a file object, a list or a generator,
     into one block; a trace with no records gives an empty block.
 
-    A path or file object is read a line at a time, never whole, and its
-    lines are split as str.splitlines splits the text. A refused line
-    raises TraceError naming its 1-based line number. Each line is
-    checked for what its JSON types decide as it is read, and each chunk
-    of _CHUNK_ROWS records against the writer's value rules once built,
-    so the read stops at the first chunk holding a refused line, where a
-    line refused by its JSON types wins over an earlier value error.
+    A path is read a line at a time, never whole. Each piece of text is
+    split as str.splitlines splits it, and an empty piece is a blank line.
+    A refused line raises TraceError naming its 1-based line number. Each
+    line is checked for what its JSON types decide as it is read, and
+    each chunk of _CHUNK_ROWS records against the writer's value rules
+    once built, so the read stops at the first chunk holding a refused
+    line, where a line refused by its JSON types wins over an earlier
+    value error.
     """
-    if isinstance(source, (list, tuple)):
-        return _read_lines(source, "<stream>")
-    if hasattr(source, "read"):
-        return _read_lines(_split(source), "<stream>")
-    with open(source, encoding="utf-8") as fh:
-        return _read_lines(_split(fh), str(source))
+    if isinstance(source, (str, bytes, os.PathLike)):
+        with open(source, encoding="utf-8") as fh:
+            return _read_lines(_split(fh), str(source))
+    return _read_lines(_split(source), "<stream>")
 
 
 def _split(pieces: Iterable[str]) -> Iterator[str]:
-    r"""The lines of a text read piece by piece, each piece ending at a line end.
+    r"""The lines of a text read piece by piece, each piece ending at a line end or at the text's end.
 
     A file opened with newline="\r" ends its pieces at the "\r" of a
     "\r\n", so the next piece's leading "\n" belongs to that line end."""
@@ -344,7 +346,7 @@ def _split(pieces: Iterable[str]) -> Iterator[str]:
         if after_cr and piece.startswith("\n"):
             piece = piece[1:]
         after_cr = piece.endswith("\r")
-        yield from piece.splitlines()
+        yield from piece.splitlines() or [piece]
 
 
 def _chunk(rows: list[tuple], strings: dict[str, str]) -> list[np.ndarray]:
