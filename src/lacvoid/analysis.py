@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .halting import SkipMode, offline_void_mask
+from .halting import SkipMode, _check_rule_args, offline_void_mask
 from .trace import PHASES, TraceColumns, _require_block
 
 __all__ = [
@@ -114,15 +114,21 @@ def alpha_sweep(trace: TraceColumns, alphas, min_layers: int = 1) -> list[tuple[
     do not correspond to any single forward pass: ValueError names any
     other skip mode. The deltas are replayed per token, so the sweep
     matches a live run at token granularity only. Each alpha is one
-    offline_void_mask call over the (N, T) delta matrix.
+    offline_void_mask call over the (N, T) delta matrix; a block with no
+    records makes none and gives a report with no phases per alpha.
     """
     _require_block(trace, "alpha_sweep")
     altered = set(trace.skip_mode.tolist()) - {SkipMode.OFF.value, SkipMode.DETECT.value}
     if altered:
         raise ValueError(f"alpha_sweep replays traces of off or detect runs, got skip_mode {sorted(altered)}")
-    return [(float(alpha), _usage_from_columns(~offline_void_mask(trace.layer_deltas, alpha, min_layers),
-                                               trace.phase, float(alpha)))
-            for alpha in alphas]
+
+    def kept(alpha):
+        if not trace:  # such a block may have no layers (an empty file's), which offline_void_mask refuses
+            _check_rule_args(alpha, min_layers)
+            return trace.layer_flags
+        return ~offline_void_mask(trace.layer_deltas, alpha, min_layers)
+
+    return [(float(alpha), _usage_from_columns(kept(alpha), trace.phase, float(alpha))) for alpha in alphas]
 
 
 def _fmt(x: float) -> str:

@@ -83,22 +83,22 @@ def _pp_batches(lengths: list[int], max_seq: int):
 
 
 def _run_group(model: ToyTransformer, group: list[SuiteCase], capacity: int, policy: HaltPolicy,
-               max_new: int, pool: ThreadPoolExecutor) -> list:
+               max_new: int, pool: ThreadPoolExecutor) -> list[TraceColumns]:
     """PP of equal-length prompts in batches on `pool`, then RG of the group as one batch.
 
-    Each prompt is checked before it is batched, so a prompt that
-    run_prompt refuses fails alone, with its own ValueError. Returns, in
-    input order, (trace, generated ids) per job or the ValueError that
-    stopped it; a job's trace holds its PP records, then its RG ones.
+    Returns each job's records, PP then RG, in input order. Each prompt
+    is checked before it is batched, so a prompt that run_prompt refuses
+    fails alone. The group finishes even when a job fails; then the
+    ValueError of its first failing job in input order is raised.
     """
-    results: list = [None] * len(group)
+    errors: dict[int, ValueError] = {}  # job index -> the error that stopped it
     for i, job in enumerate(group):
         try:
             _prompt_ids(job.prompt_ids, model.config)
         except ValueError as exc:
-            results[i] = exc
+            errors[i] = exc
     # rows in prompt-length order, so equal-length prompts, and rows decoding at one position, are adjacent
-    by_length = sorted((i for i in range(len(group)) if results[i] is None), key=lambda i: len(group[i].prompt_ids))
+    by_length = sorted((i for i in range(len(group)) if i not in errors), key=lambda i: len(group[i].prompt_ids))
     lengths = [len(group[i].prompt_ids) for i in by_length]
     cache = model.new_cache(len(by_length), capacity)
 
@@ -114,27 +114,21 @@ def _run_group(model: ToyTransformer, group: list[SuiteCase], capacity: int, pol
         for b, i in enumerate(by_length[start:stop]):
             pp[i] = states[b], trace[b * n:(b + 1) * n]
     states = [state for state, _ in pp.values()]
-    gen_ids, rg_traces = generate(states, model, policy, max_new)
-    for i, state, ids, rg in zip(pp, states, gen_ids, rg_traces):
-        results[i] = state.error if state.error is not None else (pp[i][1] + rg, ids)
-    return results
+    rg = dict(zip(pp, generate(states, model, policy, max_new)[1]))  # job index -> RG trace
+    errors.update((i, state.error) for i, state in zip(pp, states) if state.error is not None)
+    if errors:
+        raise errors[min(errors)]
+    return [pp[i][1] + rg[i] for i in range(len(group))]
 
 
 def _run_jobs(model: ToyTransformer, jobs: list[SuiteCase], policy: HaltPolicy, max_new: int):
-    """Run each sequence (PP then RG); yields (trace, generated ids) per
-    job in input order, one group at a time.
-
-    A group finishes even when one of its jobs fails; then the error of
-    the first failing job, in input order, is raised in place of its result.
-    """
+    """Run each sequence (PP then RG); yields each job's records in input
+    order, one group at a time. Raises as _run_group does, before any of
+    the failing group's jobs is yielded."""
     workers = min(len(jobs), os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for group, capacity in _groups(model, jobs, max_new, workers):
-            # the loop holds the group's results only until it has yielded them
-            for res in _run_group(model, group, capacity, policy, max_new, pool):
-                if isinstance(res, ValueError):
-                    raise res
-                yield res
+            yield from _run_group(model, group, capacity, policy, max_new, pool)
 
 
 def _parse_seed_model(text: str, seed: int) -> ModelConfig:
@@ -258,10 +252,12 @@ def _jobs_from_args(args, parser) -> tuple[list[SuiteCase], int]:
 
 
 def _score(model: ToyTransformer, jobs: list[SuiteCase], policy: HaltPolicy, max_new: int) -> tuple[float, TraceColumns]:
-    """The mean score of the suite jobs' generations under policy, and their trace."""
-    results = list(_run_jobs(model, jobs, policy, max_new))
-    scores = [score_case(gen_ids, job.expected_ids) for job, (_, gen_ids) in zip(jobs, results, strict=True)]
-    return sum(scores) / len(scores), TraceColumns.concat(trace for trace, _ in results)
+    """The mean score of the suite jobs' generations under policy, read from their
+    RG records' token ids, and the run's records; raises as _run_jobs does."""
+    blocks = list(_run_jobs(model, jobs, policy, max_new))
+    scores = [score_case(block.token_id[block.phase == PHASE_RG], job.expected_ids)
+              for job, block in zip(jobs, blocks, strict=True)]
+    return sum(scores) / len(scores), TraceColumns.concat(blocks)
 
 
 def _summarize(trace: TraceColumns) -> tuple[dict[str, int], dict[str, float | None]]:
@@ -297,7 +293,7 @@ def cmd_trace(args, parser) -> int:
 
     summaries = []
     with _trace_file(Path(args.out)) as fh:
-        for (trace, _), job in zip(_run_jobs(model, jobs, policy, max_new), jobs, strict=True):
+        for trace, job in zip(_run_jobs(model, jobs, policy, max_new), jobs, strict=True):
             write_trace(trace, fh)
             tokens, usage = _summarize(trace)
             summaries.append(f"{job.sequence_id}: pp_tokens={tokens[PHASE_PP]} rg_tokens={tokens[PHASE_RG]} "
@@ -340,7 +336,7 @@ def cmd_sweep(args, parser) -> int:
     model = _model_from_args(args, parser)
     jobs, max_new = _jobs_from_args(args, parser)
     detect = dataclasses.replace(policy, skip_mode=SkipMode.DETECT)
-    trace = TraceColumns.concat(t for t, _ in _run_jobs(model, jobs, detect, max_new))
+    trace = TraceColumns.concat(_run_jobs(model, jobs, detect, max_new))
 
     out_dir = Path(args.out)
     with _trace_file(out_dir) as fh:
@@ -409,23 +405,17 @@ def cmd_compare(args, parser) -> int:
     model = _model_from_args(args, parser)
     jobs, max_new = _jobs_from_args(args, parser)
 
-    columns = {}
-    for label, policy in (("not_skipped", dataclasses.replace(skipped, skip_mode=SkipMode.OFF)), ("skipped", skipped)):
+    columns = []  # (score, pp_usage, rg_usage) of not_skipped, then of skipped
+    for policy in (dataclasses.replace(skipped, skip_mode=SkipMode.OFF), skipped):
         score, trace = _score(model, jobs, policy, max_new)
         _, usage = _summarize(trace)
-        columns[label] = {
-            "score": score,
-            "pp_usage": usage[PHASE_PP],
-            "rg_usage": usage[PHASE_RG],
-        }
+        columns.append((score, usage[PHASE_PP], usage[PHASE_RG]))
 
     source = f"seed:{args.seed_model}" if args.seed_model else args.weights
     print(f"suite={args.suite} model={source} layers={model.layer_count} "
           f"alpha={args.alpha} skip={args.mode}")
     print(f"{'metric':<12} {'not_skipped':>12} {'skipped':>12}")
-    for metric in ("score", "pp_usage", "rg_usage"):
-        a = columns["not_skipped"][metric]
-        b = columns["skipped"][metric]
+    for metric, a, b in zip(("score", "pp_usage", "rg_usage"), *columns):
         print(f"{metric:<12} {_fmt_usage(a):>12} {_fmt_usage(b):>12}")
     return 0
 

@@ -14,6 +14,7 @@ from lacvoid import (
     export_reports,
     norm_profile,
     offline_void_mask,
+    read_trace,
     run_stack,
     usage_report,
 )
@@ -72,12 +73,25 @@ class TestUsageReport:
         with pytest.raises(TraceError):
             usage_report(TraceColumns.from_records(records))
 
-    def test_empty_block_gives_no_phases(self):
-        report = usage_report(TraceColumns.empty(3))
-        assert (report.layer_count, report.alpha) == (3, None)
+    @pytest.mark.parametrize("source", ["empty-block", "empty-file"])
+    def test_empty_block_gives_no_phases(self, tmp_path, source):
+        # read_trace gives an empty file's block no layers; TraceColumns.empty keeps its 3
+        if source == "empty-file":
+            (tmp_path / "trace.jsonl").write_text("", encoding="utf-8")
+            block, layers = read_trace(tmp_path / "trace.jsonl"), 0
+        else:
+            block, layers = TraceColumns.empty(3), 3
+        report = usage_report(block)
+        assert (report.layer_count, report.alpha) == (layers, None)
         assert report.frequencies == report.average_usage == report.token_counts == {}
-        profile = norm_profile(TraceColumns.empty(3))
-        assert profile.layer_count == 3 and profile.mean_norms == profile.mean_deltas == {}
+        profile = norm_profile(block)
+        assert profile.layer_count == layers and profile.mean_norms == profile.mean_deltas == {}
+        sweep = alpha_sweep(block, [0.5, 1.0])
+        assert [(alpha, report.alpha) for alpha, report in sweep] == [(0.5, 0.5), (1.0, 1.0)]
+        for _, report in sweep:
+            assert report.frequencies == report.average_usage == report.token_counts == {}
+        with pytest.raises(ValueError, match=r"^alpha must be in \(0, 1\], got 1\.5$"):
+            alpha_sweep(block, [1.5])
 
 
 class TestNormProfile:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -14,7 +15,7 @@ from conftest import make_record, write_trace_file
 from lacvoid import (HaltPolicy, ModelConfig, NormGranularity, SkipMode, TraceColumns, build_model, cli, generate,
                      load_weights, read_trace, run_prompt, save_weights)
 from lacvoid.cli import main
-from lacvoid.suites import SuiteCase
+from lacvoid.suites import SuiteCase, build_suite
 
 MODEL = ["--seed-model", "d16,h2,l4", "--seed", "3"]
 
@@ -141,13 +142,28 @@ class TestTrace:
         model = load_weights(weights)
         jobs = [SuiteCase(f"seq{i}", tuple(p.encode())) for i, p in enumerate(["abc", "ab~", "bca", "a}c"])]
         with ThreadPoolExecutor(max_workers=1) as pool:
-            results = cli._run_group(model, jobs, 8, HaltPolicy(), 3, pool)
-        assert [str(r) for r in results[1::2]] == ["token id 126 outside vocabulary [0, 100)",
-                                                   "token id 125 outside vocabulary [0, 100)"]
-        for job, (trace, ids) in zip(jobs[::2], results[::2]):
+            with pytest.raises(ValueError, match=r"^token id 126 outside vocabulary \[0, 100\)$"):
+                cli._run_group(model, jobs, 8, HaltPolicy(), 3, pool)
+            blocks = cli._run_group(model, jobs[::2], 8, HaltPolicy(), 3, pool)
+        assert len(blocks) == 2
+        for job, block in zip(jobs[::2], blocks):
             (state,), pp = run_prompt(model, [job.prompt_ids], HaltPolicy(), [job.sequence_id])
-            (ref_ids,), (rg,) = generate([state], model, HaltPolicy(), 3)
-            assert ids == ref_ids and trace == pp + rg
+            _, (rg,) = generate([state], model, HaltPolicy(), 3)
+            assert block == pp + rg
+
+    def test_refused_prompt_in_a_shared_pp_batch_does_not_hide_an_earlier_rg_failure(self, tmp_path, capsys):
+        # equal-length prompts would share one PP batch; seq000 overflows max_seq 8 while decoding,
+        # and seq001's byte 126 lies outside a 100-id vocabulary, refused before it is batched
+        weights = tmp_path / "small.lactnsr"
+        save_weights(build_model(ModelConfig(layer_count=2, depth=8, head_count=2, ffn_dim=16, vocab_size=100,
+                                             max_seq=8)), weights)
+        pf = tmp_path / "prompts.txt"
+        pf.write_text("abcabc\nabcab~\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["trace", "--weights", str(weights), "--prompt-file", str(pf), "--max-new", "12",
+                    "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", "error: position 8 overflows max_seq 8\n")
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("lengths, batches", [
         ([16] * 8, [(0, 8)]),  # the decode workload
@@ -572,6 +588,21 @@ class TestCompare:
         assert f"{float(row['task_score']):.4f}" == skipped
         # sweep records in detect mode whatever --mode scores in
         assert (tmp_path / mode / "trace.jsonl").read_bytes() == (tmp_path / "default" / "trace.jsonl").read_bytes()
+
+    def test_skipped_score_reads_the_generated_records(self, monkeypatch, capsys):
+        # each case expects the model's own skip-identity generation, so only the RG records score 1
+        policy = HaltPolicy(alpha=0.8, skip_mode=SkipMode.SKIP_IDENTITY)
+        model = build_model(ModelConfig(layer_count=4, depth=16, head_count=2, ffn_dim=64, seed=0))
+        cases = []
+        for case in build_suite("copy", 0):
+            (state,), _ = run_prompt(model, [case.prompt_ids], policy, [case.sequence_id])
+            (ids,), _ = generate([state], model, policy, 8)
+            cases.append(dataclasses.replace(case, expected_ids=tuple(ids)))
+        assert [len(case.expected_ids) for case in cases] == [8] * len(cases)
+        monkeypatch.setattr(cli, "build_suite", lambda name, seed: cases)
+        assert run(["compare", "--seed-model", "d16,h2,l4", "--seed", "0", "--suite", "copy", "--alpha", "0.8"]) == 0
+        not_skipped, skipped = self.parse_table(capsys.readouterr().out)["score"]
+        assert skipped == "1.0000" and not_skipped != skipped
 
     def test_unknown_suite_exits_2(self, capsys):
         assert run(["compare", *MODEL, "--suite", "nonsense"]) == 2
