@@ -326,7 +326,8 @@ def cmd_sweep(args, parser) -> int:
 
     Usage columns come from the recorded progress (offline replay), so
     they are monotone in alpha by construction. For suites, the score
-    column re-runs generation in --mode at each alpha.
+    column re-runs generation in --mode at each alpha. Nothing is written
+    until the baseline and every score run have succeeded.
     """
     alphas = _parse_alphas(args.alphas, parser)
     if args.granularity != NormGranularity.TOKEN.value:
@@ -338,10 +339,6 @@ def cmd_sweep(args, parser) -> int:
     detect = dataclasses.replace(policy, skip_mode=SkipMode.DETECT)
     trace = TraceColumns.concat(_run_jobs(model, jobs, detect, max_new))
 
-    out_dir = Path(args.out)
-    with _trace_file(out_dir) as fh:
-        write_trace(trace, fh)
-
     sweep = alpha_sweep(trace, alphas, args.min_layers)
     rows = []
     for alpha, report in sweep:
@@ -352,6 +349,9 @@ def cmd_sweep(args, parser) -> int:
         rg = report.average_usage.get(PHASE_RG)
         rows.append((alpha, pp, rg, score))
 
+    out_dir = Path(args.out)
+    with _trace_file(out_dir) as fh:
+        write_trace(trace, fh)
     sweep_path = out_dir / "sweep.csv"
     with open(sweep_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("alpha,pp_usage,rg_usage,task_score\n")

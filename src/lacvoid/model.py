@@ -164,44 +164,35 @@ class TransformerBlock:
         hd = d // self.head_count
         return x.reshape(b, n, self.head_count, hd).transpose(0, 2, 1, 3)
 
-    def forward(self, h: np.ndarray, cache: KVCache, layer: int, segments) -> np.ndarray:
-        """One block over h (B, n, D). segments are (row_start, row_stop, pos_start)
-        triples that map h's batch rows, in order, to runs of cache rows
-        whose n tokens start at one position; attention runs once per run.
+    def forward(self, h: np.ndarray, cache: KVCache, layer: int, runs) -> np.ndarray:
+        """One block over h (B, n, D). runs are stack_for's (batch slice, cache-row
+        slice, first position) triples, each a run of cache rows whose n tokens
+        start at one position; attention runs once per run.
 
         The block runs as an attention half and an FFN half, and each
         half's temporaries are freed when it returns, so attention's
         buffers are gone before the FFN allocates. The weight products
         call np.matmul directly: their operands are contiguous float32,
         and the model's builders have checked their shapes."""
-        return self._ffn(self._attention(h, cache, layer, segments))
+        return self._ffn(self._attention(h, cache, layer, runs))
 
-    def _qkv(self, h: np.ndarray, cache: KVCache, layer: int, segments) -> tuple[np.ndarray, list]:
-        """Norm and Q/K/V products of h. Writes every segment's keys and values
+    def _qkv(self, h: np.ndarray, cache: KVCache, layer: int, runs) -> tuple[np.ndarray, list]:
+        """Norm and Q/K/V products of h. Writes every run's keys and values
         into the cache, and returns q, contiguous (B, heads, n, hd), and each
-        segment's cache views, so the normed input, k and v are freed here."""
+        run's cache views, so the normed input, k and v are freed here."""
         a_in = layer_norm_pre(h, self.ln1_gain)
         q = np.ascontiguousarray(self._split_heads(np.matmul(a_in, self.wq)))
         k = self._split_heads(np.matmul(a_in, self.wk))
         v = self._split_heads(np.matmul(a_in, self.wv))
-        views = []
-        i = 0
-        for row_start, row_stop, pos_start in segments:
-            j = i + row_stop - row_start
-            views.append(cache.append(layer, slice(row_start, row_stop), pos_start, k[i:j], v[i:j]))
-            i = j
-        return q, views
+        return q, [cache.append(layer, rows, pos, k[batch], v[batch]) for batch, rows, pos in runs]
 
-    def _attention(self, h: np.ndarray, cache: KVCache, layer: int, segments) -> np.ndarray:
+    def _attention(self, h: np.ndarray, cache: KVCache, layer: int, runs) -> np.ndarray:
         """h + attn(norm(h)), a fresh array: run_stack may keep h as the prior state."""
         b, n, d = h.shape
-        q, views = self._qkv(h, cache, layer, segments)
+        q, views = self._qkv(h, cache, layer, runs)
         ctx = np.empty_like(q)
-        i = 0
-        for (row_start, row_stop, pos_start), (k_t, v_all) in zip(segments, views):
-            j = i + row_stop - row_start
-            _attend(q[i:j], k_t, v_all, pos_start, ctx[i:j])
-            i = j
+        for (batch, _, pos), (k_t, v_all) in zip(runs, views):
+            _attend(q[batch], k_t, v_all, pos, ctx[batch])
         attn = np.matmul(ctx.transpose(0, 2, 1, 3).reshape(b, n, d), self.wo)
         attn += h
         return attn
@@ -214,7 +205,7 @@ class TransformerBlock:
 
 
 def _attend(q: np.ndarray, k_t: np.ndarray, v_all: np.ndarray, pos_start: int, out: np.ndarray) -> None:
-    """Causal softmax attention of one segment's queries (rows, heads, n, hd)
+    """Causal softmax attention of one run's queries (rows, heads, n, hd)
     over its cache views, written into out; the scores buffer is freed on return."""
     n, hd = q.shape[-2:]
     if k_t.shape[-1] <= 3:  # over so few keys the strided product is not the copy's, bit for bit
@@ -254,16 +245,15 @@ class ToyTransformer:
     def stack_for(self, cache: KVCache, rows, starts) -> list[StepFn]:
         """Stack of step functions bound to one cache: batch row i of the
         hidden state is cache row rows[i], its tokens starting at position
-        starts[i]. Adjacent rows at one position share an attention call."""
-        segments: list[list[int]] = []
-        for row, pos in zip(rows, starts):
-            if segments and segments[-1][1] == row and segments[-1][2] == pos:
-                segments[-1][1] += 1
-            else:
-                segments.append([int(row), int(row) + 1, int(pos)])
+        starts[i]. Adjacent rows at one position form a run, resolved here once
+        per step as (batch slice, cache-row slice, first position)."""
+        rows, starts = [int(r) for r in rows], [int(p) for p in starts]
+        cuts = [b for b in range(1, len(rows)) if rows[b] != rows[b - 1] + 1 or starts[b] != starts[b - 1]]
+        bounds = [0, *cuts, len(rows)]
+        runs = [(slice(i, j), slice(rows[i], rows[i] + j - i), starts[i]) for i, j in zip(bounds, bounds[1:])]
 
         def bind(i, block):
-            return lambda h: block.forward(h, cache, i, segments)
+            return lambda h: block.forward(h, cache, i, runs)
         return [bind(i, blk) for i, blk in enumerate(self.blocks)]
 
     def logits_from_hidden(self, h: np.ndarray) -> np.ndarray:
@@ -329,10 +319,17 @@ def save_weights(model: ToyTransformer, path) -> int:
 
     The structural config rides along as a reserved "config" tensor of
     six values (layer_count, depth, head_count, ffn_dim, vocab_size,
-    max_seq); the build seed is not persisted.
+    max_seq); the build seed is not persisted. float32 holds every integer
+    up to 2**24 exactly, so a larger field raises ValueError naming it,
+    before the file is opened.
     """
+    values = [getattr(model.config, f) for f in _CONFIG_FIELDS]
+    for name, value in zip(_CONFIG_FIELDS, values):
+        if value > 2 ** 24:
+            raise ValueError(f"config field {name} = {value} is over 2**24, "
+                             "so the container's float32 'config' tensor cannot hold it exactly")
     tensors = model.named_tensors()
-    tensors["config"] = np.array([getattr(model.config, f) for f in _CONFIG_FIELDS], dtype=DTYPE)
+    tensors["config"] = np.array(values, dtype=DTYPE)
     return save_container(tensors, path)
 
 
@@ -342,7 +339,7 @@ def load_weights(path) -> ToyTransformer:
     if "config" not in tensors:
         raise ContainerError(f"{path}: missing 'config' tensor")
     raw = tensors["config"]
-    if raw.shape != (len(_CONFIG_FIELDS),) or not np.all(raw == np.round(raw)):
+    if raw.shape != (len(_CONFIG_FIELDS),) or not np.all(np.isfinite(raw) & (raw == np.round(raw))):
         raise ContainerError(f"{path}: malformed 'config' tensor")
     config = ModelConfig(**{f: int(x) for f, x in zip(_CONFIG_FIELDS, raw)}, seed=0)
     # embed, ln_f.gain and each block's, checked before _tensor_shapes grows with the claim;
@@ -396,11 +393,15 @@ def _prompt_ids(tokens, config: ModelConfig) -> list[int]:
     return ids
 
 
-def _check_rows(rows, cache: KVCache) -> None:
-    """ValueError naming the first of rows outside the cache's rows."""
-    outside = [r for r in rows if not 0 <= r < cache.rows]
-    if outside:
-        raise ValueError(f"cache row {outside[0]} is outside the cache's {cache.rows} rows [0, {cache.rows})")
+def _check_rows(rows, held: int) -> None:
+    """ValueError naming the first of rows outside a cache's `held` rows or repeated."""
+    seen = set()
+    for r in rows:
+        if not 0 <= r < held:
+            raise ValueError(f"cache row {r} is outside the cache's {held} rows [0, {held})")
+        if r in seen:
+            raise ValueError(f"cache row {r} is given twice: a batch needs distinct cache rows")
+        seen.add(r)
 
 
 def _forward(model: ToyTransformer, cache: KVCache, rows, starts, ids, phase: str, sequence_ids,
@@ -463,14 +464,13 @@ def run_prompt(model: ToyTransformer, prompts, policy: HaltPolicy, sequence_ids,
     if not 0 < len(prompts) == len(sequence_ids) == len(rows):
         raise ValueError(f"a batch needs as many prompts, sequence ids and rows, at least one: "
                          f"got {len(prompts)}, {len(sequence_ids)} and {len(rows)}")
-    if len(set(rows)) != len(rows):
-        raise ValueError("batched prompts need distinct cache rows")
     ids = [_prompt_ids(p, model.config) for p in prompts]
     if len({len(x) for x in ids}) > 1:
         raise ValueError(f"batched prompts must share one length, got lengths {sorted({len(x) for x in ids})}")
+    held = max(0, *rows) + 1 if cache is None else cache.rows  # checked before a default cache is made
+    _check_rows(rows, held)
     if cache is None:
-        cache = model.new_cache(max(0, *rows) + 1)
-    _check_rows(rows, cache)
+        cache = model.new_cache(held)
     trace, logits = _forward(model, cache, rows, [0] * len(rows), ids, PHASE_PP, sequence_ids, policy, forced_voids)
     states = [GenerationState(s, cache, len(ids[0]), logits[b], r) for b, (s, r) in enumerate(zip(sequence_ids, rows))]
     return states, trace
@@ -497,10 +497,8 @@ def generate(states: list[GenerationState], model: ToyTransformer, policy: HaltP
     """
     if len({id(s.cache) for s in states}) > 1:
         raise ValueError("states decoded together must share one KVCache")
-    if len({s.row for s in states}) != len(states):
-        raise ValueError("states decoded together need distinct cache rows")
     if states:
-        _check_rows([s.row for s in states], states[0].cache)
+        _check_rows([s.row for s in states], states[0].cache.rows)
     t_total = model.layer_count
     if forced_voids is not None:
         forced_voids = np.asarray(forced_voids, dtype=bool)

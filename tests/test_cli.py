@@ -332,6 +332,18 @@ class TestTrace:
         assert run(["trace", "--weights", str(weights), "--prompt", "x", "--out", str(tmp_path)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_non_finite_config_exits_1_before_writing(self, tmp_path, capsys):
+        from lacvoid import load_container, save_container
+        weights = tmp_path / "inf.lactnsr"
+        save_weights(build_model(ModelConfig(layer_count=1, depth=16, head_count=2, ffn_dim=64)), weights)
+        tensors = load_container(weights)
+        tensors["config"][5] = float("inf")
+        save_container(tensors, weights)
+        out = tmp_path / "out"
+        assert run(["trace", "--weights", str(weights), "--prompt", "hi", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {weights}: malformed 'config' tensor\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("source", ["weights", "seed-model"])
     def test_max_seq_claim_allocates_nothing(self, tmp_path, source):
         # a model claiming 2**20 positions traces like the same weights at 256, in a few MB
@@ -419,6 +431,24 @@ class TestSweep:
         assert capsys.readouterr().err == "error: disk full\n"
         assert [p.name for p in tmp_path.iterdir()] == ["trace.jsonl"]
         assert (tmp_path / "trace.jsonl").read_bytes() == earlier
+
+    def test_a_failed_score_run_leaves_the_earlier_files(self, tmp_path, monkeypatch, capsys):
+        earlier = {"sweep.csv": b"an earlier run's sweep\n", "trace.jsonl": b"an earlier run's trace\n"}
+        for name, blob in earlier.items():
+            (tmp_path / name).write_bytes(blob)
+        score, alphas = cli._score, []
+
+        def fail_second(model, jobs, policy, max_new):
+            alphas.append(policy.alpha)
+            if len(alphas) == 2:
+                raise ValueError("position 12 overflows max_seq 12")
+            return score(model, jobs, policy, max_new)
+        monkeypatch.setattr(cli, "_score", fail_second)
+        assert run(["sweep", *MODEL, "--suite", "copy", "--alphas", "0.2,0.5", "--max-new", "2",
+                    "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: position 12 overflows max_seq 12\n"
+        assert alphas == [0.2, 0.5]
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == earlier  # and no trace.jsonl.partial
 
     def test_empty_alpha_list_exits_2(self, tmp_path):
         assert run(["sweep", *MODEL, "--prompt", "x", "--alphas", "", "--out", str(tmp_path)]) == 2

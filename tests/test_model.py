@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from lacvoid import (
     HaltPolicy,
     ModelConfig,
     NormGranularity,
+    ShapeError,
     SkipMode,
     ToyTransformer,
     build_model,
@@ -177,6 +179,29 @@ class TestContainer:
         save_container(tensors, path)
         with pytest.raises(ContainerError, match="malformed 'config' tensor"):
             load_weights(path)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_non_finite_config_value_is_malformed(self, tmp_path, value):
+        tensors = build_model(CFG).named_tensors()
+        tensors["config"] = np.array([4, 16, 2, 32, 256, value], dtype=np.float32)
+        path = tmp_path / "m.lactnsr"
+        save_container(tensors, path)
+        with pytest.raises(ContainerError, match=r"m\.lactnsr: malformed 'config' tensor$"):
+            load_weights(path)
+
+    def test_config_field_over_2_24_is_refused_before_the_file_is_opened(self, tmp_path):
+        # float32 holds 2**24 + 1 as 2**24, so the file would load as another model
+        path = tmp_path / "m.lactnsr"
+        path.write_bytes(b"an earlier file")
+        model = build_model(ModelConfig(layer_count=1, depth=4, head_count=1, ffn_dim=4, max_seq=2 ** 24 + 1))
+        with pytest.raises(ValueError, match=r"^config field max_seq = 16777217 is over 2\*\*24, "):
+            save_weights(model, path)
+        assert path.read_bytes() == b"an earlier file"
+
+    def test_config_field_of_2_24_round_trips(self, tmp_path):
+        config = ModelConfig(layer_count=1, depth=4, head_count=1, ffn_dim=4, max_seq=2 ** 24)
+        save_weights(build_model(config), tmp_path / "m.lactnsr")
+        assert load_weights(tmp_path / "m.lactnsr").config == config
 
     def test_missing_config(self, tmp_path):
         path = tmp_path / "m.lactnsr"
@@ -410,6 +435,11 @@ class TestGenerate:
         for i, logits in enumerate(inc):
             assert np.abs(logits - grid[len(prompt) - 1 + i]).max() < 1e-4
 
+    @pytest.mark.parametrize("index", [-1, 4])
+    def test_without_layer_out_of_range_is_refused(self, index):
+        with pytest.raises(IndexError, match=rf"^layer index {index} out of range for 4 layers$"):
+            build_model(CFG).without_layer(index)
+
     def test_always_void_middle_layer_equals_removed_layer(self):
         model = build_model(CFG)
         reduced = model.without_layer(1)
@@ -595,6 +625,15 @@ class TestBatchedGenerate:
         with pytest.raises(ValueError, match="distinct cache rows"):
             generate([a, c], model, OFF, 2)
 
+    @pytest.mark.parametrize("shape", [(3,), (5,), (4, 2)])
+    def test_forced_voids_not_one_flag_per_layer_is_refused_before_anything_runs(self, shape):
+        model = build_model(CFG)
+        (state,), _ = run_prompt(model, [[65]], OFF, ["a"])
+        message = f"forced_voids shape {shape} is not one flag per layer (4)"
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+            generate([state], model, OFF, 2, forced_voids=np.zeros(shape, dtype=bool))
+        assert state.position == 1
+
     @pytest.mark.parametrize("row", [5, -1, -2])
     def test_row_outside_the_cache_is_refused_before_anything_is_written(self, row):
         # -2 would index row 0 of a 2-row cache from the end; -1 and 5 select no row at all
@@ -678,6 +717,17 @@ class TestBatchedRunPrompt:
         with pytest.raises(ValueError, match=rf"^cache row {row} is outside the cache's 2 rows \[0, 2\)$"):
             run_prompt(model, ["hi"], OFF, ["s0"], cache=cache, rows=[row])
         assert not any(buf.any() for buf in cache.k + cache.v)
+
+    @pytest.mark.parametrize("rows, message", [
+        ([1, 1], "cache row 1 is given twice: a batch needs distinct cache rows"),
+        ([-1, 0], r"cache row -1 is outside the cache's 1 rows \[0, 1\)"),
+    ], ids=["repeated", "negative"])
+    def test_rows_are_checked_before_a_default_cache_is_made(self, monkeypatch, rows, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_prompt made a cache for rows it refuses")
+        monkeypatch.setattr(ToyTransformer, "new_cache", refuse)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_prompt(build_model(CFG), ["a", "b"], OFF, ["x", "y"], rows=rows)
 
     def test_default_cache_covers_the_highest_row(self):
         states, block = run_prompt(build_model(CFG), ["ab", "cd"], OFF, ["x", "y"], rows=[3, 1])
@@ -783,7 +833,10 @@ class TestInPlaceMath:
         # the oracle keeps its keys as (rows, heads, capacity, hd); the cache stores them transposed
         k_ref, v_ref = cache.k[1].transpose(0, 1, 3, 2).copy(), cache.v[1].copy()
 
-        out = block.forward(h, cache, 1, segments)
+        # forward takes each segment as its (batch slice, cache-row slice, first position) run
+        offsets = np.cumsum([0] + [stop - start for start, stop, _ in segments]).tolist()
+        runs = [(slice(i, j), slice(start, stop), pos) for (start, stop, pos), i, j in zip(segments, offsets, offsets[1:])]
+        out = block.forward(h, cache, 1, runs)
         expect = forward_oracle(block, h, k_ref, v_ref, segments)
         assert out.dtype == expect.dtype and out.shape == expect.shape
         assert out.tobytes() == expect.tobytes()

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from lacvoid import ModelConfig, build_model
 from lacvoid.rng import Xoshiro256StarStar, _draw_streams, _to_integers, _to_uniform, splitmix64, stream_for
-from lacvoid.suites import build_suite
+from lacvoid.suites import build_suite, score_case
 
 # sizes at and next to powers of two, where the lane length and the lane count step
 BOUNDARY_SIZES = [0, 1, 2, 15, 16, 17, 255, 256, 257, 4095, 4096, 4097, 65537]
@@ -93,6 +93,11 @@ def test_one_batch_of_every_boundary_size():
         assert gen.next_u64() == stream_for(5, name).next_u64()
 
 
+def test_draw_streams_refuses_a_negative_count():
+    with pytest.raises(ValueError, match=r"^_draw_streams: negative draw count in \[3, -1\]$"):
+        _draw_streams([stream_for(1, "a"), stream_for(1, "b")], [3, -1])
+
+
 def test_draw_streams_gives_one_generator_twice_equal_leading_draws():
     gen = stream_for(1, "twice")
     first, _, again = _draw_streams([gen, stream_for(1, "other"), gen], [3, 300, 5])
@@ -135,3 +140,13 @@ SUITE_PROMPTS = {
 @pytest.mark.parametrize("name, seed", sorted(SUITE_PROMPTS))
 def test_build_suite_golden_prompts(name, seed):
     assert [bytes(case.prompt_ids) for case in build_suite(name, seed)] == SUITE_PROMPTS[name, seed]
+
+
+def test_build_suite_refuses_an_unknown_name():
+    with pytest.raises(ValueError, match=r"^unknown suite 'nonsense', expected one of \('copy', 'sorted'\)$"):
+        build_suite("nonsense", 0)
+
+
+@pytest.mark.parametrize("generated", [(), (1, 2)])
+def test_score_case_with_no_expected_bytes_is_1(generated):
+    assert score_case(generated, ()) == 1.0

@@ -50,6 +50,11 @@ class TestL2Norm:
         with pytest.raises(ShapeError):
             l2_norm(np.zeros((2, 3), dtype=np.float32), T)
 
+    @pytest.mark.parametrize("granularity", ["token", None])
+    def test_non_member_granularity_error(self, granularity):
+        with pytest.raises(TypeError, match=f"^unknown granularity: {granularity!r}$"):
+            l2_norm(np.ones((1, 2, 2), dtype=np.float32), granularity)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_error(self, bad):
         h = np.ones((1, 2, 2), dtype=np.float32)
