@@ -245,7 +245,12 @@ def _jobs_from_args(args, parser) -> tuple[list[SuiteCase], int]:
     if getattr(args, "prompt", None):
         prompts = [args.prompt]
     else:
-        prompts = [ln for ln in Path(args.prompt_file).read_text(encoding="utf-8").splitlines() if ln.strip()]
+        try:
+            text = Path(args.prompt_file).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"--prompt-file {args.prompt_file}: not valid UTF-8: {exc.reason} "
+                             f"at byte {exc.start}") from exc
+        prompts = [ln for ln in text.splitlines() if ln.strip()]
         if not prompts:
             parser.error(f"--prompt-file {args.prompt_file} contains no prompts")
     return [SuiteCase(f"seq{i:03d}", tuple(p.encode("utf-8"))) for i, p in enumerate(prompts)], args.max_new

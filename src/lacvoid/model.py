@@ -312,6 +312,7 @@ def build_model(config: ModelConfig) -> ToyTransformer:
 
 
 _CONFIG_FIELDS = ("layer_count", "depth", "head_count", "ffn_dim", "vocab_size", "max_seq")
+_CONFIG_LIMIT = 2 ** 24  # float32 holds every integer up to here exactly, and not every one past it
 
 
 def save_weights(model: ToyTransformer, path) -> int:
@@ -325,7 +326,7 @@ def save_weights(model: ToyTransformer, path) -> int:
     """
     values = [getattr(model.config, f) for f in _CONFIG_FIELDS]
     for name, value in zip(_CONFIG_FIELDS, values):
-        if value > 2 ** 24:
+        if value > _CONFIG_LIMIT:
             raise ValueError(f"config field {name} = {value} is over 2**24, "
                              "so the container's float32 'config' tensor cannot hold it exactly")
     tensors = model.named_tensors()
@@ -334,14 +335,18 @@ def save_weights(model: ToyTransformer, path) -> int:
 
 
 def load_weights(path) -> ToyTransformer:
-    """Load a model from a tensor container written by save_weights."""
+    """Load a model from a tensor container written by save_weights. A 'config' tensor that
+    save_weights would not write, or that ModelConfig refuses, raises ContainerError naming the file."""
     tensors = load_container(path)
     if "config" not in tensors:
         raise ContainerError(f"{path}: missing 'config' tensor")
-    raw = tensors["config"]
-    if raw.shape != (len(_CONFIG_FIELDS),) or not np.all(np.isfinite(raw) & (raw == np.round(raw))):
+    raw = tensors["config"]  # NaN and +-inf fail the bound as well
+    if raw.shape != (len(_CONFIG_FIELDS),) or not np.all((np.abs(raw) <= _CONFIG_LIMIT) & (raw == np.round(raw))):
         raise ContainerError(f"{path}: malformed 'config' tensor")
-    config = ModelConfig(**{f: int(x) for f, x in zip(_CONFIG_FIELDS, raw)}, seed=0)
+    try:
+        config = ModelConfig(**{f: int(x) for f, x in zip(_CONFIG_FIELDS, raw)}, seed=0)
+    except ValueError as exc:
+        raise ContainerError(f"{path}: malformed 'config' tensor: {exc}") from exc
     # embed, ln_f.gain and each block's, checked before _tensor_shapes grows with the claim;
     # once it holds, a file without unknown names has every expected one
     needed, held = 2 + len(_BLOCK_TENSORS) * config.layer_count, len(tensors) - 1
@@ -363,15 +368,16 @@ class GenerationState:
     """Mutable per-sequence decoding state: one row of a KVCache. Single-threaded.
 
     position is the number of tokens forwarded so far (prompt and
-    response). error holds the ValueError that stopped the row's last
-    generate call (a token past max_seq or the cache's capacity);
-    None otherwise.
+    response) and last_logits the logits after the last of them (None
+    until run_prompt's step returns); _forward alone sets both. error
+    holds the ValueError that stopped the row's last generate call (a
+    token past max_seq or the cache's capacity); None otherwise.
     """
 
     sequence_id: str
     cache: KVCache
     position: int
-    last_logits: np.ndarray
+    last_logits: np.ndarray | None
     row: int = 0
     error: ValueError | None = None
 
@@ -404,17 +410,22 @@ def _check_rows(rows, held: int) -> None:
         seen.add(r)
 
 
-def _forward(model: ToyTransformer, cache: KVCache, rows, starts, ids, phase: str, sequence_ids,
-             policy: HaltPolicy, forced_voids) -> tuple[TraceColumns, np.ndarray]:
-    """One run_stack over B rows of n tokens: row b is tokens ids[b] at
-    positions starts[b].. in cache row rows[b]. Returns the trace of the
-    B * n tokens, row by row, and each row's last token's logits, (B, vocab)."""
+def _forward(model: ToyTransformer, states: list[GenerationState], ids, phase: str, policy: HaltPolicy,
+             forced_voids) -> TraceColumns:
+    """One run_stack over B states of one cache: state b's n tokens ids[b]
+    go into its cache row from its position on. The only code that advances
+    a state: its position grows by n and its last_logits become its last
+    token's logits. Returns the trace of the B * n tokens, state by state."""
     ids = np.asarray(ids, dtype=np.int64)
     b, n = ids.shape
+    starts = [s.position for s in states]
     positions = np.add.outer(np.asarray(starts, dtype=np.int64), np.arange(n))
     h0 = model.embed[ids] + sinusoidal_positions(positions, model.config.depth)
-    outcome = run_stack(model.stack_for(cache, rows, starts), h0, policy, forced_voids)
+    outcome = run_stack(model.stack_for(states[0].cache, [s.row for s in states], starts), h0, policy, forced_voids)
     logits = model.logits_from_hidden(outcome.final_hidden[:, -1:])[:, 0]
+    for s, last in zip(states, logits):
+        s.position += n
+        s.last_logits = last
 
     def per_token(layers_first: np.ndarray, dtype) -> np.ndarray:  # (T, B, n) -> (B * n, T)
         return layers_first.transpose(1, 2, 0).reshape(b * n, -1).astype(dtype, copy=False)
@@ -422,8 +433,8 @@ def _forward(model: ToyTransformer, cache: KVCache, rows, starts, ids, phase: st
     def repeated(value) -> np.ndarray:  # np.full(dtype=object) would store a copy of a str per record
         return np.repeat(np.array([value], dtype=object), b * n)
 
-    trace = TraceColumns(
-        sequence_id=np.repeat(np.array(sequence_ids, dtype=object), n),
+    return TraceColumns(
+        sequence_id=np.repeat(np.array([s.sequence_id for s in states], dtype=object), n),
         token_index=positions.reshape(-1),
         phase=repeated(phase),
         token_id=ids.reshape(-1),
@@ -434,7 +445,6 @@ def _forward(model: ToyTransformer, cache: KVCache, rows, starts, ids, phase: st
         formula=repeated("modified"),
         skip_mode=repeated(policy.skip_mode.value),
     )
-    return trace, logits
 
 
 def run_prompt(model: ToyTransformer, prompts, policy: HaltPolicy, sequence_ids, forced_voids=None,
@@ -471,9 +481,8 @@ def run_prompt(model: ToyTransformer, prompts, policy: HaltPolicy, sequence_ids,
     _check_rows(rows, held)
     if cache is None:
         cache = model.new_cache(held)
-    trace, logits = _forward(model, cache, rows, [0] * len(rows), ids, PHASE_PP, sequence_ids, policy, forced_voids)
-    states = [GenerationState(s, cache, len(ids[0]), logits[b], r) for b, (s, r) in enumerate(zip(sequence_ids, rows))]
-    return states, trace
+    states = [GenerationState(s, cache, 0, None, r) for s, r in zip(sequence_ids, rows)]
+    return states, _forward(model, states, ids, PHASE_PP, policy, forced_voids)
 
 
 def generate(states: list[GenerationState], model: ToyTransformer, policy: HaltPolicy, max_new: int,
@@ -493,7 +502,8 @@ def generate(states: list[GenerationState], model: ToyTransformer, policy: HaltP
     decoding it alone. forced_voids is per sequence: one flag per layer.
 
     Returns (ids per state, trace per state), in the order of states;
-    a state's trace holds one record per emitted token.
+    a state's trace holds one record per emitted token, and its ids are
+    those records' token ids.
     """
     if len({id(s.cache) for s in states}) > 1:
         raise ValueError("states decoded together must share one KVCache")
@@ -511,7 +521,7 @@ def generate(states: list[GenerationState], model: ToyTransformer, policy: HaltP
     for s in states:
         s.error = None
 
-    out_ids: list[list[int]] = [[] for _ in states]
+    start = [s.position for s in states]
     steps: list[TraceColumns] = []  # one block per position, its rows' states in `owners`
     owners: list[int] = []
     # in cache-row order, so rows decoding at one position form runs
@@ -520,10 +530,8 @@ def generate(states: list[GenerationState], model: ToyTransformer, policy: HaltP
         step, tokens = [], []
         for i in live:
             s = states[i]
-            if len(out_ids[i]) >= max_new:
-                continue
             nxt = int(np.argmax(s.last_logits))
-            if nxt == EOT:
+            if s.position - start[i] >= max_new or nxt == EOT:
                 continue
             if s.position >= limit:
                 s.error = ValueError(f"position {s.position} overflows {bound} {limit}")
@@ -533,16 +541,9 @@ def generate(states: list[GenerationState], model: ToyTransformer, policy: HaltP
         if not step:
             break
         live = step
-        trace, logits = _forward(model, states[step[0]].cache, [states[i].row for i in step],
-                                 [states[i].position for i in step], [[t] for t in tokens], PHASE_RG,
-                                 [states[i].sequence_id for i in step], policy, forced_voids)
-        steps.append(trace)
+        steps.append(_forward(model, [states[i] for i in step], [[t] for t in tokens], PHASE_RG, policy, forced_voids))
         owners += step
-        for b, i in enumerate(step):
-            s = states[i]
-            out_ids[i].append(tokens[b])
-            s.position += 1
-            s.last_logits = logits[b]
     trace = TraceColumns.concat(steps) if steps else TraceColumns.empty(t_total)
     owner = np.array(owners, dtype=np.int64)
-    return out_ids, [trace[owner == i] for i in range(len(states))]
+    blocks = [trace[owner == i] for i in range(len(states))]
+    return [block.token_id.tolist() for block in blocks], blocks

@@ -328,10 +328,10 @@ def read_trace(source) -> TraceColumns:
     each chunk of _CHUNK_ROWS records against the writer's value rules
     once built, so the read stops at the first chunk holding a refused
     line, where a line refused by its JSON types wins over an earlier
-    value error.
+    value error. A path's line that is not valid UTF-8 is refused too.
     """
     if isinstance(source, (str, bytes, os.PathLike)):
-        with open(source, encoding="utf-8") as fh:
+        with open(source, encoding="utf-8", errors="surrogateescape") as fh:
             return _read_lines(_split(fh), str(source))
     return _read_lines(_split(source), "<stream>")
 
@@ -381,6 +381,9 @@ def _read_lines(lines: Iterable[str], origin: str) -> TraceColumns:
         line = line.strip()
         if not line:
             continue
+        # surrogateescape reads a byte UTF-8 refuses as U+DC80..U+DCFF; the writer's lines are ASCII
+        if not line.isascii() and any("\udc80" <= c <= "\udcff" for c in line):
+            raise TraceError(f"{origin}: line {i}: not valid UTF-8")
         try:
             values = _values(_DECODER.decode(line))
         except json.JSONDecodeError as exc:

@@ -93,6 +93,14 @@ class TestTrace:
         seqs = {r.sequence_id for r in read_trace(tmp_path / "trace.jsonl")}
         assert seqs == {"seq000", "seq001", "seq002"}
 
+    def test_prompt_file_that_is_not_utf8_exits_1_naming_it(self, tmp_path, capsys):
+        pf, out = tmp_path / "prompts.txt", tmp_path / "out"
+        pf.write_bytes(b"one\n\xfftwo\n")
+        assert run(["trace", *MODEL, "--prompt-file", str(pf), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (f"error: --prompt-file {pf}: not valid UTF-8: "
+                                           "invalid start byte at byte 4\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("max_seq", [18, 24, 256])
     @pytest.mark.parametrize("mode, granularity", sorted(RAGGED_DIGESTS))
     def test_batched_decode_writes_the_same_trace(self, tmp_path, mode, granularity, max_seq):
@@ -500,6 +508,17 @@ class TestReport:
         out = tmp_path / "out"
         assert run(["report", "--trace", str(trace), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {trace} contains no records\n"
+        assert not out.exists()
+
+    def test_a_line_that_is_not_utf8_exits_1_naming_it(self, tmp_path, capsys):
+        assert run(["trace", *MODEL, "--prompt", "hi", "--max-new", "2", "--out", str(tmp_path / "t")]) == 0
+        lines = (tmp_path / "t" / "trace.jsonl").read_bytes().splitlines(keepends=True)
+        lines[1] = b"\xff" + lines[1]
+        trace, out = tmp_path / "bad.jsonl", tmp_path / "out"
+        trace.write_bytes(b"".join(lines))
+        capsys.readouterr()
+        assert run(["report", "--trace", str(trace), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {trace}: line 2: not valid UTF-8\n"
         assert not out.exists()
 
     def test_non_object_line_exits_1(self, tmp_path, capsys):

@@ -203,6 +203,29 @@ class TestContainer:
         save_weights(build_model(config), tmp_path / "m.lactnsr")
         assert load_weights(tmp_path / "m.lactnsr").config == config
 
+    @pytest.mark.parametrize("value", [2.0 ** 25, np.nan], ids=["2**25", "nan"])
+    def test_config_value_save_weights_would_not_write_is_refused_on_load(self, tmp_path, value):
+        # float32 holds 2**25 exactly, but save_weights refuses it, so the model could not be saved again
+        tensors = build_model(ModelConfig(layer_count=1, depth=4, head_count=1, ffn_dim=4, max_seq=4)).named_tensors()
+        tensors["config"] = np.array([1, 4, 1, 4, 256, value], dtype=np.float32)
+        path = tmp_path / "m.lactnsr"
+        save_container(tensors, path)
+        with pytest.raises(ContainerError, match=r"m\.lactnsr: malformed 'config' tensor$"):
+            load_weights(path)
+
+    @pytest.mark.parametrize("config, reason", [
+        ([1, 4, 3, 4, 256, 4], "depth 4 not divisible by head_count 3"),
+        ([0, 4, 1, 4, 256, 4], "layer_count must be positive"),
+    ], ids=["head_count 3", "layer_count 0"])
+    def test_config_that_model_config_refuses_names_the_file(self, tmp_path, config, reason):
+        tensors = build_model(ModelConfig(layer_count=1, depth=4, head_count=1, ffn_dim=4, max_seq=4)).named_tensors()
+        tensors["config"] = np.array(config, dtype=np.float32)
+        path = tmp_path / "m.lactnsr"
+        save_container(tensors, path)
+        message = f"{path}: malformed 'config' tensor: {reason}"
+        with pytest.raises(ContainerError, match=f"^{re.escape(message)}$"):
+            load_weights(path)
+
     def test_missing_config(self, tmp_path):
         path = tmp_path / "m.lactnsr"
         save_container({"embed": np.zeros((4, 2), np.float32)}, path)
@@ -614,6 +637,21 @@ class TestBatchedGenerate:
             assert ids[i] == ref_ids
             assert reference_lines(rg[i]) == reference_lines(ref_rg)
             assert str(states[i].error) == str(alone.error) == "position 6 overflows the KV cache's capacity 6"
+
+    def test_decoding_resumes_exactly(self):
+        model = build_model(ModelConfig(layer_count=4, depth=16, head_count=2, ffn_dim=32, max_seq=64, seed=3))
+        policy = HaltPolicy(alpha=0.8, skip_mode=SkipMode.SKIP_IDENTITY)
+        prompts, seqs = ["abcd", "wxyz", "lac!"], ["a", "b", "c"]
+        split, _ = run_prompt(model, prompts, policy, seqs)
+        first_ids, first_rg = generate(split, model, policy, 4)
+        then_ids, then_rg = generate(split, model, policy, 6)
+        whole, _ = run_prompt(model, prompts, policy, seqs)
+        ids, rg = generate(whole, model, policy, 10)
+        assert [len(x) for x in ids] == [10, 10, 10]  # no end-of-text between the two calls
+        assert [a + b for a, b in zip(first_ids, then_ids)] == ids
+        assert [a + b for a, b in zip(first_rg, then_rg)] == rg
+        assert [s.position for s in split] == [s.position for s in whole] == [14, 14, 14]
+        assert [s.last_logits.tobytes() for s in split] == [s.last_logits.tobytes() for s in whole]
 
     def test_states_must_share_a_cache_in_distinct_rows(self):
         model = build_model(CFG)

@@ -537,6 +537,21 @@ class TestStreamingReader:
         from_path, *others = read_every_way(text, tmp_path_factory.mktemp("split"))
         assert others == [from_path] * len(others)
 
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("bad", [b"\xff", b"\xc3", b"\xed\xb3\xbf"])  # a stray byte, a cut sequence, a surrogate
+    def test_a_line_that_is_not_utf8_names_its_line(self, tmp_path, end, bad):
+        lines = [line.encode() for line in TWO_LAYER_LINES]
+        lines[2] = lines[2].replace(b'"sequence_id":"', b'"sequence_id":"' + bad, 1)
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(end.encode().join([lines[0], b"", *lines[1:]]) + end.encode())
+        with pytest.raises(TraceError, match=rf"^{re.escape(str(path))}: line 4: not valid UTF-8$"):
+            read_trace(path)
+
+    def test_a_valid_non_ascii_line_reads(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text(with_field("sequence_id", '"café"') + "\n", encoding="utf-8")
+        assert read_trace(path).sequence_id.tolist() == ["café"]
+
     def test_peak_memory_stays_within_twice_the_file_size(self, tmp_path):
         path = tmp_path / "t.jsonl"
         size = write_trace_file(TraceColumns.from_records(random_records(4096, layers=4, seed=15)), path)
