@@ -131,8 +131,10 @@ def alpha_sweep(trace: TraceColumns, alphas, min_layers: int = 1) -> list[tuple[
     return [(float(alpha), _usage_from_columns(kept(alpha), trace.phase, float(alpha))) for alpha in alphas]
 
 
-def _fmt(x: float) -> str:
-    return "%.9g" % float(x)
+def _cell(x: float | None) -> str:
+    """A CSV number cell of sweep.csv and report.csv: 9 significant digits,
+    or empty for a phase with no tokens."""
+    return "" if x is None else "%.9g" % float(x)
 
 
 def export_reports(trace: TraceColumns, out_dir) -> tuple[Path, Path]:
@@ -150,13 +152,14 @@ def export_reports(trace: TraceColumns, out_dir) -> tuple[Path, Path]:
     csv_path = out_dir / f"{REPORT_STEM}.csv"
     json_path = out_dir / f"{REPORT_STEM}_summary.json"
 
-    columns = [stat.get(phase) for stat in (usage.frequencies, profile.mean_norms, profile.mean_deltas)
+    empty = [None] * usage.layer_count
+    columns = [stat.get(phase, empty) for stat in (usage.frequencies, profile.mean_norms, profile.mean_deltas)
                for phase in PHASES]  # CSV_HEADER's order
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         for layer in range(usage.layer_count):
-            writer.writerow([layer + 1] + ["" if c is None else _fmt(c[layer]) for c in columns])
+            writer.writerow([layer + 1] + [_cell(c[layer]) for c in columns])
 
     summary = {
         "layer_count": usage.layer_count,

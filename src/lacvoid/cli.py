@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import alpha_sweep, export_reports, usage_report
+from .analysis import _cell, alpha_sweep, export_reports, usage_report
 from .halting import HaltPolicy, SkipMode
 from .model import ModelConfig, ToyTransformer, _prompt_ids, build_model, generate, load_weights, run_prompt
 from .suites import SUITE_NAMES, SuiteCase, build_suite, score_case
@@ -250,7 +250,7 @@ def _jobs_from_args(args, parser) -> tuple[list[SuiteCase], int]:
         except UnicodeDecodeError as exc:
             raise ValueError(f"--prompt-file {args.prompt_file}: not valid UTF-8: {exc.reason} "
                              f"at byte {exc.start}") from exc
-        prompts = [ln for ln in text.splitlines() if ln.strip()]
+        prompts = [ln for ln in text.split("\n") if ln.strip()]
         if not prompts:
             parser.error(f"--prompt-file {args.prompt_file} contains no prompts")
     return [SuiteCase(f"seq{i:03d}", tuple(p.encode("utf-8"))) for i, p in enumerate(prompts)], args.max_new
@@ -344,27 +344,20 @@ def cmd_sweep(args, parser) -> int:
     detect = dataclasses.replace(policy, skip_mode=SkipMode.DETECT)
     trace = TraceColumns.concat(_run_jobs(model, jobs, detect, max_new))
 
-    sweep = alpha_sweep(trace, alphas, args.min_layers)
-    rows = []
-    for alpha, report in sweep:
+    lines = ["alpha,pp_usage,rg_usage,task_score\n"]
+    for alpha, report in alpha_sweep(trace, alphas, args.min_layers):
         score = ""
         if args.suite:
             score = f"{_score(model, jobs, dataclasses.replace(policy, alpha=alpha), max_new)[0]:.6f}"
-        pp = report.average_usage.get(PHASE_PP)
-        rg = report.average_usage.get(PHASE_RG)
-        rows.append((alpha, pp, rg, score))
+        usage = report.average_usage
+        lines.append(f"{_cell(alpha)},{_cell(usage.get(PHASE_PP))},{_cell(usage.get(PHASE_RG))},{score}\n")
 
     out_dir = Path(args.out)
     with _trace_file(out_dir) as fh:
         write_trace(trace, fh)
     sweep_path = out_dir / "sweep.csv"
-    with open(sweep_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("alpha,pp_usage,rg_usage,task_score\n")
-        for alpha, pp, rg, score in rows:
-            pp_s = "" if pp is None else f"{pp:.9g}"
-            rg_s = "" if rg is None else f"{rg:.9g}"
-            fh.write(f"{alpha:.9g},{pp_s},{rg_s},{score}\n")
-    print(f"wrote {sweep_path} ({len(rows)} alphas)")
+    sweep_path.write_text("".join(lines), encoding="utf-8", newline="\n")
+    print(f"wrote {sweep_path} ({len(alphas)} alphas)")
     return 0
 
 
@@ -429,16 +422,12 @@ _COMMANDS = {"trace": cmd_trace, "sweep": cmd_sweep, "report": cmd_report, "comp
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else 0
-    try:
+        args = build_parser().parse_args(argv)
         code = _COMMANDS[args.command](args, args.parser)
         sys.stdout.flush()  # here, so a closed stdout is met while its error can still be handled
         return code
-    except SystemExit as exc:  # parser.error inside a command
+    except SystemExit as exc:  # --help, or parser.error in parsing or inside a command
         return int(exc.code) if exc.code is not None else 0
     except BrokenPipeError:  # stdout's reader has gone: exit 1 quietly, with the exit's flush sent nowhere
         devnull = os.open(os.devnull, os.O_WRONLY)

@@ -93,6 +93,16 @@ class TestTrace:
         seqs = {r.sequence_id for r in read_trace(tmp_path / "trace.jsonl")}
         assert seqs == {"seq000", "seq001", "seq002"}
 
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_prompt_file_splits_only_at_line_ends(self, tmp_path, end):
+        # U+0085, U+2028 and \x0c end a line for str.splitlines, not for a prompt file
+        pf, out = tmp_path / "prompts.txt", tmp_path / "out"
+        pf.write_bytes("".join(p + end for p in ["caf\u0085e", "x\u2028y", "\x0cz"]).encode("utf-8"))
+        assert run(["trace", *MODEL, "--prompt-file", str(pf), "--max-new", "0", "--out", str(out)]) == 0
+        trace = read_trace(out / "trace.jsonl")
+        assert trace.sequence_id.tolist() == ["seq000"] * 6 + ["seq001"] * 5 + ["seq002"] * 2
+        assert set(trace.phase.tolist()) == {"PP"}
+
     def test_prompt_file_that_is_not_utf8_exits_1_naming_it(self, tmp_path, capsys):
         pf, out = tmp_path / "prompts.txt", tmp_path / "out"
         pf.write_bytes(b"one\n\xfftwo\n")
@@ -457,6 +467,24 @@ class TestSweep:
         assert capsys.readouterr().err == "error: position 12 overflows max_seq 12\n"
         assert alphas == [0.2, 0.5]
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == earlier  # and no trace.jsonl.partial
+
+    def test_a_phase_with_no_tokens_leaves_its_cells_empty(self, tmp_path):
+        # --max-new 0 records no RG tokens, and no --suite gives no score
+        assert run(["sweep", "--seed-model", "d16,h2,l4", "--prompt", "hi", "--alphas", "0.5,1",
+                    "--max-new", "0", "--out", str(tmp_path)]) == 0
+        text = (tmp_path / "sweep.csv").read_bytes().decode("ascii")
+        header, *lines = text.split("\n")[:-1]
+        assert header == "alpha,pp_usage,rg_usage,task_score" and text.endswith("\n")
+        assert [line.split(",")[0] for line in lines] == ["0.5", "1"]
+        assert all(line.endswith(",,") and line.split(",")[1] != "" for line in lines)
+        assert run(["report", "--trace", str(tmp_path / "trace.jsonl"), "--out", str(tmp_path / "rep")]) == 0
+        report = (tmp_path / "rep" / "report.csv").read_bytes().decode("ascii")
+        assert report.endswith("\r\n") and "\n" not in report.replace("\r\n", "")
+        rows = list(csv.DictReader(report.splitlines()))
+        assert len(rows) == 4
+        for row in rows:
+            assert all(row[c] == "" for c in row if c.startswith("rg_"))
+            assert all(row[c] != "" for c in row if c.startswith("pp_"))
 
     def test_empty_alpha_list_exits_2(self, tmp_path):
         assert run(["sweep", *MODEL, "--prompt", "x", "--alphas", "", "--out", str(tmp_path)]) == 2
